@@ -2,7 +2,9 @@
 /// primitive operators and multi-objective utilities the search is built
 /// from — hash joins, Reduct, state materialization (full-scan and
 /// incremental), Pareto fronts (naive vs Kung), ε-grid updates, ParallelFor
-/// dispatch, and 1-D k-means.
+/// dispatch, 1-D k-means, and model training per family: one fit of each
+/// tree task's model on its encoded train split, and the MO-GBM surrogate's
+/// fit and per-row predict on 120 recorded tests.
 ///
 /// `--json` is translated to google-benchmark's
 /// `--benchmark_format=json`, so this binary shares the repo-wide
@@ -12,13 +14,21 @@
 
 #include <cstdio>
 #include <cstring>
+#include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/kmeans.h"
 #include "common/thread_pool.h"
+#include "core/algorithms.h"
 #include "core/universe.h"
 #include "datagen/tasks.h"
+#include "estimator/oracle.h"
+#include "estimator/supervised_evaluator.h"
+#include "ml/dataset.h"
+#include "ml/multi_output_gbm.h"
 #include "moo/pareto.h"
 #include "ops/operators.h"
 #include "storage/buffer_pool.h"
@@ -331,6 +341,112 @@ void BM_KMeans1D(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_KMeans1D)->Arg(1000)->Arg(10000);
+
+/// A task's model prototype and the train split one exact valuation of
+/// the full universe fits, at the serving workload's row scale (0.4).
+struct FitInput {
+  TabularBench bench;
+  MlDataset train;
+};
+
+const FitInput& FitInputFor(BenchTaskId id) {
+  static std::map<BenchTaskId, FitInput> inputs;
+  auto it = inputs.find(id);
+  if (it != inputs.end()) return it->second;
+  auto bench = MakeTabularBench(id, 0.4);
+  MODIS_CHECK(bench.ok());
+  BridgeOptions bridge;
+  bridge.exclude = bench->task.exclude;
+  auto encoded = TableToDataset(bench->universal, bench->task.target,
+                                bench->task.task, bridge);
+  MODIS_CHECK(encoded.ok());
+  Rng split_rng(bench->task.seed);
+  const SplitIndices split = TrainTestSplit(
+      encoded->num_rows(), bench->task.test_fraction, &split_rng);
+  MlDataset train = encoded->SelectRows(split.train);
+  return inputs.emplace(id, FitInput{std::move(bench).value(), std::move(train)})
+      .first->second;
+}
+
+/// One Fit of the task's model: gbm_reg (T1), rf_clf (T2), gbm_clf (T4).
+void BM_ModelFit(benchmark::State& state, BenchTaskId id) {
+  const FitInput& input = FitInputFor(id);
+  for (auto _ : state) {
+    std::unique_ptr<MlModel> model = input.bench.model->Clone();
+    Rng rng(input.bench.task.seed);
+    benchmark::DoNotOptimize(model->Fit(input.train, &rng));
+  }
+  state.SetItemsProcessed(state.iterations() * input.train.num_rows());
+}
+BENCHMARK_CAPTURE(BM_ModelFit, gbm_reg_T1, BenchTaskId::kMovie)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ModelFit, rf_clf_T2, BenchTaskId::kHouse)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ModelFit, gbm_clf_T4, BenchTaskId::kMental)
+    ->Unit(benchmark::kMillisecond);
+
+/// 120 recorded (state features, normalized evaluation) tests of an
+/// exact T3 search. T3 trains ridge, so the records do not depend on the
+/// tree learner being measured.
+const std::pair<Matrix, Matrix>& SurrogateRows() {
+  static const std::pair<Matrix, Matrix> rows = [] {
+    auto bench = MakeTabularBench(BenchTaskId::kAvocado, 0.4);
+    MODIS_CHECK(bench.ok());
+    auto universe =
+        SearchUniverse::Build(bench->universal, bench->universe_options);
+    MODIS_CHECK(universe.ok());
+    SupervisedTask task = bench->task;
+    task.measures.clear();
+    for (const MeasureSpec& m : bench->task.measures) {
+      if (m.name != "train_time") task.measures.push_back(m);
+    }
+    SupervisedEvaluator evaluator(task, bench->model->Clone());
+    ExactOracle oracle(&evaluator);
+    ModisConfig cfg;
+    cfg.epsilon = 0.1;
+    cfg.max_states = 120;
+    cfg.max_level = 6;
+    MODIS_CHECK(RunBiModis(*universe, &oracle, cfg).ok());
+    const auto& records = oracle.store().records();
+    MODIS_CHECK(records.size() == 120u);
+    Matrix x(120, records[0].features.size());
+    Matrix y(120, records[0].eval.normalized.size());
+    for (size_t i = 0; i < 120; ++i) {
+      for (size_t j = 0; j < x.cols(); ++j) {
+        x.At(i, j) = records[i].features[j];
+      }
+      for (size_t j = 0; j < y.cols(); ++j) {
+        y.At(i, j) = records[i].eval.normalized[j];
+      }
+    }
+    return std::make_pair(std::move(x), std::move(y));
+  }();
+  return rows;
+}
+
+void BM_SurrogateFit(benchmark::State& state) {
+  const auto& [x, y] = SurrogateRows();
+  const SurrogateOptions surrogate;
+  for (auto _ : state) {
+    MultiOutputGbm model(surrogate.gbm);
+    Rng rng(surrogate.seed);
+    benchmark::DoNotOptimize(model.Fit(x, y, &rng));
+  }
+}
+BENCHMARK(BM_SurrogateFit)->Unit(benchmark::kMillisecond);
+
+void BM_SurrogatePredictRow(benchmark::State& state) {
+  const auto& [x, y] = SurrogateRows();
+  const SurrogateOptions surrogate;
+  MultiOutputGbm model(surrogate.gbm);
+  Rng rng(surrogate.seed);
+  MODIS_CHECK(model.Fit(x, y, &rng).ok());
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.PredictRow(x.Row(i++ % x.rows())));
+  }
+}
+BENCHMARK(BM_SurrogatePredictRow);
 
 }  // namespace
 }  // namespace modis

@@ -104,6 +104,9 @@ struct Args {
   // coordinator via fork+exec of its own binary).
   std::string worker_attach;
   uint32_t worker_index = 0;
+  // Hidden, test only (--test-hold-at SPAN): each worker's first
+  // incarnation parks when a query opens SPAN (WorkerOptions::hold_at).
+  std::string test_hold_at;
 };
 
 bool ParseArgs(int argc, char** argv, Args* args) {
@@ -187,6 +190,8 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--worker-index") {
       if (!next(&value)) return false;
       args->worker_index = static_cast<uint32_t>(std::stoul(value));
+    } else if (flag == "--test-hold-at") {
+      if (!next(&args->test_hold_at)) return false;
     } else if (flag == "--tenant") {
       if (!next(&value)) return false;
       auto spec = ParseTenantSpec(value);
@@ -229,7 +234,7 @@ void ServeStdio(DiscoveryService* service, WorkerPool* pool) {
 /// mirroring every engine-relevant flag of the coordinator's command
 /// line so workers open the same cache file with the same engine knobs.
 pid_t SpawnWorker(const Args& args, const std::string& ring_path,
-                  uint32_t worker) {
+                  uint32_t worker, bool first_incarnation) {
   std::vector<std::string> storage;
   storage.push_back("modis_server");
   auto add = [&storage](const char* flag, const std::string& value) {
@@ -252,6 +257,10 @@ pid_t SpawnWorker(const Args& args, const std::string& ring_path,
   add("--trace-ring", std::to_string(args.trace_ring));
   add("--log-level", args.log_level);
   if (args.log_json) storage.push_back("--log-json");
+  // A respawned worker is disarmed, like a crash that does not recur.
+  if (first_incarnation && !args.test_hold_at.empty()) {
+    add("--test-hold-at", args.test_hold_at);
+  }
   std::vector<char*> argv;
   argv.reserve(storage.size() + 1);
   for (std::string& arg : storage) argv.push_back(arg.data());
@@ -282,6 +291,7 @@ int RunWorker(const Args& args, DiscoveryService::Options options) {
   WorkerOptions worker_options;
   worker_options.ring_path = args.worker_attach;
   worker_options.worker_index = args.worker_index;
+  worker_options.hold_at = args.test_hold_at;
   MODIS_LOG(INFO, "worker")
       .Tag("worker", uint64_t(args.worker_index))
       .Tag("ring", args.worker_attach)
@@ -414,8 +424,12 @@ int main(int argc, char** argv) {
     pool_options.ring_path = ring_path;
     pool_options.ring.slots = args.job_ring;
     pool_options.respawn_ms = args.worker_respawn_ms;
-    pool_options.spawn = [&args, ring_path](uint32_t worker) {
-      return SpawnWorker(args, ring_path, worker);
+    // Shared by the copies WorkerPool keeps of this function.
+    auto spawned = std::make_shared<std::vector<bool>>(args.workers, false);
+    pool_options.spawn = [&args, ring_path, spawned](uint32_t worker) {
+      const bool first = !(*spawned)[worker];
+      (*spawned)[worker] = true;
+      return SpawnWorker(args, ring_path, worker, first);
     };
     if (Status started = WorkerPool::Start(pool_options, &pool);
         !started.ok()) {

@@ -24,8 +24,8 @@
 #      JSON naming that id, and /metrics carries the trace-derived
 #      modis_phase_* histogram series
 #  11. worker-crash-smoke (docs/MULTIPROCESS.md): a --workers 2 pool
-#      host, SIGKILL of every worker process while a cold query is
-#      training — the query is requeued to a respawned worker, the
+#      host, SIGKILL of every worker process while a cold query is held
+#      at its train span — the query is requeued to a respawned worker, the
 #      client still gets the full (identical) skyline, and the HTTP
 #      /metrics exposition shows modis_worker_restarts_total incremented
 #
@@ -460,16 +460,18 @@ wait "$SERVER_PID" 2>/dev/null || true
 SERVER_PID=""
 
 # ---- Phase 5: worker-crash-smoke. A multi-process pool host on a
-# fresh cache (so the query actually trains and is in flight when the
-# kill lands). SIGKILL every worker mid-query: the supervisor must reap
-# them, requeue the orphaned job, respawn, and the client must still
-# receive the full answer — identical to the undisturbed phase-1 run.
+# fresh cache (so the query actually trains). The hidden test flag
+# --test-hold-at parks each worker's first incarnation when its query
+# opens the "train" span, so the kill lands mid-query by construction.
+# SIGKILL every worker: the supervisor must reap them, requeue the
+# orphaned job, respawn (disarmed), and the client must still receive
+# the full answer — identical to the undisturbed phase-1 run.
 SOCK5="$WORK/pool.sock"
 CACHE5="$WORK/pool.rlog"
 RING5="$WORK/pool.ring"
 "$SERVER" --socket "$SOCK5" --listen 127.0.0.1:0 --http \
   --workers 2 --ring-path "$RING5" --row-scale "$ROW_SCALE" \
-  --cache "$CACHE5" > "$WORK/pool.log" 2>&1 &
+  --cache "$CACHE5" --test-hold-at train > "$WORK/pool.log" 2>&1 &
 SERVER_PID=$!
 wait_for_socket "$SERVER_PID" "$SOCK5" "$WORK/pool.log"
 POOL_ENDPOINT=""
@@ -501,8 +503,21 @@ WORKER_PIDS=$(grep -o 'worker spawned.*pid=[0-9]*' "$WORK/pool.log" \
 "$CLI" --connect "$SOCK5" "${REQUEST_FLAGS[@]}" --raw \
   > "$WORK/pool_reply.json" &
 CLIENT_PID=$!
-sleep 1  # The job is claimed and training inside a worker by now.
-# Kill BOTH workers so the one holding the query is dead for certain.
+# Wait (bounded) until the worker that claimed the job parks at "train".
+HELD=""
+for _ in $(seq 1 600); do
+  if grep -q "holding at span train" "$WORK/pool.log"; then
+    HELD=1
+    break
+  fi
+  sleep 0.1
+done
+[ -n "$HELD" ] || {
+  echo "serving_smoke: no worker reached the train hold point" >&2
+  cat "$WORK/pool.log" >&2
+  exit 1
+}
+# Kill BOTH workers: the held one carries the query.
 for pid in $WORKER_PIDS; do
   kill -9 "$pid" 2>/dev/null || true
 done

@@ -1,6 +1,7 @@
 #ifndef MODIS_ML_DECISION_TREE_H_
 #define MODIS_ML_DECISION_TREE_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/matrix.h"
@@ -13,12 +14,45 @@ namespace modis {
 struct TreeOptions {
   int max_depth = 6;
   size_t min_samples_leaf = 2;
-  /// Candidate split thresholds per feature. Small values give the
-  /// histogram-binned behaviour of LightGBM-style learners.
+  /// Histogram bins per feature: every split threshold is one of at most
+  /// max_bins - 1 cut points fixed once per fit (see FeatureBins). Small
+  /// values give the histogram-binned behaviour of LightGBM-style
+  /// learners; <= 0 means the 65536-bin ceiling.
   int max_bins = 64;
   /// Fraction of features considered per split (1.0 = all). Random forests
   /// use sqrt(d)/d.
   double feature_fraction = 1.0;
+};
+
+/// Histogram bins of one training matrix — the split-finding technique of
+/// LightGBM (Ke et al., NeurIPS 2017). Built once per ensemble fit and
+/// shared by all its trees, so a node's split search is one pass over its
+/// rows into per-bin statistics plus one scan over the bins, instead of a
+/// sort per feature per node.
+///
+/// Per feature, the cut points are the midpoints between adjacent distinct
+/// values when there are at most max_bins of them (every boundary is a
+/// candidate), else the midpoints just below max_bins - 1 evenly spaced
+/// quantiles. A value's code is the number of cuts below it, so
+/// `x <= cuts[b]` exactly when `code <= b`: routing rows by code agrees
+/// with routing them by threshold. NaN gets the last bin, which
+/// `x <= threshold` also sends right.
+class FeatureBins {
+ public:
+  FeatureBins(const Matrix& x, int max_bins);
+
+  size_t rows() const { return rows_; }
+  size_t features() const { return cuts_.size(); }
+  /// The bin codes of feature f, one per row of the binned matrix.
+  const uint16_t* codes(size_t f) const { return codes_.data() + f * rows_; }
+  /// Ascending cut points of feature f.
+  const std::vector<double>& cuts(size_t f) const { return cuts_[f]; }
+  size_t num_bins(size_t f) const { return cuts_[f].size() + 1; }
+
+ private:
+  size_t rows_ = 0;
+  std::vector<uint16_t> codes_;  // Column-major: feature f at f * rows_.
+  std::vector<std::vector<double>> cuts_;
 };
 
 /// A CART decision tree supporting regression (variance criterion) and
@@ -26,7 +60,9 @@ struct TreeOptions {
 /// forest and gradient-boosting ensembles.
 ///
 /// Internals: nodes are stored in a flat array; leaves carry either a mean
-/// response (regression) or a class histogram (classification).
+/// response (regression) or a class histogram (classification). Splits are
+/// found over FeatureBins: per node and feature, per-bin (count, target
+/// sum) or class counts, then a left-to-right scan of the bin boundaries.
 class DecisionTree {
  public:
   enum class Criterion { kVariance, kGini };
@@ -34,9 +70,15 @@ class DecisionTree {
   explicit DecisionTree(TreeOptions options = {}) : options_(options) {}
 
   /// Fits on rows `sample` of x (duplicates allowed — bootstrap). For Gini,
-  /// `y` holds class indices and `num_classes` must be positive. `weights`
-  /// (optional, may be empty) weight each sample row.
+  /// `y` holds class indices and `num_classes` must be positive. Bins x
+  /// with options.max_bins first; ensembles bin once and call the
+  /// FeatureBins overload per tree instead.
   Status Fit(const Matrix& x, const std::vector<double>& y,
+             const std::vector<size_t>& sample, Criterion criterion,
+             int num_classes, Rng* rng);
+
+  /// Fits on rows `sample` of the binned matrix; thresholds are its cuts.
+  Status Fit(const FeatureBins& bins, const std::vector<double>& y,
              const std::vector<size_t>& sample, Criterion criterion,
              int num_classes, Rng* rng);
 
@@ -63,9 +105,11 @@ class DecisionTree {
     std::vector<double> distribution;   // Classification leaf histogram.
   };
 
-  int BuildNode(const Matrix& x, const std::vector<double>& y,
+  struct Workspace;
+
+  int BuildNode(const FeatureBins& bins, const std::vector<double>& y,
                 std::vector<size_t>& rows, size_t begin, size_t end, int depth,
-                Rng* rng);
+                Rng* rng, Workspace* ws);
   const Node& Descend(const double* row) const;
 
   TreeOptions options_;

@@ -59,12 +59,13 @@ Status GradientBoostingRegressor::Fit(const MlDataset& train, Rng* rng) {
       static_cast<double>(n);
   std::vector<double> pred(n, base_prediction_);
   std::vector<double> residual(n);
+  const FeatureBins bins(train.x, options_.tree.max_bins);
 
   for (int round = 0; round < options_.num_rounds; ++round) {
     for (size_t i = 0; i < n; ++i) residual[i] = train.y[i] - pred[i];
     DecisionTree tree(options_.tree);
     const auto sample = SubsampleRows(n, options_.subsample, rng);
-    MODIS_RETURN_IF_ERROR(tree.Fit(train.x, residual, sample,
+    MODIS_RETURN_IF_ERROR(tree.Fit(bins, residual, sample,
                                    DecisionTree::Criterion::kVariance, 0,
                                    rng));
     for (size_t i = 0; i < n; ++i) {
@@ -132,6 +133,7 @@ Status GradientBoostingClassifier::Fit(const MlDataset& train, Rng* rng) {
     }
   }
   std::vector<double> gradient(n);
+  const FeatureBins bins(train.x, options_.tree.max_bins);
 
   for (int round = 0; round < options_.num_rounds; ++round) {
     const auto sample = SubsampleRows(n, options_.subsample, rng);
@@ -150,7 +152,7 @@ Status GradientBoostingClassifier::Fit(const MlDataset& train, Rng* rng) {
         gradient[i] = yk - pk;
       }
       DecisionTree tree(options_.tree);
-      MODIS_RETURN_IF_ERROR(tree.Fit(train.x, gradient, sample,
+      MODIS_RETURN_IF_ERROR(tree.Fit(bins, gradient, sample,
                                      DecisionTree::Criterion::kVariance, 0,
                                      rng));
       for (size_t i = 0; i < n; ++i) {

@@ -56,11 +56,12 @@ Status RandomForestClassifier::Fit(const MlDataset& train, Rng* rng) {
         std::sqrt(static_cast<double>(num_features_)) /
         static_cast<double>(num_features_);
   }
+  const FeatureBins bins(train.x, topt.max_bins);
   for (int t = 0; t < options_.num_trees; ++t) {
     DecisionTree tree(topt);
     const auto sample =
         BootstrapSample(train.num_rows(), options_.subsample, rng);
-    MODIS_RETURN_IF_ERROR(tree.Fit(train.x, train.y, sample,
+    MODIS_RETURN_IF_ERROR(tree.Fit(bins, train.y, sample,
                                    DecisionTree::Criterion::kGini,
                                    num_classes_, rng));
     trees_.push_back(std::move(tree));
@@ -119,11 +120,12 @@ Status RandomForestRegressor::Fit(const MlDataset& train, Rng* rng) {
   if (topt.feature_fraction >= 1.0 && num_features_ > 1) {
     topt.feature_fraction = 1.0 / 3.0;  // Common regression default.
   }
+  const FeatureBins bins(train.x, topt.max_bins);
   for (int t = 0; t < options_.num_trees; ++t) {
     DecisionTree tree(topt);
     const auto sample =
         BootstrapSample(train.num_rows(), options_.subsample, rng);
-    MODIS_RETURN_IF_ERROR(tree.Fit(train.x, train.y, sample,
+    MODIS_RETURN_IF_ERROR(tree.Fit(bins, train.y, sample,
                                    DecisionTree::Criterion::kVariance, 0, rng));
     trees_.push_back(std::move(tree));
   }

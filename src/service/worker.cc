@@ -7,6 +7,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
 
 #include "common/logging.h"
 #include "common/trace.h"
@@ -16,14 +18,30 @@ namespace modis {
 
 namespace {
 
-// The span-name trigger of the mid_train / pre_commit crash points.
-// Process-global because the span observer is: a worker process arms at
-// most one crash point for its whole life, so a plain pointer is enough.
+// The span-name triggers of the mid_train / pre_commit crash points and
+// of the hold point. Process-global because the span observer is: a
+// worker process arms each at most once for its whole life, so plain
+// pointers are enough.
 const char* g_crash_span = nullptr;
+const char* g_hold_span = nullptr;
+std::atomic<bool> g_hold_armed{false};
+volatile sig_atomic_t g_hold_released = 0;
 
-void CrashOnSpan(const char* name) {
+void ReleaseHold(int) { g_hold_released = 1; }
+
+void OnSpan(const char* name) {
   if (g_crash_span != nullptr && strcmp(name, g_crash_span) == 0) {
     ::kill(::getpid(), SIGKILL);
+  }
+  if (g_hold_span != nullptr && strcmp(name, g_hold_span) == 0 &&
+      g_hold_armed.exchange(false)) {
+    MODIS_LOG(WARN, "worker")
+        .Tag("pid", int64_t(::getpid()))
+        << "holding at span " << name << " until SIGUSR1 or kill";
+    while (g_hold_released == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    MODIS_LOG(INFO, "worker") << "released from span " << name;
   }
 }
 
@@ -39,15 +57,25 @@ Status RunWorkerLoop(DiscoveryService* service, const WorkerOptions& options) {
   }
   if (options.crash_at == "mid_train") {
     g_crash_span = "train";
-    SetGlobalSpanObserver(&CrashOnSpan);
+    SetGlobalSpanObserver(&OnSpan);
   } else if (options.crash_at == "pre_commit") {
     g_crash_span = "commit";
-    SetGlobalSpanObserver(&CrashOnSpan);
+    SetGlobalSpanObserver(&OnSpan);
   } else if (options.crash_at == "mid_response") {
     ring->SetCompleteHookForTest(&SelfKill);
   } else if (!options.crash_at.empty() && options.crash_at != "claimed") {
     return Status::InvalidArgument("unknown crash_at point: " +
                                    options.crash_at);
+  }
+  if (!options.hold_at.empty()) {
+    static std::string hold_span;  // Outlives every observer call.
+    hold_span = options.hold_at;
+    g_hold_span = hold_span.c_str();
+    g_hold_armed = true;
+    struct sigaction release = {};
+    release.sa_handler = &ReleaseHold;
+    ::sigaction(SIGUSR1, &release, nullptr);
+    SetGlobalSpanObserver(&OnSpan);
   }
   MODIS_LOG(INFO, "worker") << "worker " << options.worker_index
                             << " draining ring " << options.ring_path;

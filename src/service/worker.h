@@ -33,6 +33,12 @@ struct WorkerOptions {
   /// or "mid_response" (inside Complete() while holding the ring mutex
   /// — the robust-mutex owner-death case).
   std::string crash_at;
+  /// Test-only hold point: "" (never), or a span name ("train",
+  /// "context", ...). The first time a query opens that span, the worker
+  /// logs "holding at span NAME" and parks there until it receives
+  /// SIGUSR1 or is killed — a deterministic "mid-query" for kill and
+  /// placement tests, where a sleep would race the query.
+  std::string hold_at;
 };
 
 /// Drains the ring until stop is requested: claim a job, answer it

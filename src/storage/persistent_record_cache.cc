@@ -211,8 +211,43 @@ Result<std::unique_ptr<PersistentRecordCache>> PersistentRecordCache::OpenShared
   return cache;
 }
 
+PersistentRecordCache::FileStamp PersistentRecordCache::StampOf(
+    const std::string& path) {
+  FileStamp stamp;
+  struct stat st;
+  if (::stat(path.c_str(), &st) == 0) {
+    stamp.size = static_cast<int64_t>(st.st_size);
+    stamp.mtime_ns = static_cast<int64_t>(st.st_mtim.tv_sec) * 1000000000 +
+                     st.st_mtim.tv_nsec;
+    stamp.inode = static_cast<uint64_t>(st.st_ino);
+  }
+  return stamp;
+}
+
+void PersistentRecordCache::IndexSnapshotRecordsLocked(
+    std::vector<StoredRecord>* records) {
+  stats_.loaded_records += records->size();
+  for (StoredRecord& r : *records) {
+    Bucket& bucket = index_[r.fingerprint];
+    const uint64_t tick = ++tick_;
+    // Last write wins over the file, as at every load. A key this process
+    // still holds in pending_ now serves the file's copy, which is
+    // identical by content addressing.
+    Entry& entry = bucket.entries[r.key];
+    entry.record = std::move(r);
+    entry.last_hit = tick;
+    bucket.last_hit = tick;
+  }
+  auto it = index_.find(fingerprint_);
+  stats_.task_records = it == index_.end() ? 0 : it->second.entries.size();
+}
+
 Status PersistentRecordCache::LoadSharedSnapshotLocked() {
+  // Stamped before the read: a publish racing the read changes the file
+  // after the stamp, so the next refresh looks again.
+  const FileStamp stamp = StampOf(path_);
   std::vector<StoredRecord> records;
+  size_t valid_end = 0;
   const FileKind kind = SniffFormat(path_);
   switch (kind) {
     case FileKind::kMissing:
@@ -220,6 +255,7 @@ Status PersistentRecordCache::LoadSharedSnapshotLocked() {
     case FileKind::kV1Log: {
       auto opened = RecordLog::Open(path_, /*read_only=*/true, &records);
       if (!opened.ok()) return opened.status();
+      valid_end = opened->size_bytes();
       break;  // The read lock is released as `opened` dies.
     }
     case FileKind::kPaged: {
@@ -227,23 +263,15 @@ Status PersistentRecordCache::LoadSharedSnapshotLocked() {
           PagedStore::Open(path_, /*read_only=*/true, StoreOptions(options_));
       if (!opened.ok()) return opened.status();
       MODIS_RETURN_IF_ERROR(opened.value()->ReadAllRecords(&records));
-      break;
+      break;  // valid_end stays 0: paged files are always reloaded whole.
     }
     case FileKind::kOther:
       return Status::FailedPrecondition("cache file has an unknown format: " +
                                         path_);
   }
   index_.clear();
-  stats_.loaded_records = records.size();
-  for (StoredRecord& r : records) {
-    Bucket& bucket = index_[r.fingerprint];
-    const uint64_t tick = ++tick_;
-    auto [it, inserted] = bucket.entries.try_emplace(r.key);
-    (void)inserted;  // Last write wins at load, as everywhere.
-    it->second.record = std::move(r);
-    it->second.last_hit = tick;
-    bucket.last_hit = tick;
-  }
+  stats_.loaded_records = 0;
+  IndexSnapshotRecordsLocked(&records);
   // This process's unpublished inserts stay visible (first write wins:
   // a record a sibling published meanwhile is identical by content
   // addressing, so whichever copy the index holds is the same answer).
@@ -260,41 +288,48 @@ Status PersistentRecordCache::LoadSharedSnapshotLocked() {
     stats_.task_records =
         it == index_.end() ? 0 : it->second.entries.size();
   }
-  struct stat st;
-  if (::stat(path_.c_str(), &st) == 0) {
-    snapshot_size_ = static_cast<int64_t>(st.st_size);
-    snapshot_mtime_ns_ = static_cast<int64_t>(st.st_mtim.tv_sec) * 1000000000 +
-                         st.st_mtim.tv_nsec;
-    stats_.log_bytes = static_cast<size_t>(st.st_size);
-  } else {
-    snapshot_size_ = -1;
-    snapshot_mtime_ns_ = -1;
-    stats_.log_bytes = 0;
-  }
+  snapshot_stamp_ = stamp;
+  snapshot_valid_end_ = valid_end;
+  stats_.log_bytes = stamp.size < 0 ? 0 : static_cast<size_t>(stamp.size);
+  return Status::OK();
+}
+
+Status PersistentRecordCache::ReadSharedTailLocked(const FileStamp& stamp) {
+  std::vector<StoredRecord> records;
+  size_t valid_end = 0;
+  MODIS_RETURN_IF_ERROR(RecordLog::ReadFrom(path_, snapshot_stamp_.inode,
+                                            snapshot_valid_end_, &records,
+                                            &valid_end));
+  // Appending the tail to the snapshot in file order is what a full
+  // reload would index; pending_ entries are already in the index.
+  IndexSnapshotRecordsLocked(&records);
+  snapshot_stamp_ = stamp;
+  snapshot_valid_end_ = valid_end;
+  stats_.log_bytes = static_cast<size_t>(stamp.size);
   return Status::OK();
 }
 
 Status PersistentRecordCache::RefreshIfChanged() {
   std::lock_guard<std::mutex> lock(mu_);
   if (!shared_) return Status::OK();
-  struct stat st;
-  int64_t size = -1;
-  int64_t mtime_ns = -1;
-  if (::stat(path_.c_str(), &st) == 0) {
-    size = static_cast<int64_t>(st.st_size);
-    mtime_ns = static_cast<int64_t>(st.st_mtim.tv_sec) * 1000000000 +
-               st.st_mtim.tv_nsec;
+  const FileStamp now = StampOf(path_);
+  if (now == snapshot_stamp_) return Status::OK();
+  // Same v1 file, not shorter than the scanned prefix: only frames
+  // appended since can be new. A replaced file (Rewrite, compaction), a
+  // shrunken one, or a paged one is reloaded whole.
+  const bool tail = snapshot_valid_end_ >= RecordLog::kHeaderSize &&
+                    now.inode == snapshot_stamp_.inode &&
+                    now.size >= static_cast<int64_t>(snapshot_valid_end_);
+  Status refreshed = tail ? ReadSharedTailLocked(now) : Status::OK();
+  if (!tail || refreshed.code() == StatusCode::kOutOfRange) {
+    refreshed = LoadSharedSnapshotLocked();
   }
-  if (size == snapshot_size_ && mtime_ns == snapshot_mtime_ns_) {
-    return Status::OK();
-  }
-  const Status loaded = LoadSharedSnapshotLocked();
-  if (loaded.code() == StatusCode::kFailedPrecondition) {
+  if (refreshed.code() == StatusCode::kFailedPrecondition) {
     // A sibling's exclusive publish window (or a mid-write file) is
     // transient; keep serving the previous snapshot.
     return Status::OK();
   }
-  return loaded;
+  return refreshed;
 }
 
 Status PersistentRecordCache::PublishPendingLocked() {
@@ -614,7 +649,7 @@ PersistentRecordCache::Stats PersistentRecordCache::stats() const {
     snapshot.quarantined = s.quarantined;
     snapshot.discarded_tail_bytes = s.discarded_tail_bytes;
     snapshot.buffer_frames_in_use = s.pool.frames_in_use;
-  } else {
+  } else if (!shared_) {  // Shared: the file size as last read.
     snapshot.log_bytes = log_.size_bytes();
     snapshot.reclaimed_bytes = log_.reclaimed_bytes();
   }

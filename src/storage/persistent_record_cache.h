@@ -154,9 +154,13 @@ class PersistentRecordCache {
       const std::string& path, uint64_t fingerprint,
       Options options = Options());
 
-  /// Shared mode only (no-op otherwise): reloads the snapshot when the
-  /// file changed on disk since it was last read. A conflicting live
-  /// writer is not an error — the current snapshot is kept.
+  /// Shared mode only (no-op otherwise): brings the snapshot up to date
+  /// when the file changed on disk since it was last read. A v1 log that
+  /// only grew is tail-read: just the frames appended after the last
+  /// scan's valid end (RecordLog::ReadFrom). A replaced file (a Rewrite
+  /// rename or byte-bound compaction), a shrunken one, or a paged one is
+  /// reloaded whole. A conflicting live writer is not an error — the
+  /// current snapshot is kept.
   Status RefreshIfChanged();
 
   bool shared() const { return shared_; }
@@ -249,9 +253,28 @@ class PersistentRecordCache {
         path_(std::move(path)),
         shared_(true) {}
 
+  /// Identity and change signal of the file at a path: (size, mtime) say
+  /// whether it changed, the inode whether it is still the same file.
+  struct FileStamp {
+    int64_t size = -1;  // -1: missing.
+    int64_t mtime_ns = -1;
+    uint64_t inode = 0;
+    bool operator==(const FileStamp& o) const {
+      return size == o.size && mtime_ns == o.mtime_ns && inode == o.inode;
+    }
+  };
+  static FileStamp StampOf(const std::string& path);
+
   /// Shared mode: replaces the snapshot from the file (read-only short
   /// open, both backends), then re-overlays pending_. Caller holds mu_.
   Status LoadSharedSnapshotLocked();
+  /// Shared mode, v1 log: indexes the frames appended since the last
+  /// scan. OutOfRange when the file was replaced or truncated meanwhile.
+  /// Caller holds mu_.
+  Status ReadSharedTailLocked(const FileStamp& stamp);
+  /// Indexes snapshot records in file order (last write wins) and
+  /// updates the load stats. Caller holds mu_.
+  void IndexSnapshotRecordsLocked(std::vector<StoredRecord>* records);
   /// Shared mode: publishes pending_ via a short exclusive window.
   /// Caller holds mu_.
   Status PublishPendingLocked();
@@ -289,12 +312,14 @@ class PersistentRecordCache {
   std::unordered_map<uint64_t, Bucket> index_;
 
   /// Shared mode state. pending_ holds inserts not yet published to the
-  /// file; the stamp is the (size, mtime) of the file as last loaded,
-  /// the change signal RefreshIfChanged() compares against.
+  /// file; the stamp is the file as last read, the change signal
+  /// RefreshIfChanged() compares against; the valid end is where that
+  /// read's last valid v1 frame ended (0: no tail reads — paged, missing
+  /// or headerless file).
   bool shared_ = false;
   std::vector<StoredRecord> pending_;
-  int64_t snapshot_size_ = -1;
-  int64_t snapshot_mtime_ns_ = -1;
+  FileStamp snapshot_stamp_;
+  size_t snapshot_valid_end_ = 0;
 };
 
 }  // namespace modis

@@ -6,6 +6,7 @@
 #if !defined(_WIN32)
 #include <fcntl.h>
 #include <sys/file.h>
+#include <sys/stat.h>
 #include <unistd.h>
 #endif
 
@@ -159,10 +160,12 @@ Result<HeaderState> CheckHeader(std::FILE* f, const std::string& path,
   return HeaderState::kValid;
 }
 
-/// Scans record frames from just past the header until EOF or the first
-/// torn/corrupt frame. Returns the valid byte count including the header.
-size_t ScanRecords(std::FILE* f, std::vector<StoredRecord>* out) {
-  size_t valid_bytes = RecordLog::kHeaderSize;
+/// Scans record frames from the stream position `start` (just past the
+/// header for a full scan) until EOF or the first torn/corrupt frame.
+/// Returns the offset just past the last valid frame.
+size_t ScanRecords(std::FILE* f, size_t start,
+                   std::vector<StoredRecord>* out) {
+  size_t valid_bytes = start;
   std::vector<uint8_t> payload;
   for (;;) {
     uint8_t frame[8];
@@ -312,7 +315,7 @@ Result<RecordLog> RecordLog::Open(const std::string& path, bool read_only,
       return header.status();
     }
     if (header.value() == HeaderState::kValid) {
-      const size_t valid_bytes = ScanRecords(f, out);
+      const size_t valid_bytes = ScanRecords(f, kHeaderSize, out);
       log.discarded_tail_bytes_ = TailBytes(f, valid_bytes);
       log.size_bytes_ = valid_bytes;
     }
@@ -346,7 +349,7 @@ Result<RecordLog> RecordLog::Open(const std::string& path, bool read_only,
   }
   size_t valid_bytes = kHeaderSize;
   if (header.value() == HeaderState::kValid) {
-    valid_bytes = ScanRecords(f, out);
+    valid_bytes = ScanRecords(f, kHeaderSize, out);
     log.discarded_tail_bytes_ = TailBytes(f, valid_bytes);
   } else {
     // Empty or torn-header file: (re)write the header, drop the rest.
@@ -372,6 +375,44 @@ Result<RecordLog> RecordLog::Open(const std::string& path, bool read_only,
   return log;
 }
 
+Status RecordLog::ReadFrom(const std::string& path, uint64_t inode,
+                           size_t offset, std::vector<StoredRecord>* out,
+                           size_t* valid_end) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::OutOfRange("record log is gone: " + path);
+  }
+  // The read-only Open contract: share with readers, never overlap a
+  // writer's window (its frames may be half written).
+  if (::flock(fd, LOCK_SH | LOCK_NB) != 0) {
+    ::close(fd);
+    return Status::FailedPrecondition(
+        "record log is write-locked by a live host: " + path);
+  }
+  // Checked under the lock: a rename over `path` (compaction) or a
+  // truncation below `offset` means the earlier scan no longer describes
+  // this file's prefix.
+  struct stat st;
+  if (::fstat(fd, &st) != 0 || static_cast<uint64_t>(st.st_ino) != inode ||
+      static_cast<uint64_t>(st.st_size) < offset) {
+    ::close(fd);
+    return Status::OutOfRange("record log was replaced or truncated: " +
+                              path);
+  }
+  std::FILE* f = ::fdopen(fd, "rb");
+  if (f == nullptr) {
+    ::close(fd);
+    return Status::IoError("cannot open record log: " + path);
+  }
+  if (std::fseek(f, static_cast<long>(offset), SEEK_SET) != 0) {
+    std::fclose(f);
+    return Status::IoError("cannot seek record log: " + path);
+  }
+  *valid_end = ScanRecords(f, offset, out);
+  std::fclose(f);  // Releases the shared lock.
+  return Status::OK();
+}
+
 #else  // _WIN32: no advisory locking; sharing a file is sequential-only.
 
 Result<RecordLog> RecordLog::Open(const std::string& path, bool read_only,
@@ -395,7 +436,7 @@ Result<RecordLog> RecordLog::Open(const std::string& path, bool read_only,
       return header.status();
     }
     if (header.value() == HeaderState::kValid) {
-      valid_bytes = ScanRecords(f, out);
+      valid_bytes = ScanRecords(f, kHeaderSize, out);
       log.discarded_tail_bytes_ = TailBytes(f, valid_bytes);
     } else {
       fresh = true;
@@ -439,6 +480,13 @@ Result<RecordLog> RecordLog::Open(const std::string& path, bool read_only,
   log.file_ = w;
   log.size_bytes_ = valid_bytes;
   return log;
+}
+
+Status RecordLog::ReadFrom(const std::string& path, uint64_t /*inode*/,
+                           size_t /*offset*/, std::vector<StoredRecord>*,
+                           size_t* /*valid_end*/) {
+  // No inode identity to tell a compacted file from a grown one.
+  return Status::OutOfRange("tail reads need POSIX file identity: " + path);
 }
 
 #endif  // _WIN32

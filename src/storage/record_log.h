@@ -101,6 +101,19 @@ class RecordLog {
   static Result<RecordLog> Open(const std::string& path, bool read_only,
                                 std::vector<StoredRecord>* out);
 
+  /// Read-only scan of the frames from byte `offset` on: the valid end of
+  /// an earlier scan of the same file, so a reader that already holds the
+  /// prefix reads only what was appended since. Same LOCK_SH contract as a
+  /// read-only Open (FailedPrecondition while a writer holds the file).
+  /// Valid records are appended to `*out` and `*valid_end` is set just
+  /// past the last valid frame; a torn or half-written frame is left for a
+  /// later call. Fails with OutOfRange when `path` is no longer inode
+  /// `inode` (a Rewrite renamed a new file over it) or is shorter than
+  /// `offset`: the caller must rescan from the start.
+  static Status ReadFrom(const std::string& path, uint64_t inode,
+                         size_t offset, std::vector<StoredRecord>* out,
+                         size_t* valid_end);
+
   /// Serializes one record at the tail. Buffered; call Flush to persist.
   Status Append(const StoredRecord& record);
 

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include "core/algorithms.h"
 #include "datagen/tasks.h"
 #include "estimator/link_evaluator.h"
 #include "estimator/measure.h"
 #include "estimator/oracle.h"
 #include "estimator/supervised_evaluator.h"
+#include "ml/metrics.h"
+#include "ml/multi_output_gbm.h"
 #include "ml/random_forest.h"
 
 namespace modis {
@@ -68,6 +71,104 @@ TEST(SupervisedEvaluatorTest, DeterministicAcrossCalls) {
   for (size_t i = 0; i < a->raw.size(); ++i) {
     if (bench.task.measures[i].name == "train_time") continue;
     EXPECT_DOUBLE_EQ(a->raw[i], b->raw[i]) << bench.task.measures[i].name;
+  }
+}
+
+// ---------------------------------------------------------- Accuracy guard
+//
+// Histogram split finding changed every tree learner's numerics. These pin
+// the held-out metrics of the tree-trained tasks, on the full D_U split at
+// row scale 1.0, as the sort-based split search scored them; the binned
+// trees may lose at most 0.02 on any of them.
+
+constexpr double kAccuracySlack = 0.02;
+
+struct PinnedMetric {
+  BenchTaskId task;
+  const char* measure;
+  double sort_based;
+};
+
+TEST(AccuracyGuardTest, TreeTasksStayWithinSlackOfSortBasedSplits) {
+  const PinnedMetric pinned[] = {
+      {BenchTaskId::kMovie, "acc", 0.435713},        // T1: GBM regressor.
+      {BenchTaskId::kHouse, "acc", 0.677054},        // T2: random forest.
+      {BenchTaskId::kHouse, "f1", 0.674758},
+      {BenchTaskId::kMental, "acc", 0.832778},       // T4: LightGBM-lite.
+      {BenchTaskId::kMental, "auc", 0.916619},
+      {BenchTaskId::kXray, "acc", 0.811111},         // case1: random forest.
+      {BenchTaskId::kFeaturePool, "acc", 0.821333},  // case2: random forest.
+  };
+  for (const PinnedMetric& p : pinned) {
+    auto bench = MakeTabularBench(p.task, 1.0);
+    ASSERT_TRUE(bench.ok());
+    auto eval = bench->MakeEvaluator()->Evaluate(bench->universal);
+    ASSERT_TRUE(eval.ok()) << eval.status().ToString();
+    const auto& measures = bench->task.measures;
+    size_t i = 0;
+    while (i < measures.size() && measures[i].name != p.measure) ++i;
+    ASSERT_LT(i, measures.size()) << p.measure;
+    EXPECT_GE(eval->raw[i], p.sort_based - kAccuracySlack)
+        << BenchTaskName(p.task) << " " << p.measure;
+  }
+}
+
+TEST(AccuracyGuardTest, SurrogateStaysWithinSlackOfSortBasedSplits) {
+  // The MO-GBM surrogate's held-out R2 per measure, on 240 recorded
+  // (features, normalized) rows of an exact T3 search. T3 trains ridge,
+  // so the records themselves do not depend on the tree learner.
+  auto bench = MakeTabularBench(BenchTaskId::kAvocado, 1.0);
+  ASSERT_TRUE(bench.ok());
+  auto universe =
+      SearchUniverse::Build(bench->universal, bench->universe_options);
+  ASSERT_TRUE(universe.ok());
+  SupervisedTask task = bench->task;
+  task.measures.clear();
+  for (const MeasureSpec& m : bench->task.measures) {
+    if (m.name != "train_time") task.measures.push_back(m);
+  }
+  SupervisedEvaluator evaluator(task, bench->model->Clone());
+  ExactOracle oracle(&evaluator);
+  ModisConfig cfg;
+  cfg.epsilon = 0.1;
+  cfg.max_states = 240;
+  cfg.max_level = 6;
+  ASSERT_TRUE(RunBiModis(*universe, &oracle, cfg).ok());
+  const auto& records = oracle.store().records();
+  ASSERT_EQ(records.size(), 240u);
+
+  // Every fourth record is held out.
+  const size_t d = records[0].features.size();
+  const size_t k = records[0].eval.normalized.size();
+  const size_t held_out = records.size() / 4;
+  Matrix x_train(records.size() - held_out, d), y_train(x_train.rows(), k);
+  Matrix x_test(held_out, d);
+  std::vector<std::vector<double>> y_test(k);
+  size_t a = 0, b = 0;
+  for (size_t i = 0; i < records.size(); ++i) {
+    const TestRecordStore::Record& r = records[i];
+    if (i % 4 == 3) {
+      for (size_t j = 0; j < d; ++j) x_test.At(b, j) = r.features[j];
+      for (size_t j = 0; j < k; ++j) y_test[j].push_back(r.eval.normalized[j]);
+      ++b;
+    } else {
+      for (size_t j = 0; j < d; ++j) x_train.At(a, j) = r.features[j];
+      for (size_t j = 0; j < k; ++j) y_train.At(a, j) = r.eval.normalized[j];
+      ++a;
+    }
+  }
+  const SurrogateOptions surrogate;
+  MultiOutputGbm model(surrogate.gbm);
+  Rng rng(surrogate.seed);
+  ASSERT_TRUE(model.Fit(x_train, y_train, &rng).ok());
+  const Matrix pred = model.Predict(x_test);
+  const double sort_based_r2[] = {0.916021, 0.888212};  // mse, mae
+  ASSERT_EQ(k, 2u);
+  for (size_t j = 0; j < k; ++j) {
+    std::vector<double> p(held_out);
+    for (size_t i = 0; i < held_out; ++i) p[i] = pred.At(i, j);
+    EXPECT_GE(R2Score(y_test[j], p), sort_based_r2[j] - kAccuracySlack)
+        << task.measures[j].name;
   }
 }
 

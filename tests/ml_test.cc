@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <map>
 
+#include "common/thread_pool.h"
 #include "ml/dataset.h"
 #include "ml/decision_tree.h"
 #include "ml/feature_scores.h"
@@ -262,6 +265,219 @@ TEST(DecisionTreeTest, SingleValueTargetYieldsLeaf) {
                        DecisionTree::Criterion::kVariance, 0, &rng).ok());
   EXPECT_EQ(tree.num_nodes(), 1u);
   EXPECT_DOUBLE_EQ(tree.PredictValue(x.Row(0)), 5.0);
+}
+
+// ----------------------------------------------------------- FeatureBins
+
+/// Columns: heavy duplicates (8 values), negative continuous, a constant,
+/// and a continuous column with more distinct values than the bins.
+Matrix BinningMatrix(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  Matrix x(n, 4);
+  for (size_t i = 0; i < n; ++i) {
+    x.At(i, 0) = static_cast<double>(rng.UniformInt(8)) - 3.0;
+    x.At(i, 1) = -std::fabs(rng.Normal()) * 100.0;
+    x.At(i, 2) = -2.5;
+    x.At(i, 3) = rng.Normal();
+  }
+  return x;
+}
+
+TEST(FeatureBinsTest, CodesAgreeWithThresholds) {
+  const Matrix x = BinningMatrix(500, 50);
+  for (int max_bins : {2, 7, 16, 64, 0}) {
+    const FeatureBins bins(x, max_bins);
+    ASSERT_EQ(bins.rows(), x.rows());
+    ASSERT_EQ(bins.features(), x.cols());
+    for (size_t f = 0; f < x.cols(); ++f) {
+      const auto& cuts = bins.cuts(f);
+      if (max_bins > 0) {
+        EXPECT_LE(bins.num_bins(f), size_t(max_bins));
+      }
+      for (size_t b = 1; b < cuts.size(); ++b) EXPECT_LT(cuts[b - 1], cuts[b]);
+      for (size_t r = 0; r < x.rows(); ++r) {
+        const uint16_t code = bins.codes(f)[r];
+        ASSERT_LT(code, bins.num_bins(f));
+        for (size_t b = 0; b < cuts.size(); ++b) {
+          ASSERT_EQ(x.At(r, f) <= cuts[b], code <= b)
+              << "feature " << f << " row " << r << " cut " << b;
+        }
+      }
+    }
+    EXPECT_EQ(bins.num_bins(2), 1u);  // The constant column: one bin.
+  }
+}
+
+TEST(FeatureBinsTest, NanTakesTheLastBinLikeThePredictPath) {
+  Matrix x(3, 1);
+  x.At(0, 0) = 1.0;
+  x.At(1, 0) = std::numeric_limits<double>::quiet_NaN();
+  x.At(2, 0) = 2.0;
+  const FeatureBins bins(x, 8);
+  ASSERT_EQ(bins.cuts(0).size(), 1u);
+  EXPECT_EQ(bins.codes(0)[1], 1u);
+  EXPECT_FALSE(x.At(1, 0) <= bins.cuts(0)[0]);
+}
+
+TEST(FeatureBinsTest, FewDistinctValuesMakeEveryBoundaryACandidate) {
+  const Matrix x = BinningMatrix(400, 51);
+  const FeatureBins bins(x, 8);
+  // Column 0 holds exactly the 8 values -3..4: 7 cuts, one per boundary,
+  // strictly between each adjacent pair.
+  ASSERT_EQ(bins.cuts(0).size(), 7u);
+  for (size_t b = 0; b < 7; ++b) {
+    EXPECT_GT(bins.cuts(0)[b], -3.0 + double(b));
+    EXPECT_LT(bins.cuts(0)[b], -2.0 + double(b));
+  }
+  // Column 3 has ~400 distinct values: 8 roughly equal-frequency bins.
+  ASSERT_EQ(bins.num_bins(3), 8u);
+  std::vector<size_t> per_bin(8, 0);
+  for (size_t r = 0; r < x.rows(); ++r) ++per_bin[bins.codes(3)[r]];
+  for (size_t c : per_bin) EXPECT_NEAR(double(c), 50.0, 2.0);
+
+  // A step at the rarest boundary (value 4 is 1/8 of the rows) is found
+  // exactly by a depth-1 tree.
+  std::vector<double> y(x.rows());
+  for (size_t r = 0; r < x.rows(); ++r) y[r] = x.At(r, 0) >= 4.0 ? 1.0 : 0.0;
+  std::vector<size_t> all(x.rows());
+  for (size_t i = 0; i < all.size(); ++i) all[i] = i;
+  DecisionTree stump({.max_depth = 1, .min_samples_leaf = 1, .max_bins = 8});
+  Rng rng(52);
+  ASSERT_TRUE(stump.Fit(x, y, all, DecisionTree::Criterion::kVariance, 0,
+                        &rng).ok());
+  for (size_t r = 0; r < x.rows(); ++r) {
+    EXPECT_DOUBLE_EQ(stump.PredictValue(x.Row(r)), y[r]);
+  }
+}
+
+TEST(FeatureBinsTest, ConstantColumnNeverSplits) {
+  Matrix x(50, 1, 7.0);
+  std::vector<double> y(50);
+  std::vector<size_t> all(50);
+  for (size_t i = 0; i < 50; ++i) {
+    y[i] = double(i % 5);
+    all[i] = i;
+  }
+  DecisionTree tree;
+  Rng rng(53);
+  ASSERT_TRUE(tree.Fit(x, y, all, DecisionTree::Criterion::kVariance, 0, &rng)
+                  .ok());
+  EXPECT_EQ(tree.num_nodes(), 1u);
+}
+
+/// Fits `tree` on all rows of (x, y) and checks that routing each training
+/// row by threshold (PredictValue) lands it in the leaf its codes built:
+/// every group of rows sharing a predicted value has that value as its
+/// mean target, and at least min_samples_leaf rows.
+void ExpectLeavesMatchCodePartition(const Matrix& x,
+                                    const std::vector<double>& y,
+                                    const TreeOptions& options) {
+  std::vector<size_t> all(x.rows());
+  for (size_t i = 0; i < all.size(); ++i) all[i] = i;
+  DecisionTree tree(options);
+  Rng rng(54);
+  ASSERT_TRUE(tree.Fit(x, y, all, DecisionTree::Criterion::kVariance, 0, &rng)
+                  .ok());
+  ASSERT_GT(tree.num_nodes(), 1u);
+  std::map<double, std::pair<double, size_t>> leaves;  // value -> (sum, n)
+  for (size_t r = 0; r < x.rows(); ++r) {
+    auto& leaf = leaves[tree.PredictValue(x.Row(r))];
+    leaf.first += y[r];
+    ++leaf.second;
+  }
+  for (const auto& [value, leaf] : leaves) {
+    EXPECT_NEAR(leaf.first / double(leaf.second), value, 1e-9);
+    EXPECT_GE(leaf.second, options.min_samples_leaf);
+  }
+}
+
+TEST(DecisionTreeTest, LeafAssignmentByThresholdEqualsCodePartition) {
+  const Matrix x = BinningMatrix(600, 55);
+  std::vector<double> y(x.rows());
+  Rng rng(56);
+  for (size_t r = 0; r < x.rows(); ++r) {
+    // Distinct targets keep leaf means distinct.
+    y[r] = x.At(r, 0) + 0.01 * x.At(r, 1) + x.At(r, 3) + 1e-3 * rng.Normal();
+  }
+  for (int max_bins : {4, 16, 64, 0}) {
+    ExpectLeavesMatchCodePartition(
+        x, y, {.max_depth = 6, .min_samples_leaf = 3, .max_bins = max_bins});
+  }
+}
+
+TEST(DecisionTreeTest, DuplicateSampleRowsWeighLikeCopiedRows) {
+  // A bootstrap sample (rows repeated) must fit the same tree as the
+  // physically copied rows. Few distinct values keep the bins identical.
+  const size_t n = 120;
+  Rng rng(57);
+  Matrix x(n, 2);
+  std::vector<double> y(n);
+  for (size_t i = 0; i < n; ++i) {
+    x.At(i, 0) = double(rng.UniformInt(10));
+    x.At(i, 1) = double(rng.UniformInt(6));
+    y[i] = double(rng.UniformInt(3));
+  }
+  std::vector<size_t> sample;
+  for (size_t i = 0; i < n; ++i) sample.push_back(rng.UniformInt(n));
+  Matrix copied(n, 2);
+  std::vector<double> copied_y(n);
+  std::vector<size_t> all(n);
+  for (size_t i = 0; i < n; ++i) {
+    copied.At(i, 0) = x.At(sample[i], 0);
+    copied.At(i, 1) = x.At(sample[i], 1);
+    copied_y[i] = y[sample[i]];
+    all[i] = i;
+  }
+  const TreeOptions options{.max_depth = 5, .min_samples_leaf = 2};
+  DecisionTree boot(options), copy(options);
+  Rng ra(58), rb(58);
+  ASSERT_TRUE(boot.Fit(x, y, sample, DecisionTree::Criterion::kGini, 3, &ra)
+                  .ok());
+  ASSERT_TRUE(copy.Fit(copied, copied_y, all, DecisionTree::Criterion::kGini,
+                       3, &rb)
+                  .ok());
+  EXPECT_EQ(boot.num_nodes(), copy.num_nodes());
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(boot.PredictDistribution(x.Row(i)),
+              copy.PredictDistribution(x.Row(i)));
+  }
+}
+
+/// Predictions of every tree ensemble on `test`, fitted on fixed data.
+std::vector<std::vector<double>> FitAllTreeModels(uint64_t seed) {
+  const MlDataset reg = MakeRegressionData(300, 0.2, seed);
+  const MlDataset cls = MakeClassificationData(300, seed + 1, 3);
+  std::vector<std::vector<double>> out;
+  GradientBoostingRegressor gbr({.num_rounds = 15, .subsample = 0.8});
+  ForestOptions forest;
+  forest.num_trees = 6;
+  RandomForestRegressor rfr(forest);
+  GradientBoostingClassifier gbc(LightGbmLiteOptions());
+  RandomForestClassifier rfc(forest);
+  for (MlModel* m : std::initializer_list<MlModel*>{&gbr, &rfr}) {
+    Rng rng(seed + 2);
+    EXPECT_TRUE(m->Fit(reg, &rng).ok());
+    out.push_back(m->Predict(reg.x));
+  }
+  for (MlModel* m : std::initializer_list<MlModel*>{&gbc, &rfc}) {
+    Rng rng(seed + 3);
+    EXPECT_TRUE(m->Fit(cls, &rng).ok());
+    for (const auto& row : m->PredictProba(cls.x)) out.push_back(row);
+  }
+  return out;
+}
+
+TEST(DecisionTreeTest, FitsAreBitIdenticalAcrossRunsAndPoolSizes) {
+  const auto reference = FitAllTreeModels(60);
+  EXPECT_EQ(FitAllTreeModels(60), reference);  // operator== on doubles.
+  for (size_t threads : {1, 4}) {
+    ThreadPool pool(threads);
+    std::vector<std::vector<std::vector<double>>> fits(8);
+    ASSERT_TRUE(ParallelFor(&pool, 0, fits.size(), [&](size_t i) {
+                  fits[i] = FitAllTreeModels(60);
+                }).ok());
+    for (const auto& fit : fits) EXPECT_EQ(fit, reference) << threads;
+  }
 }
 
 // ---------------------------------------------------------------- Forest

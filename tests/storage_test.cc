@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -832,6 +833,203 @@ TEST(CacheDeterminismTest, CrossProcessReadersShareALiveCacheWarm) {
   ASSERT_TRUE(reload.ok()) << reload.status().ToString();
   EXPECT_EQ(reload->discarded_tail_bytes(), 0u);
   EXPECT_EQ(records.size(), 3u);
+}
+
+// ------------------------------------------------ shared-attachment refresh
+
+/// Publishes `records` through a second shared attachment — a sibling
+/// worker's flush.
+void SiblingPublish(const std::string& path,
+                    const std::vector<StoredRecord>& records) {
+  auto sibling = PersistentRecordCache::OpenShared(path, 0);
+  ASSERT_TRUE(sibling.ok());
+  for (const StoredRecord& r : records) {
+    (*sibling)->Insert(r.fingerprint, r.key, r.features, r.eval);
+  }
+  ASSERT_TRUE((*sibling)->Flush().ok());
+}
+
+/// One record's on-disk frame: u32 size | u32 crc | payload.
+std::vector<uint8_t> FrameOf(const StoredRecord& record) {
+  const std::vector<uint8_t> payload = RecordLog::EncodePayload(record);
+  std::vector<uint8_t> frame(8);
+  const uint32_t size = static_cast<uint32_t>(payload.size());
+  const uint32_t crc = Crc32(payload.data(), payload.size());
+  for (int i = 0; i < 4; ++i) {
+    frame[i] = (size >> (8 * i)) & 0xFF;
+    frame[4 + i] = (crc >> (8 * i)) & 0xFF;
+  }
+  frame.insert(frame.end(), payload.begin(), payload.end());
+  return frame;
+}
+
+/// Appends raw bytes at the end of the file, bypassing every lock.
+void AppendRaw(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "ab");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
+/// What a full reload of `path` with `pending` overlaid serves: last write
+/// wins over the file, pending fills only the keys the file lacks.
+std::map<std::pair<uint64_t, std::string>, StoredRecord> FullReloadView(
+    const std::string& path, const std::vector<StoredRecord>& pending) {
+  std::map<std::pair<uint64_t, std::string>, StoredRecord> view;
+  std::vector<StoredRecord> records;
+  EXPECT_TRUE(RecordLog::Open(path, /*read_only=*/true, &records).ok());
+  for (const StoredRecord& r : records) view[{r.fingerprint, r.key}] = r;
+  for (const StoredRecord& r : pending) {
+    view.emplace(std::make_pair(r.fingerprint, r.key), r);
+  }
+  return view;
+}
+
+void ExpectServes(
+    PersistentRecordCache* cache,
+    const std::map<std::pair<uint64_t, std::string>, StoredRecord>& view) {
+  for (const auto& [id, want] : view) {
+    StoredRecord got;
+    ASSERT_TRUE(cache->Get(id.first, id.second, &got)) << id.second;
+    ExpectRecordEq(got, want);
+  }
+}
+
+TEST(SharedRefreshTest, TailRefreshServesWhatAFullReloadServes) {
+  const std::string path = TempLogPath("shared_tail.rlog");
+  SiblingPublish(path, {MakeRecord(7, "a", 1.0), MakeRecord(9, "b", 2.0)});
+  auto reader = PersistentRecordCache::OpenShared(path, 7);
+  ASSERT_TRUE(reader.ok());
+  // Unpublished inserts of the reader: one the file never gets, one a
+  // sibling publishes with other content (the file's copy must win).
+  const std::vector<StoredRecord> pending = {MakeRecord(7, "mine", 3.0),
+                                             MakeRecord(9, "both", 4.0)};
+  for (const StoredRecord& r : pending) {
+    (*reader)->Insert(r.fingerprint, r.key, r.features, r.eval);
+  }
+  for (int round = 0; round < 4; ++round) {
+    const std::string tag = std::to_string(round);
+    std::vector<StoredRecord> batch = {MakeRecord(7, "r7-" + tag, round),
+                                       MakeRecord(9, "r9-" + tag, -round),
+                                       MakeRecord(7, "a", 10.0 + round)};
+    if (round == 2) batch.push_back(MakeRecord(9, "both", 40.0));
+    SiblingPublish(path, batch);
+    ASSERT_TRUE((*reader)->RefreshIfChanged().ok());
+    ExpectServes(reader->get(), FullReloadView(path, pending));
+  }
+  std::vector<StoredRecord> records;
+  ASSERT_TRUE(RecordLog::Open(path, /*read_only=*/true, &records).ok());
+  EXPECT_EQ((*reader)->stats().loaded_records, records.size());
+  EXPECT_EQ((*reader)->stats().log_bytes, fs::file_size(path));
+
+  // The refresh reads only what was appended: garbage written over the
+  // already-scanned prefix (same size, so only mtime changes) is never
+  // looked at again, while a full reload would stop at it.
+  {
+    std::FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, RecordLog::kHeaderSize + 4, SEEK_SET), 0);
+    const char junk[4] = {'\x5a', '\x5a', '\x5a', '\x5a'};
+    ASSERT_EQ(std::fwrite(junk, 1, 4, f), 4u);
+    std::fclose(f);
+  }
+  AppendRaw(path, FrameOf(MakeRecord(7, "after-junk", 5.0)));
+  ASSERT_TRUE((*reader)->RefreshIfChanged().ok());
+  StoredRecord got;
+  EXPECT_TRUE((*reader)->Get(7, "after-junk", &got));
+  EXPECT_TRUE((*reader)->Get(9, "b", &got));
+}
+
+TEST(SharedRefreshTest, PartialFrameIsSkippedThenPickedUp) {
+  const std::string path = TempLogPath("shared_partial.rlog");
+  SiblingPublish(path, {MakeRecord(7, "a", 1.0)});
+  auto reader = PersistentRecordCache::OpenShared(path, 7);
+  ASSERT_TRUE(reader.ok());
+
+  // A publish caught half written: the frame's first bytes only.
+  const StoredRecord half = MakeRecord(7, "half", 2.0);
+  const std::vector<uint8_t> frame = FrameOf(half);
+  const size_t cut = frame.size() / 2;
+  auto append = [&](size_t from, size_t to) {
+    AppendRaw(path, std::vector<uint8_t>(frame.begin() + from,
+                                         frame.begin() + to));
+  };
+  append(0, cut);
+  ASSERT_TRUE((*reader)->RefreshIfChanged().ok());
+  StoredRecord got;
+  EXPECT_FALSE((*reader)->Get(7, "half", &got));
+  EXPECT_TRUE((*reader)->Get(7, "a", &got));
+  append(cut, frame.size());
+  ASSERT_TRUE((*reader)->RefreshIfChanged().ok());
+  ASSERT_TRUE((*reader)->Get(7, "half", &got));
+  ExpectRecordEq(got, half);
+
+  // A publisher killed mid-frame leaves a torn tail; the next publish
+  // truncates it in place and appends — the tail read resumes at the
+  // same valid end.
+  append(0, cut);
+  ASSERT_TRUE((*reader)->RefreshIfChanged().ok());
+  SiblingPublish(path, {MakeRecord(7, "next", 3.0)});
+  ASSERT_TRUE((*reader)->RefreshIfChanged().ok());
+  ExpectServes(reader->get(), FullReloadView(path, {}));
+  EXPECT_TRUE((*reader)->Get(7, "next", &got));
+}
+
+TEST(SharedRefreshTest, ReplacedOrShrunkenFileIsReloadedWhole) {
+  const std::string path = TempLogPath("shared_replaced.rlog");
+  std::vector<StoredRecord> published;
+  for (int i = 0; i < 10; ++i) {
+    published.push_back(MakeRecord(7, "k" + std::to_string(i), i));
+  }
+  SiblingPublish(path, published);
+  auto reader = PersistentRecordCache::OpenShared(path, 7);
+  ASSERT_TRUE(reader.ok());
+  ASSERT_EQ((*reader)->size(), 10u);
+
+  // Byte-bound compaction renames a smaller file over the log (a new
+  // inode): records it evicted must disappear from the reader's view.
+  {
+    PersistentRecordCache::Options options;
+    options.max_bytes = RecordLog::kHeaderSize +
+                        4 * RecordLog::FrameBytes(published.front());
+    auto compactor =
+        PersistentRecordCache::Open(path, CacheMode::kReadWrite, 7, options);
+    ASSERT_TRUE(compactor.ok());
+    ASSERT_GT((*compactor)->stats().evicted, 0u);
+  }
+  ASSERT_TRUE((*reader)->RefreshIfChanged().ok());
+  EXPECT_EQ((*reader)->size(), 4u);
+  ExpectServes(reader->get(), FullReloadView(path, {}));
+
+  // Same inode, shorter than the scanned prefix: reloaded whole too.
+  const uintmax_t one_frame =
+      RecordLog::kHeaderSize + RecordLog::FrameBytes(published.front());
+  fs::resize_file(path, one_frame);
+  ASSERT_TRUE((*reader)->RefreshIfChanged().ok());
+  EXPECT_EQ((*reader)->size(), 1u);
+  ExpectServes(reader->get(), FullReloadView(path, {}));
+}
+
+TEST(SharedRefreshTest, LockedFileKeepsTheOldSnapshot) {
+  const std::string path = TempLogPath("shared_locked.rlog");
+  SiblingPublish(path, {MakeRecord(7, "a", 1.0)});
+  auto reader = PersistentRecordCache::OpenShared(path, 7);
+  ASSERT_TRUE(reader.ok());
+  StoredRecord got;
+  {
+    // A live exclusive writer grows the file and keeps its lock.
+    auto writer = PersistentRecordCache::Open(path, CacheMode::kReadWrite, 7);
+    ASSERT_TRUE(writer.ok());
+    const StoredRecord b = MakeRecord(7, "b", 2.0);
+    (*writer)->Insert(b.key, b.features, b.eval);
+    ASSERT_TRUE((*writer)->Flush().ok());
+    EXPECT_TRUE((*reader)->RefreshIfChanged().ok());  // Not an error.
+    EXPECT_TRUE((*reader)->Get(7, "a", &got));
+    EXPECT_FALSE((*reader)->Get(7, "b", &got));
+  }
+  ASSERT_TRUE((*reader)->RefreshIfChanged().ok());
+  EXPECT_TRUE((*reader)->Get(7, "a", &got));
+  EXPECT_TRUE((*reader)->Get(7, "b", &got));
 }
 
 #endif  // !_WIN32

@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -29,10 +30,12 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -92,6 +95,7 @@ struct WorkerRoleArgs {
   std::string cache;
   uint32_t page_size = 0;
   std::string crash_at;
+  std::string hold_at;
 };
 
 /// Entry point of a spawned worker child (`--worker-role`): build a
@@ -109,6 +113,7 @@ int RunWorkerRole(const WorkerRoleArgs& args) {
   worker_options.worker_index = args.index;
   worker_options.poll_ms = 50;
   worker_options.crash_at = args.crash_at;
+  worker_options.hold_at = args.hold_at;
   const Status ran = RunWorkerLoop(&service, worker_options);
   return ran.ok() ? 0 : 1;
 }
@@ -116,15 +121,17 @@ int RunWorkerRole(const WorkerRoleArgs& args) {
 // ---------------------------------------------------------- harness
 
 /// One coordinator-side pool whose workers are this binary re-exec'ed.
-/// `crash_at` arms the kill point on worker 0's first incarnation only.
+/// `crash_at` arms the kill point, `hold_at` the hold point, on worker
+/// 0's first incarnation only.
 class PoolHarness {
  public:
   Status Start(const std::string& tag, uint32_t workers, uint32_t page_size,
-               const std::string& crash_at) {
+               const std::string& crash_at, const std::string& hold_at = "") {
     ring_path_ = TempPath("crash_ring_" + tag + ".shm");
     cache_path_ = TempPath("crash_cache_" + tag + ".bin");
     page_size_ = page_size;
     crash_at_ = crash_at;
+    hold_at_ = hold_at;
     spawn_counts_.assign(workers, 0);
 
     WorkerPool::Options options;
@@ -151,6 +158,29 @@ class PoolHarness {
   WorkerPool* pool() { return pool_.get(); }
   const std::string& cache_path() const { return cache_path_; }
 
+  /// While deferred, spawning worker 1 fails (the supervisor retries
+  /// after its backoff), so worker 0 is the only one that can claim.
+  void DeferWorker1(bool deferred) {
+    std::lock_guard<std::mutex> lock(mu_);
+    defer_worker1_ = deferred;
+  }
+
+  /// Bounded wait until `worker` has claimed at least `jobs` jobs.
+  bool WaitForClaims(uint32_t worker, uint64_t jobs) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (pool_->ring()->SnapshotStats().claimed_by[worker] < jobs) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return true;
+  }
+
+  /// Releases `worker` from its hold point.
+  void Release(uint32_t worker) {
+    ::kill(pool_->SnapshotWorkers()[worker].pid, SIGUSR1);
+  }
+
   void Stop() {
     if (pool_) pool_->Stop();
   }
@@ -160,9 +190,14 @@ class PoolHarness {
  private:
   pid_t Spawn(uint32_t worker) {
     std::string crash;
+    std::string hold;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (worker == 0 && spawn_counts_[worker] == 0) crash = crash_at_;
+      if (worker == 1 && defer_worker1_) return -1;
+      if (worker == 0 && spawn_counts_[worker] == 0) {
+        crash = crash_at_;
+        hold = hold_at_;
+      }
       ++spawn_counts_[worker];
     }
     std::vector<std::string> storage = {
@@ -176,6 +211,10 @@ class PoolHarness {
     if (!crash.empty()) {
       storage.push_back("--crash-at");
       storage.push_back(crash);
+    }
+    if (!hold.empty()) {
+      storage.push_back("--hold-at");
+      storage.push_back(hold);
     }
     std::vector<char*> argv;
     argv.reserve(storage.size() + 1);
@@ -194,7 +233,9 @@ class PoolHarness {
   std::string cache_path_;
   uint32_t page_size_ = 0;
   std::string crash_at_;
+  std::string hold_at_;
   std::mutex mu_;
+  bool defer_worker1_ = false;
   std::vector<int> spawn_counts_;
 };
 
@@ -343,37 +384,42 @@ TEST_P(WorkerPoolTest, UndisturbedPoolMatchesInProcessAnswers) {
 }
 
 /// The positive cross-process warm contract (the flip side of
-/// storage_test's raw-open fail-fast): while the pool is LIVE, a
-/// second query lands on the shared cache WARM — zero new trainings —
-/// even when a different worker process answers it.
+/// storage_test's raw-open fail-fast): while the pool is LIVE, a query
+/// lands on the shared cache WARM — zero new trainings — when a
+/// different worker process answers it than the one that trained.
+/// Placement is pinned, not hoped for: worker 0 alone claims the first
+/// query and parks before it touches the cache; worker 1 then answers
+/// the same query cold; released, worker 0 must serve it warm.
 TEST_P(WorkerPoolTest, SecondQueryThroughLivePoolIsWarm) {
   const uint32_t page_size = GetParam();
   PoolHarness harness;
+  harness.DeferWorker1(true);
   ASSERT_TRUE(harness
                   .Start("warmup_" + std::to_string(page_size),
-                         /*workers=*/2, page_size, /*crash_at=*/"")
+                         /*workers=*/2, page_size, /*crash_at=*/"",
+                         /*hold_at=*/"context")
                   .ok());
+  auto held = std::async(std::launch::async,
+                         [&harness] { return harness.Query(MakeRequest()); });
+  ASSERT_TRUE(harness.WaitForClaims(0, 1)) << "worker 0 never claimed";
+  harness.DeferWorker1(false);
+
+  // Worker 0 holds its claim, so only worker 1 can answer this one.
   auto cold = harness.Query(MakeRequest());
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(cold.value().request_id.rfind("q-w1-", 0), 0u)
+      << cold.value().request_id;
   EXPECT_GT(cold.value().exact_evals, 0u);
+  ExpectSameSkylines(cold.value(), ReferenceResponse(page_size));
 
-  // Drive queries until a DIFFERENT worker index has answered one (the
-  // request-id prefix carries the worker index), then check it was
-  // warm: the second process saw the first one's published trainings.
-  bool cross_worker_warm = false;
-  for (int attempt = 0; attempt < 20 && !cross_worker_warm; ++attempt) {
-    auto warm = harness.Query(MakeRequest());
-    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-    ExpectSameSkylines(warm.value(), ReferenceResponse(page_size));
-    if (warm.value().request_id.rfind(cold.value().request_id.substr(0, 4),
-                                      0) != 0) {
-      EXPECT_EQ(warm.value().exact_evals, 0u)
-          << "cross-process reader was cold: " << warm.value().request_id;
-      cross_worker_warm = true;
-    }
-  }
-  EXPECT_TRUE(cross_worker_warm)
-      << "no query landed on a second worker in 20 attempts";
+  harness.Release(0);
+  auto warm = held.get();
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_EQ(warm.value().request_id.rfind("q-w0-", 0), 0u)
+      << warm.value().request_id;
+  EXPECT_EQ(warm.value().exact_evals, 0u)
+      << "cross-process reader was cold: " << warm.value().request_id;
+  ExpectSameSkylines(warm.value(), ReferenceResponse(page_size));
   harness.Stop();
 }
 
@@ -401,6 +447,7 @@ int main(int argc, char** argv) {
         if (flag == "--page-size")
           args.page_size = static_cast<uint32_t>(std::stoul(argv[j + 1]));
         if (flag == "--crash-at") args.crash_at = argv[j + 1];
+        if (flag == "--hold-at") args.hold_at = argv[j + 1];
       }
       return modis::RunWorkerRole(args);
     }
