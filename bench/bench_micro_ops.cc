@@ -2,9 +2,10 @@
 /// primitive operators and multi-objective utilities the search is built
 /// from — hash joins, Reduct, state materialization (full-scan and
 /// incremental), Pareto fronts (naive vs Kung), ε-grid updates, ParallelFor
-/// dispatch, 1-D k-means, and model training per family: one fit of each
-/// tree task's model on its encoded train split, and the MO-GBM surrogate's
-/// fit and per-row predict on 120 recorded tests.
+/// dispatch, record-cache get (warm hit) and insert + flush, 1-D k-means,
+/// and model training per family: one fit of each tree task's model on its
+/// encoded train split, and the MO-GBM surrogate's fit and per-row predict
+/// on 120 recorded tests.
 ///
 /// `--json` is translated to google-benchmark's
 /// `--benchmark_format=json`, so this binary shares the repo-wide
@@ -31,9 +32,7 @@
 #include "ml/multi_output_gbm.h"
 #include "moo/pareto.h"
 #include "ops/operators.h"
-#include "storage/buffer_pool.h"
-#include "storage/page_file.h"
-#include "storage/paged_store.h"
+#include "storage/persistent_record_cache.h"
 
 namespace modis {
 namespace {
@@ -245,89 +244,65 @@ StoredRecord MakeRecord(uint64_t fingerprint, size_t i) {
 }
 
 std::string ScratchPath(const char* name) {
-  return std::string("bench_") + name + ".pagecache.tmp";
+  return std::string("bench_") + name + ".rlog.tmp";
 }
 
-void BM_PagedStoreInsertFlush(benchmark::State& state) {
-  // Append throughput of the paged engine: N inserts + one durable
-  // Flush (dirty write-back + superblock commit) per iteration.
-  const size_t n = state.range(0);
-  const std::string path = ScratchPath("insert");
-  for (auto _ : state) {
-    state.PauseTiming();
-    std::remove(path.c_str());
-    auto store = PagedStore::Open(path, /*read_only=*/false, {});
-    MODIS_CHECK(store.ok());
-    state.ResumeTiming();
-    for (size_t i = 0; i < n; ++i) {
-      benchmark::DoNotOptimize((*store)->Insert(MakeRecord(7, i)));
-    }
-    MODIS_CHECK((*store)->Flush().ok());
-  }
-  std::remove(path.c_str());
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_PagedStoreInsertFlush)->Arg(256)->Arg(2048);
-
-void BM_PagedStorePointLookup(benchmark::State& state) {
-  // O(1)-page point lookups through a buffer pool much smaller than the
-  // file — the paged engine's reason to exist. Compare the small-budget
-  // runs against the roomy one to see the eviction cost.
+void BM_RecordCacheGet(benchmark::State& state) {
+  // A warm hit: the copy-out lookup every replayed valuation pays, over
+  // an opened 4096-record log (the index lives in memory).
   const size_t records = 4096;
-  const size_t frames = state.range(0);
-  const std::string path = ScratchPath("lookup");
+  const std::string path = ScratchPath("get");
   std::remove(path.c_str());
   {
-    auto build = PagedStore::Open(path, /*read_only=*/false, {});
+    auto build = PersistentRecordCache::Open(path, CacheMode::kReadWrite, 7);
     MODIS_CHECK(build.ok());
     for (size_t i = 0; i < records; ++i) {
-      (*build)->Insert(MakeRecord(7, i));
+      const StoredRecord r = MakeRecord(7, i);
+      (*build)->Insert(r.key, r.features, r.eval);
     }
     MODIS_CHECK((*build)->Flush().ok());
   }
-  PagedStore::Options options;
-  options.buffer_frames = frames;
-  auto store = PagedStore::Open(path, /*read_only=*/true, options);
-  MODIS_CHECK(store.ok());
+  auto cache = PersistentRecordCache::Open(path, CacheMode::kRead, 7);
+  MODIS_CHECK(cache.ok());
   StoredRecord out;
   size_t i = 0;
   for (auto _ : state) {
     const std::string key = "state-" + std::to_string((i * 2654435761u) %
                                                       records);
-    MODIS_CHECK((*store)->Get(7, key, &out));
+    MODIS_CHECK((*cache)->Get(7, key, &out));
     benchmark::DoNotOptimize(out);
     ++i;
   }
-  store.value().reset();
+  cache.value().reset();
   std::remove(path.c_str());
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(std::to_string(frames) + " frames");
 }
-BENCHMARK(BM_PagedStorePointLookup)->Arg(4)->Arg(64);
+BENCHMARK(BM_RecordCacheGet);
 
-void BM_BufferPoolFetchHit(benchmark::State& state) {
-  // Cost of a pin/unpin round trip on a resident page — the floor every
-  // paged read pays.
-  const std::string path = ScratchPath("pool");
-  std::remove(path.c_str());
-  auto file = PageFile::Open(path, /*read_only=*/false, {});
-  MODIS_CHECK(file.ok());
-  BufferPool pool(file->get(), /*frame_budget=*/8);
-  const uint32_t id = (*file)->AllocatePage();
-  {
-    auto page = pool.Create(id);
-    MODIS_CHECK(page.ok());
-  }
+void BM_RecordCacheInsertFlush(benchmark::State& state) {
+  // Append throughput: N inserts into a fresh log plus the one Flush a
+  // batch commit pays.
+  const size_t n = state.range(0);
+  const std::string path = ScratchPath("insert");
   for (auto _ : state) {
-    auto page = pool.Fetch(id);
-    MODIS_CHECK(page.ok());
-    benchmark::DoNotOptimize(page->data());
+    state.PauseTiming();
+    std::remove(path.c_str());
+    auto cache = PersistentRecordCache::Open(path, CacheMode::kReadWrite, 7);
+    MODIS_CHECK(cache.ok());
+    state.ResumeTiming();
+    for (size_t i = 0; i < n; ++i) {
+      const StoredRecord r = MakeRecord(7, i);
+      (*cache)->Insert(r.key, r.features, r.eval);
+    }
+    MODIS_CHECK((*cache)->Flush().ok());
+    state.PauseTiming();
+    cache.value().reset();
+    state.ResumeTiming();
   }
-  file->reset();
   std::remove(path.c_str());
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_BufferPoolFetchHit);
+BENCHMARK(BM_RecordCacheInsertFlush)->Arg(256)->Arg(2048);
 
 void BM_KMeans1D(benchmark::State& state) {
   Rng data_rng(6);

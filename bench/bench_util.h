@@ -39,18 +39,12 @@ namespace modis::bench {
 ///   --cache-max-bytes N byte budget of the record-cache log (0 =
 ///                       unbounded); over-budget logs evict least-
 ///                       recently-hit fingerprints at each flush
-///   --page-size N       page size of the paged cache engine; 0 (the
-///                       default) keeps the v1 append-only log
-///   --buffer-pool-frames N  frame budget of the paged engine's buffer
-///                       pool (0 = 64); bounds cache memory
 struct BenchOptions {
   bool json = false;
   size_t num_threads = 0;
   std::string record_cache;
   CacheMode cache_mode = CacheMode::kReadWrite;
   uint64_t cache_max_bytes = 0;
-  uint32_t page_size = 0;
-  size_t buffer_pool_frames = 0;
 };
 
 inline BenchOptions ParseBenchOptions(int argc, char** argv) {
@@ -87,24 +81,11 @@ inline BenchOptions ParseBenchOptions(int argc, char** argv) {
     } else if (arg.rfind("--cache-max-bytes=", 0) == 0) {
       opts.cache_max_bytes = std::strtoull(
           arg.c_str() + std::strlen("--cache-max-bytes="), nullptr, 10);
-    } else if (arg == "--page-size" && i + 1 < argc) {
-      opts.page_size = static_cast<uint32_t>(std::strtoull(
-          argv[++i], nullptr, 10));
-    } else if (arg.rfind("--page-size=", 0) == 0) {
-      opts.page_size = static_cast<uint32_t>(std::strtoull(
-          arg.c_str() + std::strlen("--page-size="), nullptr, 10));
-    } else if (arg == "--buffer-pool-frames" && i + 1 < argc) {
-      opts.buffer_pool_frames = static_cast<size_t>(std::strtoull(
-          argv[++i], nullptr, 10));
-    } else if (arg.rfind("--buffer-pool-frames=", 0) == 0) {
-      opts.buffer_pool_frames = static_cast<size_t>(std::strtoull(
-          arg.c_str() + std::strlen("--buffer-pool-frames="), nullptr, 10));
     } else {
       std::fprintf(stderr,
                    "unknown argument %s (supported: --json, --threads N, "
                    "--record-cache PATH, --cache-mode M, "
-                   "--cache-max-bytes N, --page-size N, "
-                   "--buffer-pool-frames N)\n",
+                   "--cache-max-bytes N)\n",
                    arg.c_str());
       std::exit(2);
     }
@@ -120,8 +101,6 @@ inline void ApplyBenchOptions(const BenchOptions& opts, ModisConfig* config) {
   config->record_cache_path = opts.record_cache;
   config->cache_mode = opts.cache_mode;
   config->record_cache_max_bytes = opts.cache_max_bytes;
-  config->record_cache_page_size = opts.page_size;
-  config->record_cache_buffer_frames = opts.buffer_pool_frames;
 }
 
 /// The thread count a run effectively uses (resolves 0 = hardware).

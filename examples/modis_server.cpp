@@ -17,8 +17,6 @@
 ///             [--cache PATH]     default record-cache file
 ///             [--cache-mode M]   off | read | read_write (default)
 ///             [--cache-max-bytes N]  byte budget (default 256 MiB; 0 = off)
-///             [--page-size N]    paged cache engine page size (0 = v1 log)
-///             [--buffer-pool-frames N]  paged engine frame budget (0 = 64)
 ///             [--max-task-contexts N]  LRU cap on live contexts (0 = off)
 ///             [--context-ttl S]  idle context TTL in seconds (0 = off)
 ///             [--row-scale S]    bench-lake row scale (default 1.0)
@@ -84,8 +82,6 @@ struct Args {
   std::string cache;
   std::string cache_mode = "read_write";
   uint64_t cache_max_bytes = DiscoveryService::Options::kDefaultCacheMaxBytes;
-  uint32_t page_size = 0;
-  size_t buffer_pool_frames = 0;
   size_t max_task_contexts = 0;
   double context_ttl = 0.0;
   double row_scale = 1.0;
@@ -147,12 +143,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--cache-max-bytes") {
       if (!next(&value)) return false;
       args->cache_max_bytes = std::stoull(value);
-    } else if (flag == "--page-size") {
-      if (!next(&value)) return false;
-      args->page_size = static_cast<uint32_t>(std::stoul(value));
-    } else if (flag == "--buffer-pool-frames") {
-      if (!next(&value)) return false;
-      args->buffer_pool_frames = std::stoul(value);
     } else if (flag == "--max-task-contexts") {
       if (!next(&value)) return false;
       args->max_task_contexts = std::stoul(value);
@@ -232,7 +222,7 @@ void ServeStdio(DiscoveryService* service, WorkerPool* pool) {
 
 /// fork+execs this very binary (/proc/self/exe) in worker mode,
 /// mirroring every engine-relevant flag of the coordinator's command
-/// line so workers open the same cache file with the same engine knobs.
+/// line so workers open the same cache file with the same settings.
 pid_t SpawnWorker(const Args& args, const std::string& ring_path,
                   uint32_t worker, bool first_incarnation) {
   std::vector<std::string> storage;
@@ -246,8 +236,6 @@ pid_t SpawnWorker(const Args& args, const std::string& ring_path,
   if (!args.cache.empty()) add("--cache", args.cache);
   add("--cache-mode", args.cache_mode);
   add("--cache-max-bytes", std::to_string(args.cache_max_bytes));
-  add("--page-size", std::to_string(args.page_size));
-  add("--buffer-pool-frames", std::to_string(args.buffer_pool_frames));
   add("--max-task-contexts", std::to_string(args.max_task_contexts));
   add("--context-ttl", std::to_string(args.context_ttl));
   add("--row-scale", std::to_string(args.row_scale));
@@ -378,8 +366,6 @@ int main(int argc, char** argv) {
   options.valuation_threads = args.threads;
   options.default_cache_path = args.cache;
   options.cache_max_bytes = args.cache_max_bytes;
-  options.cache_page_size = args.page_size;
-  options.cache_buffer_pool_frames = args.buffer_pool_frames;
   options.max_task_contexts = args.max_task_contexts;
   options.context_idle_ttl_s = args.context_ttl;
   options.task_row_scale = args.row_scale;

@@ -90,16 +90,6 @@ struct ModisConfig {
   /// back under it — the knob that keeps a production cache from growing
   /// without limit.
   uint64_t record_cache_max_bytes = 0;
-  /// Page size of the paged record-cache engine. 0 (the default) keeps
-  /// the v1 append-only log for new cache files; a nonzero value (a
-  /// multiple of 512 in [512, 1 MiB], typically 4096) opts into the
-  /// page-based engine — bounded-memory point lookups behind a buffer
-  /// pool — and migrates an existing v1 file once when opened read-write.
-  /// An existing paged file is always served paged, whatever this says.
-  uint32_t record_cache_page_size = 0;
-  /// Frame budget of the paged engine's buffer pool; 0 = 64 frames. The
-  /// cache never holds more than this many pages in memory.
-  size_t record_cache_buffer_frames = 0;
   /// Extra fingerprint salt. The fingerprint cannot see the task's model
   /// prototype (the engine only sees the evaluator interface), so two
   /// tasks that differ *only* in the trained model must be disambiguated

@@ -148,8 +148,6 @@ ModisEngine::ModisEngine(const SearchUniverse* universe,
   } else if (!config_.record_cache_path.empty()) {
     PersistentRecordCache::Options cache_options;
     cache_options.max_bytes = config_.record_cache_max_bytes;
-    cache_options.page_size = config_.record_cache_page_size;
-    cache_options.buffer_pool_frames = config_.record_cache_buffer_frames;
     auto opened =
         PersistentRecordCache::Open(config_.record_cache_path,
                                     config_.cache_mode, fingerprint,

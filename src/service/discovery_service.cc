@@ -299,8 +299,6 @@ Result<PersistentRecordCache*> DiscoveryService::GetCache(
   // pool can serve the one file (docs/MULTIPROCESS.md).
   PersistentRecordCache::Options cache_options;
   cache_options.max_bytes = options_.cache_max_bytes;
-  cache_options.page_size = options_.cache_page_size;
-  cache_options.buffer_pool_frames = options_.cache_buffer_pool_frames;
   auto opened =
       options_.shared_cache
           ? PersistentRecordCache::OpenShared(path, /*fingerprint=*/0,
@@ -605,7 +603,6 @@ MetricsSnapshot DiscoveryService::SnapshotMetrics() const {
       snapshot.cache_appends += stats.appended;
       snapshot.cache_evictions += stats.evicted;
       snapshot.cache_reclaimed_bytes += stats.reclaimed_bytes;
-      snapshot.buffer_pool_frames += stats.buffer_frames_in_use;
     }
   }
   return snapshot;

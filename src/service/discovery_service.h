@@ -154,11 +154,6 @@ class DiscoveryService {
     /// Byte budget per cache file (0 = unbounded); see
     /// PersistentRecordCache::Options::max_bytes.
     uint64_t cache_max_bytes = kDefaultCacheMaxBytes;
-    /// Page size of the paged cache engine; 0 keeps the v1 log for new
-    /// files. See PersistentRecordCache::Options::page_size.
-    uint32_t cache_page_size = 0;
-    /// Buffer-pool frame budget of the paged engine; 0 = 64 frames.
-    size_t cache_buffer_pool_frames = 0;
     /// Row scale of the generated bench lakes (1.0 = paper scale; tests
     /// and smoke runs shrink it).
     double task_row_scale = 1.0;

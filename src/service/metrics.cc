@@ -65,10 +65,7 @@ const std::vector<ScalarMetricDesc>& ScalarMetricDescriptors() {
        &MetricsSnapshot::cache_evictions, "Records evicted from caches."},
       {"cache_reclaimed_bytes", "modis_cache_reclaimed_bytes_total", true,
        &MetricsSnapshot::cache_reclaimed_bytes,
-       "Bytes reclaimed by cache compaction/GC."},
-      {"buffer_pool_frames", "modis_buffer_pool_frames", false,
-       &MetricsSnapshot::buffer_pool_frames,
-       "Buffer-pool frames in use across open paged caches."},
+       "Bytes reclaimed by cache compaction."},
       {"queries_fused", "modis_queries_fused_total", true,
        &MetricsSnapshot::queries_fused,
        "Queries that consumed at least one fused training."},

@@ -97,12 +97,8 @@ struct MetricsSnapshot {
   uint64_t cache_replays = 0;      // Get/Find hits served.
   uint64_t cache_appends = 0;
   uint64_t cache_evictions = 0;
-  /// Bytes returned by cache compaction this session — the v1 log
-  /// rewrite and the paged engine's page GC feed the same counter.
+  /// Bytes returned by cache log rewrites this session.
   uint64_t cache_reclaimed_bytes = 0;
-  /// Gauge: buffer-pool frames holding a page, summed over every open
-  /// paged cache (0 when every cache runs the v1 log backend).
-  uint64_t buffer_pool_frames = 0;
 
   // Cross-query exact-training fusion + columnar mask fast path.
   /// Queries that consumed at least one fused training.

@@ -4,8 +4,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -14,142 +12,11 @@
 
 namespace modis {
 
-namespace {
-
-/// What lives at `path` right now, by magic. Short or foreign content is
-/// kOther: the selected backend opens it and reports its own typed error.
-enum class FileKind { kMissing, kV1Log, kPaged, kOther };
-
-FileKind SniffFormat(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return FileKind::kMissing;
-  char magic[8] = {0};
-  const size_t got = std::fread(magic, 1, sizeof(magic), f);
-  std::fclose(f);
-  if (got == sizeof(magic)) {
-    if (std::memcmp(magic, RecordLog::kMagic, sizeof(magic)) == 0) {
-      return FileKind::kV1Log;
-    }
-    if (std::memcmp(magic, PageFile::kMagic, sizeof(magic)) == 0) {
-      return FileKind::kPaged;
-    }
-  }
-  return FileKind::kOther;
-}
-
-PagedStore::Options StoreOptions(const PersistentRecordCache::Options& o) {
-  PagedStore::Options s;
-  s.page_size = o.page_size;
-  s.buffer_frames = o.buffer_pool_frames;
-  return s;
-}
-
-/// One-shot v1 -> paged migration. The v1 log is replayed under its
-/// writer lock (torn tail truncated, last write per key wins — exactly
-/// what a v1 load would have indexed), rebuilt into `path + ".migrate"`,
-/// and renamed over the log with the replacement's lock already held; the
-/// v1 lock on the dead inode is released only afterwards, so the
-/// single-writer exclusion has no gap. A crash mid-migration leaves the
-/// v1 file untouched and at most a stale tmp file behind.
-Result<std::unique_ptr<PagedStore>> MigrateV1ToPaged(
-    const std::string& path, const PersistentRecordCache::Options& options) {
-  std::vector<StoredRecord> records;
-  MODIS_ASSIGN_OR_RETURN(RecordLog log,
-                         RecordLog::Open(path, /*read_only=*/false, &records));
-  std::unordered_map<uint64_t, std::unordered_map<std::string, size_t>> seen;
-  std::vector<StoredRecord> live;
-  live.reserve(records.size());
-  for (StoredRecord& r : records) {
-    auto [it, inserted] = seen[r.fingerprint].try_emplace(r.key, live.size());
-    if (inserted) {
-      live.push_back(std::move(r));
-    } else {
-      live[it->second] = std::move(r);
-    }
-  }
-  const std::string tmp = path + ".migrate";
-  std::remove(tmp.c_str());
-  MODIS_ASSIGN_OR_RETURN(
-      std::unique_ptr<PagedStore> store,
-      PagedStore::Open(tmp, /*read_only=*/false, StoreOptions(options)));
-  for (const StoredRecord& r : live) {
-    if (!store->Insert(r)) {
-      std::remove(tmp.c_str());
-      return Status::IoError("migration failed to insert a record: " + tmp);
-    }
-  }
-  const Status flushed = store->Flush();
-  if (!flushed.ok()) {
-    std::remove(tmp.c_str());
-    return flushed;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IoError("cannot swap migrated cache into place: " + path);
-  }
-  store->RenamedTo(path);
-  return store;
-}
-
-}  // namespace
-
 Result<std::unique_ptr<PersistentRecordCache>> PersistentRecordCache::Open(
     const std::string& path, CacheMode mode, uint64_t fingerprint,
     Options options) {
   MODIS_CHECK(mode != CacheMode::kOff)
       << "PersistentRecordCache::Open with CacheMode::kOff";
-  const bool want_paged =
-      options.engine == Engine::kPaged ||
-      (options.engine == Engine::kAuto && options.page_size > 0);
-  const FileKind kind = SniffFormat(path);
-  bool use_paged = false;
-  switch (kind) {
-    case FileKind::kPaged:
-      use_paged = true;  // An existing file's format always wins.
-      break;
-    case FileKind::kV1Log:
-      use_paged = false;  // Except through migration, below.
-      break;
-    case FileKind::kMissing:
-    case FileKind::kOther:
-      use_paged = want_paged;
-      break;
-  }
-
-  if (use_paged ||
-      (kind == FileKind::kV1Log && want_paged &&
-       mode == CacheMode::kReadWrite)) {
-    std::unique_ptr<PagedStore> store;
-    if (use_paged) {
-      MODIS_ASSIGN_OR_RETURN(
-          store, PagedStore::Open(path, /*read_only=*/mode == CacheMode::kRead,
-                                  StoreOptions(options)));
-    } else {
-      MODIS_ASSIGN_OR_RETURN(store, MigrateV1ToPaged(path, options));
-    }
-    auto cache = std::unique_ptr<PersistentRecordCache>(
-        new PersistentRecordCache(std::move(store), mode, fingerprint,
-                                  options));
-    PagedStore& s = *cache->store_;
-    size_t total = 0, task = 0;
-    MODIS_RETURN_IF_ERROR(s.CountRecords(fingerprint, &total, &task));
-    cache->stats_.loaded_records = total;
-    cache->stats_.task_records = task;
-    cache->stats_.discarded_tail_bytes = s.stats().discarded_tail_bytes;
-    if (mode == CacheMode::kReadWrite) {
-      // Auto-GC at the same threshold as the v1 cache: when at least
-      // half the records are dead weight.
-      const PagedStore::Stats st = s.stats();
-      if (st.dead_records > 0 && st.dead_records >= st.record_count) {
-        size_t dropped = 0;
-        MODIS_RETURN_IF_ERROR(s.Gc(&dropped));
-        cache->stats_.compacted_away += dropped;
-      }
-      MODIS_RETURN_IF_ERROR(cache->EnforcePagedByteBoundLocked());
-    }
-    return cache;
-  }
-
   std::vector<StoredRecord> records;
   MODIS_ASSIGN_OR_RETURN(
       RecordLog log,
@@ -248,27 +115,13 @@ Status PersistentRecordCache::LoadSharedSnapshotLocked() {
   const FileStamp stamp = StampOf(path_);
   std::vector<StoredRecord> records;
   size_t valid_end = 0;
-  const FileKind kind = SniffFormat(path_);
-  switch (kind) {
-    case FileKind::kMissing:
-      break;  // Nothing published yet: an empty snapshot is correct.
-    case FileKind::kV1Log: {
-      auto opened = RecordLog::Open(path_, /*read_only=*/true, &records);
-      if (!opened.ok()) return opened.status();
-      valid_end = opened->size_bytes();
-      break;  // The read lock is released as `opened` dies.
-    }
-    case FileKind::kPaged: {
-      auto opened =
-          PagedStore::Open(path_, /*read_only=*/true, StoreOptions(options_));
-      if (!opened.ok()) return opened.status();
-      MODIS_RETURN_IF_ERROR(opened.value()->ReadAllRecords(&records));
-      break;  // valid_end stays 0: paged files are always reloaded whole.
-    }
-    case FileKind::kOther:
-      return Status::FailedPrecondition("cache file has an unknown format: " +
-                                        path_);
-  }
+  // A missing file means nothing was published yet: an empty snapshot is
+  // correct. Anything else is opened as a log, which rejects foreign files.
+  if (stamp.size >= 0) {
+    auto opened = RecordLog::Open(path_, /*read_only=*/true, &records);
+    if (!opened.ok()) return opened.status();
+    valid_end = opened->size_bytes();
+  }  // The read lock is released as `opened` dies.
   index_.clear();
   stats_.loaded_records = 0;
   IndexSnapshotRecordsLocked(&records);
@@ -314,9 +167,9 @@ Status PersistentRecordCache::RefreshIfChanged() {
   if (!shared_) return Status::OK();
   const FileStamp now = StampOf(path_);
   if (now == snapshot_stamp_) return Status::OK();
-  // Same v1 file, not shorter than the scanned prefix: only frames
-  // appended since can be new. A replaced file (Rewrite, compaction), a
-  // shrunken one, or a paged one is reloaded whole.
+  // Same file, not shorter than the scanned prefix: only frames appended
+  // since can be new. A replaced file (Rewrite, compaction) or a shrunken
+  // one is reloaded whole.
   const bool tail = snapshot_valid_end_ >= RecordLog::kHeaderSize &&
                     now.inode == snapshot_stamp_.inode &&
                     now.size >= static_cast<int64_t>(snapshot_valid_end_);
@@ -336,7 +189,7 @@ Status PersistentRecordCache::PublishPendingLocked() {
   if (pending_.empty()) return Status::OK();
   // Publish through the existing exclusive-writer path: a short-lived
   // kReadWrite open is a flock EX window, and every durability contract
-  // (torn-tail truncation, superblock ping-pong, byte-bound eviction)
+  // (torn-tail truncation, byte-bound eviction)
   // rides along unchanged. Contention with a sibling's window is brief,
   // so retry with a small backoff before giving up.
   Status last;
@@ -364,9 +217,6 @@ Status PersistentRecordCache::PublishPendingLocked() {
 bool PersistentRecordCache::Contains(uint64_t fingerprint,
                                      const std::string& key) const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (store_ != nullptr && store_->Contains(fingerprint, key)) return true;
-  // Paged kRead falls through to the in-memory overlay of this session's
-  // fresh inserts; v1 falls through to its whole index.
   auto it = index_.find(fingerprint);
   return it != index_.end() && it->second.entries.count(key) > 0;
 }
@@ -374,7 +224,6 @@ bool PersistentRecordCache::Contains(uint64_t fingerprint,
 bool PersistentRecordCache::Touch(uint64_t fingerprint,
                                   const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (store_ != nullptr && store_->Touch(fingerprint, key)) return true;
   auto bucket = index_.find(fingerprint);
   if (bucket == index_.end()) return false;
   auto it = bucket->second.entries.find(key);
@@ -388,10 +237,6 @@ bool PersistentRecordCache::Touch(uint64_t fingerprint,
 bool PersistentRecordCache::Get(uint64_t fingerprint, const std::string& key,
                                 StoredRecord* out) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (store_ != nullptr && store_->Get(fingerprint, key, out)) {
-    ++stats_.served;
-    return true;
-  }
   auto bucket = index_.find(fingerprint);
   if (bucket == index_.end()) return false;
   auto it = bucket->second.entries.find(key);
@@ -406,10 +251,6 @@ bool PersistentRecordCache::Get(uint64_t fingerprint, const std::string& key,
 
 const StoredRecord* PersistentRecordCache::Find(const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (store_ != nullptr && store_->Get(fingerprint_, key, &find_scratch_)) {
-    ++stats_.served;
-    return &find_scratch_;
-  }
   auto bucket = index_.find(fingerprint_);
   if (bucket == index_.end()) return nullptr;
   auto it = bucket->second.entries.find(key);
@@ -426,22 +267,6 @@ void PersistentRecordCache::Insert(uint64_t fingerprint,
                                    const std::vector<double>& features,
                                    const Evaluation& eval) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (store_ != nullptr) {
-    if (mode_ == CacheMode::kReadWrite) {
-      StoredRecord record;
-      record.fingerprint = fingerprint;
-      record.key = key;
-      record.features = features;
-      record.eval = eval;
-      if (store_->Insert(record)) ++stats_.appended;
-      // false = already present (first write wins) or a failed write;
-      // both degrade to a no-op, mirroring the v1 append contract.
-      return;
-    }
-    // kRead: keep the session's fresh records in the overlay below —
-    // unless the store already serves this key.
-    if (store_->Contains(fingerprint, key)) return;
-  }
   Bucket& bucket = index_[fingerprint];
   auto [it, inserted] = bucket.entries.try_emplace(key);
   if (!inserted) return;  // First write wins at runtime; see class comment.
@@ -457,7 +282,7 @@ void PersistentRecordCache::Insert(uint64_t fingerprint,
     pending_.push_back(record);
     return;
   }
-  if (store_ == nullptr && mode_ == CacheMode::kReadWrite) {
+  if (mode_ == CacheMode::kReadWrite) {
     const Status appended = log_.Append(record);
     if (appended.ok()) {
       ++stats_.appended;
@@ -470,12 +295,6 @@ void PersistentRecordCache::Insert(uint64_t fingerprint,
 Status PersistentRecordCache::Flush() {
   std::lock_guard<std::mutex> lock(mu_);
   if (shared_) return PublishPendingLocked();
-  if (store_ != nullptr) {
-    if (mode_ == CacheMode::kReadWrite) {
-      MODIS_RETURN_IF_ERROR(store_->Flush());
-    }
-    return EnforcePagedByteBoundLocked();
-  }
   MODIS_RETURN_IF_ERROR(log_.Flush());
   return EnforceByteBoundLocked();
 }
@@ -486,15 +305,6 @@ Status PersistentRecordCache::Compact() {
     return Status::FailedPrecondition(
         "a shared cache attachment cannot compact; compaction runs inside "
         "the exclusive publish window");
-  }
-  if (store_ != nullptr) {
-    if (mode_ != CacheMode::kReadWrite) {
-      return Status::FailedPrecondition("cannot compact a read-only cache");
-    }
-    size_t dropped = 0;
-    MODIS_RETURN_IF_ERROR(store_->Gc(&dropped));
-    stats_.compacted_away += dropped;
-    return Status::OK();
   }
   return CompactLocked();
 }
@@ -563,93 +373,10 @@ Status PersistentRecordCache::EnforceByteBoundLocked() {
   return CompactLocked();
 }
 
-Status PersistentRecordCache::EnforcePagedByteBoundLocked() {
-  if (options_.max_bytes == 0 || mode_ != CacheMode::kReadWrite ||
-      store_->file_bytes() <= options_.max_bytes) {
-    return Status::OK();
-  }
-  // Each round: pick the coldest victims until the projected post-GC file
-  // fits, tombstone them, GC. The projection is exact (the rebuild packs
-  // pages deterministically), so one round normally suffices; the loop
-  // guards against estimate drift from quarantined pages. The file can
-  // never shrink below the two-page floor (superblock + directory).
-  for (int round = 0; round < 4; ++round) {
-    if (store_->file_bytes() <= options_.max_bytes) return Status::OK();
-    std::vector<PagedStore::EntryInfo> entries;
-    MODIS_RETURN_IF_ERROR(store_->CollectEntries(&entries));
-    size_t evicted_now = 0;
-    if (!entries.empty()) {
-      // Eviction order mirrors the v1 policy: least-recently-hit
-      // fingerprint first (a fingerprint is as warm as its hottest
-      // record), then least-recently-hit record within it.
-      std::unordered_map<uint64_t, uint64_t> fp_recency;
-      for (const auto& e : entries) {
-        uint64_t& hit = fp_recency[e.fingerprint];
-        hit = std::max(hit, e.last_hit);
-      }
-      std::sort(entries.begin(), entries.end(),
-                [&](const PagedStore::EntryInfo& a,
-                    const PagedStore::EntryInfo& b) {
-                  return std::tie(fp_recency[a.fingerprint], a.last_hit,
-                                  a.ipage, a.slot) <
-                         std::tie(fp_recency[b.fingerprint], b.last_hit,
-                                  b.ipage, b.slot);
-                });
-      const PagedStore::Stats st = store_->stats();
-      const uint64_t page_size = st.page_size;
-      const uint64_t cap = page_size - PageFile::kPageHeaderSize;
-      const uint64_t epp = cap / PagedStore::kIndexEntrySize;
-      std::unordered_map<uint32_t, uint64_t> per_bucket;
-      uint64_t stream_bytes = 0;
-      for (const auto& e : entries) {
-        stream_bytes += e.stream_bytes;
-        ++per_bucket[e.bucket];
-      }
-      auto projected = [&]() {
-        uint64_t pages = 2 + (stream_bytes + cap - 1) / cap;
-        for (const auto& [bucket, n] : per_bucket) {
-          (void)bucket;
-          pages += (n + epp - 1) / epp;
-        }
-        return pages * page_size;
-      };
-      std::vector<PagedStore::EntryInfo> victims;
-      size_t i = 0;
-      while (i < entries.size() && projected() > options_.max_bytes) {
-        const PagedStore::EntryInfo& v = entries[i++];
-        stream_bytes -= v.stream_bytes;
-        auto it = per_bucket.find(v.bucket);
-        if (it != per_bucket.end() && --it->second == 0) {
-          per_bucket.erase(it);
-        }
-        victims.push_back(v);
-      }
-      if (!victims.empty()) {
-        MODIS_RETURN_IF_ERROR(store_->Tombstone(victims));
-        evicted_now = victims.size();
-        stats_.evicted += victims.size();
-      }
-    }
-    size_t dropped = 0;
-    MODIS_RETURN_IF_ERROR(store_->Gc(&dropped));
-    // Dead weight that predated this round's eviction was auto-compacted.
-    stats_.compacted_away += dropped > evicted_now ? dropped - evicted_now : 0;
-    if (evicted_now == 0 && dropped == 0) break;  // Floor reached.
-  }
-  return Status::OK();
-}
-
 PersistentRecordCache::Stats PersistentRecordCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   Stats snapshot = stats_;
-  if (store_ != nullptr) {
-    const PagedStore::Stats s = store_->stats();
-    snapshot.log_bytes = s.file_bytes;
-    snapshot.reclaimed_bytes = s.reclaimed_bytes;
-    snapshot.quarantined = s.quarantined;
-    snapshot.discarded_tail_bytes = s.discarded_tail_bytes;
-    snapshot.buffer_frames_in_use = s.pool.frames_in_use;
-  } else if (!shared_) {  // Shared: the file size as last read.
+  if (!shared_) {  // Shared: the file size as last read.
     snapshot.log_bytes = log_.size_bytes();
     snapshot.reclaimed_bytes = log_.reclaimed_bytes();
   }
@@ -658,14 +385,8 @@ PersistentRecordCache::Stats PersistentRecordCache::stats() const {
 
 size_t PersistentRecordCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  size_t n = 0;
-  if (store_ != nullptr) {
-    size_t total = 0, task = 0;
-    if (store_->CountRecords(fingerprint_, &total, &task).ok()) n = task;
-  }
   auto it = index_.find(fingerprint_);
-  if (it != index_.end()) n += it->second.entries.size();
-  return n;
+  return it == index_.end() ? 0 : it->second.entries.size();
 }
 
 }  // namespace modis

@@ -9,28 +9,14 @@
 #include <vector>
 
 #include "core/config.h"
-#include "storage/paged_store.h"
 #include "storage/record_log.h"
 
 namespace modis {
 
-/// Cross-run valuation-record cache over one of two storage backends.
-///
-/// Two backends share this one front door:
-///  - the v1 RecordLog (default): Open() replays the whole log once and
-///    indexes every record in memory;
-///  - the v2 PagedStore (opt-in via Options::engine or a nonzero
-///    Options::page_size): records live behind an on-disk hash index and
-///    a bounded buffer pool, so Open() sweeps only the index pages and a
-///    point lookup touches O(1) pages — memory stays bounded by the
-///    frame budget no matter how large the file grows.
-/// An existing file's format always wins (detected by magic), so a v2
-/// file is served paged even when the options say nothing, and a v1 file
-/// stays readable everywhere. Requesting the paged engine on a v1 file in
-/// kReadWrite mode migrates it once: the records are replayed under the
-/// v1 writer lock, rebuilt into a paged file beside it, and renamed over
-/// with the lock carried — a crash mid-migration leaves the v1 file
-/// untouched.
+/// Cross-run valuation-record cache over the v1 RecordLog: Open()
+/// replays the whole log once and indexes every record in memory, so a
+/// warm hit is one hash lookup. A file in any other format fails Open
+/// with the log's own typed error.
 ///
 /// One open cache can serve many tasks at once — the shape the
 /// long-lived discovery service needs, where concurrent queries over
@@ -72,36 +58,16 @@ namespace modis {
 /// the signal a long-lived host accumulates.
 class PersistentRecordCache {
  public:
-  /// Storage backend selection. kAuto keeps the v1 log for new files
-  /// unless Options::page_size opts into the paged engine; existing
-  /// files are always served in their own format (a v1 file under kPaged
-  /// + kReadWrite is migrated once).
-  enum class Engine : uint8_t { kAuto, kLog, kPaged };
-
   struct Options {
     /// Byte budget of the cache file; 0 = unbounded. Enforced after
-    /// every Flush() (and once at open) by recency eviction + compaction
-    /// (v1: log rewrite; v2: tombstoning + page GC). The paged engine's
-    /// floor is two pages (superblock + directory).
+    /// every Flush() (and once at open) by recency eviction + a log
+    /// rewrite.
     /// (Initialized in the constructor, not inline: an inline default
     /// would make `Options()` as a default argument of Open —
     /// syntactically inside the enclosing class — ill-formed.)
     uint64_t max_bytes;
-    /// Backend choice; see Engine.
-    Engine engine;
-    /// Page size for a paged file created (or migrated) by this open;
-    /// nonzero implies the paged engine under kAuto. 0 = 4 KiB when the
-    /// paged engine is selected by other means.
-    uint32_t page_size;
-    /// Buffer-pool frame budget for the paged engine; 0 = 64 frames.
-    /// The pool never holds more pages in memory than this.
-    size_t buffer_pool_frames;
 
-    Options()
-        : max_bytes(0),
-          engine(Engine::kAuto),
-          page_size(0),
-          buffer_pool_frames(0) {}
+    Options() : max_bytes(0) {}
   };
 
   struct Stats {
@@ -113,15 +79,8 @@ class PersistentRecordCache {
     size_t evicted = 0;          // Live records dropped by the byte bound.
     size_t discarded_tail_bytes = 0;
     size_t log_bytes = 0;        // Valid file bytes at the snapshot.
-    /// File bytes returned by compaction this session (v1 rewrites and
-    /// page-level GC report through the same counter).
+    /// File bytes returned by log rewrites this session.
     size_t reclaimed_bytes = 0;
-    /// Paged engine only: lookups degraded to misses by invalid pages.
-    size_t quarantined = 0;
-    /// Paged engine only: buffer-pool frames currently holding a page
-    /// (live gauge, not a counter). 0 under the v1 log backend, which
-    /// has no pool.
-    size_t buffer_frames_in_use = 0;
   };
 
   /// Opens `path` for the task identified by `fingerprint` (the default
@@ -155,12 +114,12 @@ class PersistentRecordCache {
       Options options = Options());
 
   /// Shared mode only (no-op otherwise): brings the snapshot up to date
-  /// when the file changed on disk since it was last read. A v1 log that
+  /// when the file changed on disk since it was last read. A log that
   /// only grew is tail-read: just the frames appended after the last
   /// scan's valid end (RecordLog::ReadFrom). A replaced file (a Rewrite
-  /// rename or byte-bound compaction), a shrunken one, or a paged one is
-  /// reloaded whole. A conflicting live writer is not an error — the
-  /// current snapshot is kept.
+  /// rename or byte-bound compaction) or a shrunken one is reloaded
+  /// whole. A conflicting live writer is not an error — the current
+  /// snapshot is kept.
   Status RefreshIfChanged();
 
   bool shared() const { return shared_; }
@@ -236,15 +195,7 @@ class PersistentRecordCache {
         options_(options),
         path_(log_.path()) {}
 
-  PersistentRecordCache(std::unique_ptr<PagedStore> store, CacheMode mode,
-                        uint64_t fingerprint, Options options)
-      : store_(std::move(store)),
-        mode_(mode),
-        fingerprint_(fingerprint),
-        options_(options),
-        path_(store_->path()) {}
-
-  /// Shared mode: no backend owned; log_ stays unopened.
+  /// Shared mode: no log owned; log_ stays unopened.
   PersistentRecordCache(std::string path, uint64_t fingerprint,
                         Options options)
       : mode_(CacheMode::kReadWrite),
@@ -266,9 +217,9 @@ class PersistentRecordCache {
   static FileStamp StampOf(const std::string& path);
 
   /// Shared mode: replaces the snapshot from the file (read-only short
-  /// open, both backends), then re-overlays pending_. Caller holds mu_.
+  /// open), then re-overlays pending_. Caller holds mu_.
   Status LoadSharedSnapshotLocked();
-  /// Shared mode, v1 log: indexes the frames appended since the last
+  /// Shared mode: indexes the frames appended since the last
   /// scan. OutOfRange when the file was replaced or truncated meanwhile.
   /// Caller holds mu_.
   Status ReadSharedTailLocked(const FileStamp& stamp);
@@ -282,16 +233,11 @@ class PersistentRecordCache {
   /// Rewrites the log from the live index. Caller holds mu_.
   Status CompactLocked();
   /// Evicts + compacts until the live set fits Options::max_bytes.
-  /// Caller holds mu_. v1 backend.
-  Status EnforceByteBoundLocked();
-  /// The paged equivalent: tombstone coldest entries, GC, re-check.
   /// Caller holds mu_.
-  Status EnforcePagedByteBoundLocked();
+  Status EnforceByteBoundLocked();
 
   mutable std::mutex mu_;
   RecordLog log_;
-  /// Non-null selects the paged backend; log_ is then unused.
-  std::unique_ptr<PagedStore> store_;
   CacheMode mode_;
   uint64_t fingerprint_;
   Options options_;
@@ -299,23 +245,17 @@ class PersistentRecordCache {
   Stats stats_;
   /// Logical clock for recency: bumped on every hit and insert.
   uint64_t tick_ = 0;
-  /// Find()'s stable-pointer contract over the paged backend: the hit is
-  /// copied here and the pointer handed out (single-session use only, as
-  /// documented on Find).
-  StoredRecord find_scratch_;
 
-  /// v1 backend: live records, fingerprint -> (key -> entry),
-  /// last-write-wins at load, first-write-wins at runtime.
-  /// Paged backend, kRead mode only: the in-memory overlay holding this
-  /// session's fresh Inserts (a read-only store cannot append them).
-  /// Shared mode: the whole snapshot + this process's fresh inserts.
+  /// Live records, fingerprint -> (key -> entry), last-write-wins at
+  /// load, first-write-wins at runtime. Shared mode: the whole snapshot +
+  /// this process's fresh inserts.
   std::unordered_map<uint64_t, Bucket> index_;
 
   /// Shared mode state. pending_ holds inserts not yet published to the
   /// file; the stamp is the file as last read, the change signal
   /// RefreshIfChanged() compares against; the valid end is where that
-  /// read's last valid v1 frame ended (0: no tail reads — paged, missing
-  /// or headerless file).
+  /// read's last valid frame ended (0: no tail reads — missing or
+  /// headerless file).
   bool shared_ = false;
   std::vector<StoredRecord> pending_;
   FileStamp snapshot_stamp_;

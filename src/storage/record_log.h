@@ -135,9 +135,7 @@ class RecordLog {
   /// is the file size the byte-bounded eviction policy budgets against.
   size_t size_bytes() const { return size_bytes_; }
   /// Bytes returned to the filesystem by Rewrite() this session (the sum
-  /// of every rewrite's shrinkage). Matches the page-GC counter of the
-  /// paged backend, so the service metrics expose one compaction gauge
-  /// for both engines.
+  /// of every rewrite's shrinkage).
   size_t reclaimed_bytes() const { return reclaimed_bytes_; }
 
   /// Serialization of one record into/out of a payload buffer; exposed for

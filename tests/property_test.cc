@@ -192,20 +192,15 @@ TEST_P(SeedPropertyTest, PipelineRobustAcrossLakes) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SeedPropertyTest,
                          ::testing::Values(1000, 2000, 3000, 4000, 5000));
 
-/// ---- Persistent-cache identity across storage engines ----
+/// ---- Persistent-cache identity ----
 ///
-/// The cache contract — the skyline is identical with the cache off,
-/// cold, or warm — must hold whatever engine sits under the cache file.
-/// These sweeps pin it for the paged engine across page sizes with a
-/// deliberately tiny buffer-pool budget (so lookups churn through
-/// eviction), and through a one-shot v1-log migration.
+/// The cache contract: the skyline is identical with the cache off,
+/// cold, or warm, and the file on disk is a v1 record log.
 
 std::string PropCachePath(const std::string& name) {
   const std::string path = ::testing::TempDir() + "/" + name;
   std::remove(path.c_str());
-  std::remove((path + ".gc").c_str());
   std::remove((path + ".compact").c_str());
-  std::remove((path + ".migrate").c_str());
   return path;
 }
 
@@ -243,8 +238,7 @@ void ExpectByteIdenticalSkyline(ModisResult a, ModisResult b) {
   }
 }
 
-ModisResult RunCached(DeterministicFixture& f, const std::string& cache_path,
-                      uint32_t page_size, size_t buffer_frames) {
+ModisResult RunCached(DeterministicFixture& f, const std::string& cache_path) {
   auto evaluator = f.bench.MakeEvaluator();
   ExactOracle oracle(evaluator.get());
   ModisConfig cfg;
@@ -252,66 +246,30 @@ ModisResult RunCached(DeterministicFixture& f, const std::string& cache_path,
   cfg.max_states = 70;
   cfg.max_level = 3;
   cfg.record_cache_path = cache_path;
-  cfg.record_cache_page_size = page_size;
-  cfg.record_cache_buffer_frames = buffer_frames;
   auto result = RunBiModis(f.universe, &oracle, cfg);
   EXPECT_TRUE(result.ok());
   return std::move(result).value();
 }
 
-class PagedCachePropertyTest : public ::testing::TestWithParam<uint32_t> {};
-
-TEST_P(PagedCachePropertyTest, OffColdWarmSkylinesAreByteIdentical) {
-  const uint32_t page_size = GetParam();
+TEST(CachePropertyTest, OffColdWarmSkylinesAreByteIdentical) {
   DeterministicFixture f = DeterministicFixture::Make();
-  const std::string path =
-      PropCachePath("prop_paged_" + std::to_string(page_size) + ".rlog");
+  const std::string path = PropCachePath("prop_cache.rlog");
 
-  // Four frames is far below the page count a full run touches: every
-  // warm lookup has to page in through LRU eviction, never a full load.
-  ModisResult off = RunCached(f, "", page_size, 4);
-  ModisResult cold = RunCached(f, path, page_size, 4);
-  ModisResult warm = RunCached(f, path, page_size, 4);
+  ModisResult off = RunCached(f, "");
+  ModisResult cold = RunCached(f, path);
+  ModisResult warm = RunCached(f, path);
 
   EXPECT_FALSE(off.record_cache_active);
   ASSERT_TRUE(cold.record_cache_active);
   ASSERT_TRUE(warm.record_cache_active);
-  // page_size 0 = the v1 record log; nonzero = the paged engine.
-  EXPECT_EQ(FileMagic(path), page_size == 0 ? "MODISRLG" : "MODISPG2");
+  EXPECT_EQ(FileMagic(path), "MODISRLG");
 
   // Cold: cache engaged but empty — trains exactly what the off run does.
   EXPECT_EQ(cold.oracle_stats.persistent_hits, 0u);
   EXPECT_GT(cold.record_cache_stats.appended, 0u);
   EXPECT_EQ(cold.oracle_stats.exact_evals, off.oracle_stats.exact_evals);
 
-  // Warm: every valuation replays from the paged file — zero trainings.
-  EXPECT_EQ(warm.oracle_stats.exact_evals, 0u);
-  EXPECT_EQ(warm.oracle_stats.persistent_hits, cold.oracle_stats.exact_evals);
-
-  ExpectByteIdenticalSkyline(off, std::move(cold));
-  ExpectByteIdenticalSkyline(std::move(off), std::move(warm));
-}
-
-INSTANTIATE_TEST_SUITE_P(PageSizes, PagedCachePropertyTest,
-                         ::testing::Values(0u, 4096u, 16384u),
-                         [](const ::testing::TestParamInfo<uint32_t>& info) {
-                           return "Page" + std::to_string(info.param);
-                         });
-
-TEST(PagedCacheMigrationPropertyTest, WarmRunThroughMigratedV1Log) {
-  DeterministicFixture f = DeterministicFixture::Make();
-  const std::string path = PropCachePath("prop_migrated.rlog");
-
-  ModisResult off = RunCached(f, "", 0, 0);
-  // Cold run with page_size 0 seeds a v1 append-only log.
-  ModisResult cold = RunCached(f, path, 0, 0);
-  ASSERT_EQ(FileMagic(path), "MODISRLG");
-
-  // The warm run opts into the paged engine: the read-write open migrates
-  // the v1 log once, then serves every valuation from the paged file.
-  ModisResult warm = RunCached(f, path, 4096, 4);
-  EXPECT_EQ(FileMagic(path), "MODISPG2");
-  ASSERT_TRUE(warm.record_cache_active);
+  // Warm: every valuation replays from the log — zero trainings.
   EXPECT_EQ(warm.oracle_stats.exact_evals, 0u);
   EXPECT_EQ(warm.oracle_stats.persistent_hits, cold.oracle_stats.exact_evals);
 

@@ -177,16 +177,9 @@ TEST(ServiceTest, AnswerMatchesDetachedBatchRun) {
   EXPECT_EQ(served->exact_evals, batch->exact_evals);
 }
 
-/// Both cache engines must serve the service determinism contracts
-/// identically: 0 = the v1 record log, 4096 = the paged engine.
-class ServiceCacheEngineTest : public ::testing::TestWithParam<uint32_t> {};
-
-TEST_P(ServiceCacheEngineTest, WarmQueryReplaysWithZeroTrainings) {
-  const uint32_t page_size = GetParam();
+TEST(ServiceTest, WarmQueryReplaysWithZeroTrainings) {
   DiscoveryService::Options options = SmallServiceOptions();
-  options.cache_page_size = page_size;
-  options.default_cache_path =
-      TempPath("service_warm_" + std::to_string(page_size) + ".rlog");
+  options.default_cache_path = TempPath("service_warm.rlog");
   DiscoveryService service(options);
   const DiscoveryRequest request = MakeRequest("bi");
 
@@ -233,9 +226,8 @@ TEST(ServiceTest, PerQueryReadModeServesWithoutAppending) {
 
 /// The acceptance gate of the serving subsystem: 4 concurrent clients
 /// sharing one locked cache file finish with no corruption and skylines
-/// byte-identical to serial execution — on either cache engine.
-TEST_P(ServiceCacheEngineTest, FourConcurrentClientsMatchSerialOnSharedCache) {
-  const uint32_t page_size = GetParam();
+/// byte-identical to serial execution.
+TEST(ServiceTest, FourConcurrentClientsMatchSerialOnSharedCache) {
   const std::vector<std::string> variants = {"apx", "nobi", "bi", "div"};
 
   // Serial reference: one session, its own cache file.
@@ -243,9 +235,7 @@ TEST_P(ServiceCacheEngineTest, FourConcurrentClientsMatchSerialOnSharedCache) {
   {
     DiscoveryService::Options options = SmallServiceOptions();
     options.sessions = 1;
-    options.cache_page_size = page_size;
-    options.default_cache_path =
-        TempPath("service_serial_" + std::to_string(page_size) + ".rlog");
+    options.default_cache_path = TempPath("service_serial.rlog");
     DiscoveryService service(options);
     for (const std::string& variant : variants) {
       auto response = service.Answer(MakeRequest(variant));
@@ -255,14 +245,12 @@ TEST_P(ServiceCacheEngineTest, FourConcurrentClientsMatchSerialOnSharedCache) {
   }
 
   // Concurrent run: 4 sessions, 4 client threads, one fresh shared file.
-  const std::string cache_path =
-      TempPath("service_concurrent_" + std::to_string(page_size) + ".rlog");
+  const std::string cache_path = TempPath("service_concurrent.rlog");
   std::vector<Result<DiscoveryResponse>> concurrent(
       variants.size(), Result<DiscoveryResponse>(Status::Internal("unset")));
   {
     DiscoveryService::Options options = SmallServiceOptions();
     options.sessions = 4;
-    options.cache_page_size = page_size;
     options.default_cache_path = cache_path;
     DiscoveryService service(options);
     ASSERT_TRUE(service.Preload("T2").ok());
@@ -286,35 +274,18 @@ TEST_P(ServiceCacheEngineTest, FourConcurrentClientsMatchSerialOnSharedCache) {
                   serial[i].fused_hits);
   }
 
-  // No corruption: the shared file reloads cleanly end to end,
-  // whichever engine wrote it.
-  if (page_size == 0) {
-    std::vector<StoredRecord> records;
-    auto log = RecordLog::Open(cache_path, /*read_only=*/true, &records);
-    ASSERT_TRUE(log.ok()) << log.status().ToString();
-    EXPECT_EQ(log->discarded_tail_bytes(), 0u);
-    EXPECT_GT(records.size(), 0u);
-    for (const StoredRecord& r : records) {
-      EXPECT_FALSE(r.key.empty());
-      EXPECT_EQ(r.eval.raw.size(), 4u);
-      EXPECT_EQ(r.eval.normalized.size(), 4u);
-    }
-  } else {
-    PersistentRecordCache::Options cache_options;
-    cache_options.page_size = page_size;
-    auto reopened = PersistentRecordCache::Open(
-        cache_path, CacheMode::kRead, /*fingerprint=*/0, cache_options);
-    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-    EXPECT_GT((*reopened)->stats().loaded_records, 0u);
-    EXPECT_EQ((*reopened)->stats().discarded_tail_bytes, 0u);
+  // No corruption: the shared file reloads cleanly end to end.
+  std::vector<StoredRecord> records;
+  auto log = RecordLog::Open(cache_path, /*read_only=*/true, &records);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  EXPECT_EQ(log->discarded_tail_bytes(), 0u);
+  EXPECT_GT(records.size(), 0u);
+  for (const StoredRecord& r : records) {
+    EXPECT_FALSE(r.key.empty());
+    EXPECT_EQ(r.eval.raw.size(), 4u);
+    EXPECT_EQ(r.eval.normalized.size(), 4u);
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Engines, ServiceCacheEngineTest,
-                         ::testing::Values(0u, 4096u),
-                         [](const ::testing::TestParamInfo<uint32_t>& info) {
-                           return "Page" + std::to_string(info.param);
-                         });
 
 /// The cross-query fusion gate: two clients racing the same cold query
 /// (no record cache, so fusion is the only sharing path) train each

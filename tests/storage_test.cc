@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <thread>
@@ -16,6 +18,7 @@
 #include "core/algorithms.h"
 #include "datagen/tasks.h"
 #include "estimator/supervised_evaluator.h"
+#include "service/discovery_service.h"
 #include "storage/persistent_record_cache.h"
 #include "storage/record_log.h"
 
@@ -44,6 +47,12 @@ StoredRecord MakeRecord(uint64_t fingerprint, const std::string& key,
   r.eval.raw = {salt * 2.0, -salt};
   r.eval.normalized = {0.5 + salt / 100.0, 0.125};
   return r;
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
 }
 
 void ExpectRecordEq(const StoredRecord& a, const StoredRecord& b) {
@@ -257,6 +266,47 @@ TEST(RecordLogTest, RejectsForeignFiles) {
     std::fclose(f);
   }
   EXPECT_FALSE(RecordLog::Open(path, false, nullptr).ok());
+
+  // A file of the retired paged engine (magic "MODISPG2") is foreign too:
+  // both cache modes refuse it without touching its bytes, and a service
+  // query pointed at it degrades to a cold answer instead of failing.
+  const std::string retired = TempLogPath("retired_paged.cache");
+  const std::string content =
+      std::string("MODISPG2") + std::string(4088, '\x5a');
+  {
+    std::ofstream out(retired, std::ios::binary);
+    out << content;
+  }
+  for (CacheMode mode : {CacheMode::kRead, CacheMode::kReadWrite}) {
+    auto opened = PersistentRecordCache::Open(retired, mode, 7);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_NE(opened.status().ToString().find("not a MODis record log"),
+              std::string::npos)
+        << opened.status().ToString();
+  }
+  EXPECT_EQ(FileBytes(retired), content);
+
+  DiscoveryService::Options options;
+  options.sessions = 1;
+  options.valuation_threads = 2;
+  options.task_row_scale = 0.4;
+  options.default_cache_path = retired;
+  DiscoveryService service(options);
+  DiscoveryRequest request;
+  request.task = "T2";
+  request.budget = 20;
+  request.maxl = 2;
+  request.measures = {"f1", "acc", "fisher", "mi"};
+  ::testing::internal::CaptureStderr();
+  auto answered = service.Answer(request);
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+  EXPECT_FALSE(answered->cache_active);
+  EXPECT_GT(answered->exact_evals, 0u);
+  EXPECT_EQ(answered->persistent_hits, 0u);
+  EXPECT_FALSE(answered->skyline.empty());
+  EXPECT_NE(log.find("record cache disabled"), std::string::npos) << log;
+  EXPECT_EQ(FileBytes(retired), content);
 }
 
 // ---------------------------------------------------------------- cache
@@ -469,6 +519,26 @@ TEST(PersistentRecordCacheTest, EvictionKeepsMostRecentlyHitRecords) {
   for (const char* gone : {"k3", "k4"}) {
     EXPECT_FALSE((*cache)->Contains(gone)) << gone;
   }
+}
+
+TEST(PersistentRecordCacheTest, ByteBoundRewriteReportsReclaimedBytes) {
+  // The compaction counter behind the service's cache_reclaimed_bytes.
+  const std::string path = TempLogPath("reclaim.rlog");
+  PersistentRecordCache::Options options;
+  options.max_bytes = 2048;
+  auto cache =
+      PersistentRecordCache::Open(path, CacheMode::kReadWrite, 7, options);
+  ASSERT_TRUE(cache.ok());
+  for (int i = 0; i < 60; ++i) {
+    const StoredRecord r = MakeRecord(7, "v" + std::to_string(i), i);
+    (*cache)->Insert(r.key, r.features, r.eval);
+  }
+  ASSERT_TRUE((*cache)->Flush().ok());
+  const PersistentRecordCache::Stats stats = (*cache)->stats();
+  ASSERT_EQ(FileBytes(path).compare(0, 8, RecordLog::kMagic, 8), 0);
+  EXPECT_GT(stats.evicted, 0u);
+  EXPECT_GT(stats.reclaimed_bytes, 0u);
+  EXPECT_LE(stats.log_bytes, options.max_bytes);
 }
 
 TEST(PersistentRecordCacheTest, EvictionDropsLeastRecentlyHitFingerprintFirst) {

@@ -13,9 +13,7 @@
 ///   * the cache file reloads clean after the kill;
 ///   * the ring never wedges (every wait here is bounded).
 ///
-/// The battery runs over both cache engines (page_size 0 = v1 log,
-/// 4096 = paged). Worker processes are this very binary re-exec'ed
-/// with --worker-role (which is why this suite owns main()); the kill
+/// Worker processes are this very binary re-exec'ed with --worker-role (which is why this suite owns main()); the kill
 /// points are armed through WorkerOptions::crash_at on the FIRST
 /// incarnation of worker 0 only — its respawn runs disarmed, exactly
 /// like a real crash that does not reproduce.
@@ -31,12 +29,10 @@
 #include <cstring>
 #include <filesystem>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "service/discovery_service.h"
@@ -75,15 +71,13 @@ DiscoveryRequest MakeRequest() {
   return request;
 }
 
-DiscoveryService::Options WorkerServiceOptions(const std::string& cache,
-                                               uint32_t page_size) {
+DiscoveryService::Options WorkerServiceOptions(const std::string& cache) {
   DiscoveryService::Options options;
   options.sessions = 1;
   options.queue_capacity = 4;
   options.valuation_threads = 2;
   options.task_row_scale = kRowScale;
   options.default_cache_path = cache;
-  options.cache_page_size = page_size;
   return options;
 }
 
@@ -93,7 +87,6 @@ struct WorkerRoleArgs {
   std::string ring;
   uint32_t index = 0;
   std::string cache;
-  uint32_t page_size = 0;
   std::string crash_at;
   std::string hold_at;
 };
@@ -103,8 +96,7 @@ struct WorkerRoleArgs {
 /// point armed. Runs until the coordinator stops the ring or the armed
 /// SIGKILL fires.
 int RunWorkerRole(const WorkerRoleArgs& args) {
-  DiscoveryService::Options options =
-      WorkerServiceOptions(args.cache, args.page_size);
+  DiscoveryService::Options options = WorkerServiceOptions(args.cache);
   options.shared_cache = true;
   options.request_id_prefix = "q-w" + std::to_string(args.index) + "-";
   DiscoveryService service(options);
@@ -125,11 +117,10 @@ int RunWorkerRole(const WorkerRoleArgs& args) {
 /// 0's first incarnation only.
 class PoolHarness {
  public:
-  Status Start(const std::string& tag, uint32_t workers, uint32_t page_size,
+  Status Start(const std::string& tag, uint32_t workers,
                const std::string& crash_at, const std::string& hold_at = "") {
     ring_path_ = TempPath("crash_ring_" + tag + ".shm");
     cache_path_ = TempPath("crash_cache_" + tag + ".bin");
-    page_size_ = page_size;
     crash_at_ = crash_at;
     hold_at_ = hold_at;
     spawn_counts_.assign(workers, 0);
@@ -206,7 +197,6 @@ class PoolHarness {
         "--ring", ring_path_,
         "--index", std::to_string(worker),
         "--cache", cache_path_,
-        "--page-size", std::to_string(page_size_),
     };
     if (!crash.empty()) {
       storage.push_back("--crash-at");
@@ -231,7 +221,6 @@ class PoolHarness {
   std::unique_ptr<WorkerPool> pool_;
   std::string ring_path_;
   std::string cache_path_;
-  uint32_t page_size_ = 0;
   std::string crash_at_;
   std::string hold_at_;
   std::mutex mu_;
@@ -260,31 +249,28 @@ void ExpectSameSkylines(const DiscoveryResponse& a,
 }
 
 /// The undisturbed in-process reference: a plain DiscoveryService over
-/// its own cache file, computed once per engine and memoized.
-const DiscoveryResponse& ReferenceResponse(uint32_t page_size) {
-  static std::map<uint32_t, DiscoveryResponse> memo;
-  auto it = memo.find(page_size);
-  if (it != memo.end()) return it->second;
-  const std::string cache =
-      TempPath("crash_reference_" + std::to_string(page_size) + ".bin");
-  DiscoveryService service(WorkerServiceOptions(cache, page_size));
-  auto response = service.Answer(MakeRequest());
-  if (!response.ok()) {
-    ADD_FAILURE() << "reference run failed: " << response.status().ToString();
-    static const DiscoveryResponse kEmpty;
-    return kEmpty;
-  }
-  return memo.emplace(page_size, std::move(response).value()).first->second;
+/// its own cache file, computed once and memoized.
+const DiscoveryResponse& ReferenceResponse() {
+  static const DiscoveryResponse memo = [] {
+    DiscoveryService service(
+        WorkerServiceOptions(TempPath("crash_reference.bin")));
+    auto response = service.Answer(MakeRequest());
+    if (!response.ok()) {
+      ADD_FAILURE() << "reference run failed: "
+                    << response.status().ToString();
+      return DiscoveryResponse();
+    }
+    return std::move(response).value();
+  }();
+  return memo;
 }
 
 /// After the pool stopped, the cache file must reload clean through the
 /// normal exclusive open — a kill mid-publish never leaves a torn file.
-void ExpectCacheReloadsClean(const std::string& path, uint32_t page_size) {
+void ExpectCacheReloadsClean(const std::string& path) {
   if (!fs::exists(path)) return;  // A pre-train kill may leave no file.
-  PersistentRecordCache::Options options;
-  options.page_size = page_size;
   auto reopened = PersistentRecordCache::Open(path, CacheMode::kRead,
-                                              /*fingerprint=*/0, options);
+                                              /*fingerprint=*/0);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
 }
 
@@ -295,35 +281,30 @@ struct CrashCase {
   bool owner_death;  // mid_response dies holding the ring mutex.
 };
 
-class WorkerCrashTest
-    : public ::testing::TestWithParam<std::tuple<uint32_t, CrashCase>> {};
+class WorkerCrashTest : public ::testing::TestWithParam<CrashCase> {};
 
 /// THE battery: arm one kill point, run the canonical query into it,
 /// and prove the pool heals — same answer, nothing lost, nothing
 /// doubled, cache intact, ring live.
 TEST_P(WorkerCrashTest, KilledWorkerNeverLosesOrForksAQuery) {
-  const uint32_t page_size = std::get<0>(GetParam());
-  const CrashCase crash = std::get<1>(GetParam());
-  const std::string tag =
-      std::string(crash.stage) + "_" + std::to_string(page_size);
+  const CrashCase crash = GetParam();
 
   PoolHarness harness;
   // One worker: the armed incarnation must be the one that claims the
   // query, crashes at the injected stage, and is respawned disarmed.
-  ASSERT_TRUE(
-      harness.Start(tag, /*workers=*/1, page_size, crash.stage).ok());
+  ASSERT_TRUE(harness.Start(crash.stage, /*workers=*/1, crash.stage).ok());
 
   // The crash victim. Submit() resolves even though the first claim
   // dies: the supervisor requeues the job and the respawned worker
   // answers it. "No accepted query lost."
   auto crashed = harness.Query(MakeRequest());
   ASSERT_TRUE(crashed.ok()) << crashed.status().ToString();
-  ExpectSameSkylines(crashed.value(), ReferenceResponse(page_size));
+  ExpectSameSkylines(crashed.value(), ReferenceResponse());
 
   // A follow-up query through the healed pool; warm path this time.
   auto warm = harness.Query(MakeRequest());
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-  ExpectSameSkylines(warm.value(), ReferenceResponse(page_size));
+  ExpectSameSkylines(warm.value(), ReferenceResponse());
 
   // The kill really happened and was really recovered.
   EXPECT_GE(harness.pool()->restarts_total(), 1u);
@@ -339,48 +320,39 @@ TEST_P(WorkerCrashTest, KilledWorkerNeverLosesOrForksAQuery) {
   }
 
   harness.Stop();
-  ExpectCacheReloadsClean(harness.cache_path(), page_size);
+  ExpectCacheReloadsClean(harness.cache_path());
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Stages, WorkerCrashTest,
-    ::testing::Combine(
-        ::testing::Values(0u, 4096u),
-        ::testing::Values(CrashCase{"claimed", false},
-                          CrashCase{"mid_train", false},
-                          CrashCase{"pre_commit", false},
-                          CrashCase{"mid_response", true})),
-    [](const ::testing::TestParamInfo<WorkerCrashTest::ParamType>& info) {
-      return std::string(std::get<1>(info.param).stage) + "_page" +
-             std::to_string(std::get<0>(info.param));
+    ::testing::Values(CrashCase{"claimed", false},
+                      CrashCase{"mid_train", false},
+                      CrashCase{"pre_commit", false},
+                      CrashCase{"mid_response", true}),
+    [](const ::testing::TestParamInfo<CrashCase>& info) {
+      return std::string(info.param.stage);
     });
 
 // --------------------------------------------- undisturbed pool runs
 
-class WorkerPoolTest : public ::testing::TestWithParam<uint32_t> {};
-
 /// Sanity floor under the battery: with no kill armed, the pool
 /// answers exactly like the in-process service, cold and warm.
-TEST_P(WorkerPoolTest, UndisturbedPoolMatchesInProcessAnswers) {
-  const uint32_t page_size = GetParam();
+TEST(WorkerPoolTest, UndisturbedPoolMatchesInProcessAnswers) {
   PoolHarness harness;
-  ASSERT_TRUE(harness
-                  .Start("plain_" + std::to_string(page_size),
-                         /*workers=*/2, page_size, /*crash_at=*/"")
-                  .ok());
+  ASSERT_TRUE(harness.Start("plain", /*workers=*/2, /*crash_at=*/"").ok());
   auto cold = harness.Query(MakeRequest());
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  ExpectSameSkylines(cold.value(), ReferenceResponse(page_size));
+  ExpectSameSkylines(cold.value(), ReferenceResponse());
   auto warm = harness.Query(MakeRequest());
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-  ExpectSameSkylines(warm.value(), ReferenceResponse(page_size));
+  ExpectSameSkylines(warm.value(), ReferenceResponse());
 
   EXPECT_EQ(harness.pool()->restarts_total(), 0u);
   const ShmRing::Stats stats = harness.pool()->ring()->SnapshotStats();
   EXPECT_EQ(stats.installed, 2u);
   EXPECT_EQ(stats.completed, 2u);
   harness.Stop();
-  ExpectCacheReloadsClean(harness.cache_path(), page_size);
+  ExpectCacheReloadsClean(harness.cache_path());
 }
 
 /// The positive cross-process warm contract (the flip side of
@@ -390,13 +362,11 @@ TEST_P(WorkerPoolTest, UndisturbedPoolMatchesInProcessAnswers) {
 /// Placement is pinned, not hoped for: worker 0 alone claims the first
 /// query and parks before it touches the cache; worker 1 then answers
 /// the same query cold; released, worker 0 must serve it warm.
-TEST_P(WorkerPoolTest, SecondQueryThroughLivePoolIsWarm) {
-  const uint32_t page_size = GetParam();
+TEST(WorkerPoolTest, SecondQueryThroughLivePoolIsWarm) {
   PoolHarness harness;
   harness.DeferWorker1(true);
   ASSERT_TRUE(harness
-                  .Start("warmup_" + std::to_string(page_size),
-                         /*workers=*/2, page_size, /*crash_at=*/"",
+                  .Start("warmup", /*workers=*/2, /*crash_at=*/"",
                          /*hold_at=*/"context")
                   .ok());
   auto held = std::async(std::launch::async,
@@ -410,7 +380,7 @@ TEST_P(WorkerPoolTest, SecondQueryThroughLivePoolIsWarm) {
   EXPECT_EQ(cold.value().request_id.rfind("q-w1-", 0), 0u)
       << cold.value().request_id;
   EXPECT_GT(cold.value().exact_evals, 0u);
-  ExpectSameSkylines(cold.value(), ReferenceResponse(page_size));
+  ExpectSameSkylines(cold.value(), ReferenceResponse());
 
   harness.Release(0);
   auto warm = held.get();
@@ -419,15 +389,9 @@ TEST_P(WorkerPoolTest, SecondQueryThroughLivePoolIsWarm) {
       << warm.value().request_id;
   EXPECT_EQ(warm.value().exact_evals, 0u)
       << "cross-process reader was cold: " << warm.value().request_id;
-  ExpectSameSkylines(warm.value(), ReferenceResponse(page_size));
+  ExpectSameSkylines(warm.value(), ReferenceResponse());
   harness.Stop();
 }
-
-INSTANTIATE_TEST_SUITE_P(Engines, WorkerPoolTest,
-                         ::testing::Values(0u, 4096u),
-                         [](const ::testing::TestParamInfo<uint32_t>& info) {
-                           return "page" + std::to_string(info.param);
-                         });
 
 }  // namespace
 }  // namespace modis
@@ -444,8 +408,6 @@ int main(int argc, char** argv) {
         if (flag == "--index")
           args.index = static_cast<uint32_t>(std::stoul(argv[j + 1]));
         if (flag == "--cache") args.cache = argv[j + 1];
-        if (flag == "--page-size")
-          args.page_size = static_cast<uint32_t>(std::stoul(argv[j + 1]));
         if (flag == "--crash-at") args.crash_at = argv[j + 1];
         if (flag == "--hold-at") args.hold_at = argv[j + 1];
       }
