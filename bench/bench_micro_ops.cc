@@ -1,8 +1,10 @@
 /// Supporting micro-benchmarks (google-benchmark): throughput of the
 /// primitive operators and multi-objective utilities the search is built
 /// from — hash joins, Reduct, state materialization (full-scan and
-/// incremental), Pareto fronts (naive vs Kung), ε-grid updates, ParallelFor
-/// dispatch, record-cache get (warm hit) and insert + flush, 1-D k-means,
+/// incremental), gathering a state's dataset from the encoded D_U against
+/// copying and encoding its table, Pareto fronts (naive vs Kung), ε-grid
+/// updates, ParallelFor dispatch, record-cache get (warm hit) and insert +
+/// flush, 1-D k-means,
 /// and model training per family: one fit of each tree task's model on its
 /// encoded train split, and the MO-GBM surrogate's fit and per-row predict
 /// on 120 recorded tests.
@@ -13,6 +15,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -104,8 +107,9 @@ BENCHMARK(BM_Materialize);
 
 void BM_MaterializeFromClusterFlip(benchmark::State& state) {
   // Incremental materialization along a one-flip cluster edge — the hot
-  // child-from-parent path of the batched valuation pipeline; compare
-  // against BM_Materialize's full D_U scan.
+  // child-from-parent path of the batched valuation pipeline. It records
+  // the child's row mask only; compare BM_Materialize, which also copies
+  // the state's table out of D_U.
   auto bench = MakeTabularBench(BenchTaskId::kMovie, 0.5);
   MODIS_CHECK(bench.ok());
   auto uni = SearchUniverse::Build(bench->universal, bench->universe_options);
@@ -125,6 +129,49 @@ void BM_MaterializeFromClusterFlip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MaterializeFromClusterFlip);
+
+void BM_GatherDataset(benchmark::State& state) {
+  // One exact valuation's dataset on the serving benchmark's seed-1 T3
+  // state (row scale 0.4, three seed-drawn cluster units off), two ways:
+  // arg 0 gathers it from the universe's encoded D_U (GatherDataset, the
+  // path every exact valuation takes), arg 1 copies the table out of D_U
+  // and encodes that (Materialize + TableToDataset).
+  static const auto* input = [] {
+    auto bench = MakeTabularBench(BenchTaskId::kAvocado, 0.4);
+    MODIS_CHECK(bench.ok());
+    auto uni =
+        SearchUniverse::Build(bench->universal, bench->universe_options);
+    MODIS_CHECK(uni.ok());
+    return new std::pair<TabularBench, SearchUniverse>(
+        std::move(bench).value(), std::move(uni).value());
+  }();
+  const TabularBench& bench = input->first;
+  const SearchUniverse& uni = input->second;
+  StateBitmap s = uni.FullBitmap();
+  const size_t base = uni.layout().num_attributes();
+  Rng rng(1 * 31u + 17u);
+  const std::vector<size_t> off = rng.SampleWithoutReplacement(
+      uni.layout().num_units() - base,
+      std::min<size_t>(4, uni.layout().num_units() - base));
+  for (size_t i = 0; i + 1 < off.size(); ++i) s.Set(base + off[i], false);
+
+  BridgeOptions bridge;
+  bridge.exclude = bench.task.exclude;
+  const MaterializationPtr m = uni.MaterializeRecord(s);
+  const DatasetView view = uni.View(*m);
+  const bool gather = state.range(0) == 0;
+  for (auto _ : state) {
+    auto ds = gather ? GatherDataset(*view.encoded, *view.rows, view.columns,
+                                     bench.task.target, bench.task.task, bridge)
+                     : TableToDataset(uni.Materialize(s), bench.task.target,
+                                      bench.task.task, bridge);
+    MODIS_CHECK(ds.ok());
+    benchmark::DoNotOptimize(ds);
+  }
+  state.SetItemsProcessed(state.iterations() * m->mask.Count());
+  state.SetLabel(gather ? "gather" : "materialize+encode");
+}
+BENCHMARK(BM_GatherDataset)->Arg(0)->Arg(1);
 
 void BM_CountRowsMaskVsScan(benchmark::State& state) {
   // Surviving-row counting three ways: the seed's per-row scan over
@@ -164,8 +211,8 @@ BENCHMARK(BM_CountRowsMaskVsScan)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_MaskTightenFlip(benchmark::State& state) {
   // DeriveMask along a one-flip tighten (cluster bit 1 -> 0) edge: one
-  // ANDNOT over the packed words, no row rescan — the mask half of
-  // BM_MaterializeFromClusterFlip without the column rebuild.
+  // ANDNOT over the packed words, no row rescan — what
+  // BM_MaterializeFromClusterFlip records, without the allocation.
   auto bench = MakeTabularBench(BenchTaskId::kMovie, 0.5);
   MODIS_CHECK(bench.ok());
   auto uni = SearchUniverse::Build(bench->universal, bench->universe_options);

@@ -34,13 +34,17 @@ Result<Nsga2ModisResult> RunNsga2Modis(const SearchUniverse& universe,
     StateBitmap state(genome.size());
     for (size_t i = 0; i < genome.size(); ++i) state.Set(i, genome[i] != 0);
     const std::string sig = state.Signature();
-    Result<Evaluation> eval = oracle->Valuate(
-        sig, universe.StateFeatures(state), [&]() {
-          if (MaterializationPtr hit = mats.Get(sig)) return hit->table;
-          MaterializationPtr m = universe.MaterializeRecord(state);
-          mats.Put(sig, m);
-          return m->table;
-        });
+    ValuationRequest request;
+    request.key = sig;
+    request.features = universe.StateFeatures(state);
+    request.universe = &universe;
+    request.materialize = [&]() {
+      if (MaterializationPtr hit = mats.Get(sig)) return hit;
+      MaterializationPtr m = universe.MaterializeRecord(state);
+      mats.Put(sig, m);
+      return m;
+    };
+    Result<Evaluation> eval = oracle->Valuate(request);
     if (!eval.ok()) return std::nullopt;  // Untrainable genome.
     for (size_t j = 0; j < upper.size(); ++j) {
       if (eval->normalized[j] > upper[j] + 1e-12) return std::nullopt;

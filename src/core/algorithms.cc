@@ -91,14 +91,17 @@ Result<ModisResult> RunExactSkyline(const SearchUniverse& universe,
     ++result.generated_states;
 
     const std::string sig = state.Signature();
-    Result<Evaluation> eval = oracle->Valuate(
-        sig, universe.StateFeatures(state),
-        [&universe, &state, &mats, &sig]() {
-          if (MaterializationPtr hit = mats.Get(sig)) return hit->table;
-          MaterializationPtr m = universe.MaterializeRecord(state);
-          mats.Put(sig, m);
-          return m->table;
-        });
+    ValuationRequest request;
+    request.key = sig;
+    request.features = universe.StateFeatures(state);
+    request.universe = &universe;
+    request.materialize = [&universe, &state, &mats, &sig]() {
+      if (MaterializationPtr hit = mats.Get(sig)) return hit;
+      MaterializationPtr m = universe.MaterializeRecord(state);
+      mats.Put(sig, m);
+      return m;
+    };
+    Result<Evaluation> eval = oracle->Valuate(request);
     ++result.valuated_states;
     bool expandable = level < config.max_level;
     if (eval.ok()) {

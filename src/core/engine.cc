@@ -384,9 +384,10 @@ void ModisEngine::ValuateBatch(std::vector<BatchItem> items,
       req.features = universe_->StateFeatures(item.state);
     }
     // Materialization runs lazily on a worker thread for exact items:
-    // reuse the parent's cached materialization along the one-flip edge
-    // when it is still resident, and cache the child for its own children.
+    // reuse the parent's cached mask along the one-flip edge when it is
+    // still resident, and cache the child for its own children.
     const SearchUniverse* universe = universe_;
+    req.universe = universe;
     MaterializationCache* cache = &mat_cache_;
     req.materialize = [universe, cache, state = item.state,
                        sig = item.signature,

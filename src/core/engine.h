@@ -98,9 +98,10 @@ struct EngineRuntime {
 /// model trainings of the batch fan out over a ThreadPool sized by
 /// ModisConfig::num_threads; plan and commit stay on the caller thread in
 /// a fixed order, so the computed skyline does not depend on the thread
-/// count. Children materialize incrementally from their parent's cached
-/// materialization (SearchUniverse::MaterializeFrom) instead of rescanning
-/// D_U.
+/// count. Children derive their row mask incrementally from their
+/// parent's cached one (SearchUniverse::MaterializeFrom) instead of
+/// rescanning D_U, and exact trainings gather their rows from the encoded
+/// D_U (SearchUniverse::View) without copying a table.
 class ModisEngine {
  public:
   /// Does not own `universe` or `oracle`; both must outlive the engine.

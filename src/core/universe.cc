@@ -19,6 +19,7 @@ Result<SearchUniverse> SearchUniverse::Build(Table universal,
   }
   SearchUniverse u;
   u.universal_ = std::move(universal);
+  u.encoded_ = EncodeTable(u.universal_, options.protected_attributes);
 
   std::unordered_set<std::string> protected_set(
       options.protected_attributes.begin(),
@@ -127,23 +128,17 @@ RowMask SearchUniverse::SurvivingMask(const StateBitmap& state) const {
   return mask;
 }
 
-Table SearchUniverse::BuildTable(const StateBitmap& state,
-                                 const RowMask& mask) const {
+std::vector<size_t> SearchUniverse::ActiveColumns(
+    const StateBitmap& state) const {
   std::vector<size_t> cols;
   for (size_t a = 0; a < layout_.num_attributes(); ++a) {
     if (state.Get(a)) cols.push_back(a);
   }
-  std::vector<size_t> rows;
-  rows.reserve(mask.Count());
-  mask.ForEachSet([&rows](uint32_t r) { rows.push_back(r); });
-  Result<Table> projected = universal_.SelectColumns(cols);
-  MODIS_CHECK(projected.ok()) << projected.status().ToString();
-  return projected.value().SelectRows(rows);
+  return cols;
 }
 
 Table SearchUniverse::Materialize(const StateBitmap& state) const {
-  MODIS_CHECK(state.size() == layout_.num_units()) << "bitmap size mismatch";
-  return BuildTable(state, SurvivingMask(state));
+  return View(*MaterializeRecord(state)).ToTable();
 }
 
 MaterializationPtr SearchUniverse::MaterializeRecord(
@@ -152,8 +147,16 @@ MaterializationPtr SearchUniverse::MaterializeRecord(
   auto m = std::make_shared<Materialization>();
   m->state = state;
   m->mask = SurvivingMask(state);
-  m->table = BuildTable(state, m->mask);
   return m;
+}
+
+DatasetView SearchUniverse::View(const Materialization& m) const {
+  DatasetView view;
+  view.table = &universal_;
+  view.encoded = &encoded_;
+  view.rows = &m.row_ids();
+  view.columns = ActiveColumns(m.state);
+  return view;
 }
 
 RowMask SearchUniverse::DeriveMask(const Materialization& parent,
@@ -226,7 +229,6 @@ MaterializationPtr SearchUniverse::MaterializeFrom(
   auto m = std::make_shared<Materialization>();
   m->state = child;
   m->mask = DeriveMask(parent, child);
-  m->table = BuildTable(child, m->mask);
   return m;
 }
 

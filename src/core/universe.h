@@ -14,20 +14,21 @@
 #include "common/status.h"
 #include "core/row_mask.h"
 #include "core/state.h"
+#include "ml/dataset.h"
 #include "table/table.h"
 
 namespace modis {
 
-/// One materialized state: the surviving-row bitset over D_U, the denoted
-/// table, and the state itself. Carrying the mask is what makes the
-/// incremental materializer possible — a child's row set is one or two word
-/// sweeps over the parent's instead of a rescan of D_U — and makes the row
-/// count of a cached state a popcount. The ascending row-id vector some
-/// callers want is derived from the mask lazily on first access.
+/// One materialized state: the surviving-row bitset over D_U and the state
+/// itself. Carrying the mask is what makes the incremental materializer
+/// possible — a child's row set is one or two word sweeps over the
+/// parent's instead of a rescan of D_U — and makes the row count of a
+/// cached state a popcount. The dataset itself is never copied out: an
+/// exact valuation gathers it from the universe's encoding of D_U through
+/// SearchUniverse::View.
 struct Materialization {
   StateBitmap state;
   RowMask mask;
-  Table table;
 
   /// The surviving universal-row ids in ascending order, derived from
   /// `mask` on first call and memoized. Thread-safe.
@@ -41,18 +42,22 @@ struct Materialization {
 using MaterializationPtr = std::shared_ptr<const Materialization>;
 
 /// The dataset exploration space of one MODis running: the universal table
-/// D_U, the unit layout of state bitmaps, and fast materialization of the
-/// dataset any bitmap denotes.
+/// D_U, its one-time learning encoding, the unit layout of state bitmaps,
+/// and fast materialization of the dataset any bitmap denotes.
 ///
 /// Built once per task; all search algorithms share it. The row space is
 /// columnar: every cluster unit gets a precomputed RowMask of the rows it
 /// covers, so the rows a state denotes are the full universe minus the
 /// union of its active off-cluster masks — word-level ANDNOTs, no
-/// row-at-a-time scan.
+/// row-at-a-time scan. Exact valuations train on a DatasetView (the
+/// surviving row ids and active columns over the encoding) and never copy
+/// a table.
 class SearchUniverse {
  public:
   struct Options {
-    /// Attributes that operators must not touch (target column, join keys).
+    /// Attributes that operators must not touch (target column, join
+    /// keys). Their values are rank-coded in the encoding of D_U, which a
+    /// classification target needs.
     std::vector<std::string> protected_attributes;
     /// Maximum active-domain clusters per attribute (paper uses 30).
     int max_clusters = 8;
@@ -63,6 +68,9 @@ class SearchUniverse {
   static Result<SearchUniverse> Build(Table universal, Options options);
 
   const Table& universal() const { return universal_; }
+  /// D_U encoded once (ml/dataset.h): what every exact valuation gathers
+  /// its training rows from.
+  const EncodedTable& encoded() const { return encoded_; }
   const UnitLayout& layout() const { return layout_; }
 
   /// The start state of the reduce-from-universal search: every unit on.
@@ -78,8 +86,13 @@ class SearchUniverse {
   /// filtered by the active cluster bits of included attributes.
   Table Materialize(const StateBitmap& state) const;
 
-  /// Materialize plus the surviving-row bookkeeping MaterializeFrom needs.
+  /// The state's surviving-row mask, the bookkeeping MaterializeFrom and
+  /// View need; no table is built.
   MaterializationPtr MaterializeRecord(const StateBitmap& state) const;
+
+  /// The dataset `m` denotes as a view over D_U and its encoding: what
+  /// TaskEvaluator::Evaluate trains on. Borrows from `m` and the universe.
+  DatasetView View(const Materialization& m) const;
 
   /// Incremental materializer along a one-flip edge: derives the child's
   /// row mask from the parent's instead of recomputing from scratch.
@@ -92,8 +105,7 @@ class SearchUniverse {
   ///
   /// `child` must differ from `parent.state` in exactly one unit;
   /// otherwise this falls back to a fresh mask computation. The result is
-  /// always identical (schema, rows, cells — nulls included) to a fresh
-  /// materialization of `child`.
+  /// always identical to MaterializeRecord(child).
   MaterializationPtr MaterializeFrom(const Materialization& parent,
                                      const StateBitmap& child) const;
 
@@ -102,7 +114,7 @@ class SearchUniverse {
   RowMask SurvivingMask(const StateBitmap& state) const;
 
   /// The child's surviving mask derived from the parent's along a one-flip
-  /// edge (the mask half of MaterializeFrom, exposed for benchmarks and
+  /// edge (what MaterializeFrom records, exposed for benchmarks and
   /// callers that only need counts). Falls back to SurvivingMask when the
   /// edge is not a clean one-flip.
   RowMask DeriveMask(const Materialization& parent,
@@ -136,10 +148,11 @@ class SearchUniverse {
   /// path must agree with this row-at-a-time definition).
   bool RowSurvives(const StateBitmap& state, size_t r) const;
 
-  /// Builds the denoted table from an already-computed surviving mask.
-  Table BuildTable(const StateBitmap& state, const RowMask& mask) const;
+  /// The attribute indices `state` includes, ascending.
+  std::vector<size_t> ActiveColumns(const StateBitmap& state) const;
 
   Table universal_;
+  EncodedTable encoded_;
   UnitLayout layout_;
   /// cluster_of_[r * num_attrs + a]: index of the cluster *unit* (bitmap
   /// position) containing row r's value of attribute a, or -1 when the

@@ -16,36 +16,15 @@ PerformanceOracle::ExactOutcome PerformanceOracle::RunExactOne(
     const ValuationRequest& req, TaskEvaluator* evaluator) const {
   auto train = [&req, evaluator]() -> Result<Evaluation> {
     const MaterializationPtr m = req.materialize();
-    if (m == nullptr) {
-      return Status::Internal("materializer returned null");
+    if (m == nullptr || req.universe == nullptr) {
+      return Status::Internal("valuation request without a materialization");
     }
-    return evaluator->Evaluate(m->table);
+    return evaluator->Evaluate(req.universe->View(*m));
   };
   ExactOutcome out;
   out.executed = true;
   if (fuser_ != nullptr) {
     TrainingFuser::Outcome fused = fuser_->Train(fuser_fp_, req.key, train);
-    out.result = std::move(fused.result);
-    out.seconds = fused.seconds;
-    out.shared = fused.shared;
-    return out;
-  }
-  WallTimer timer;
-  out.result = train();
-  out.seconds = timer.Seconds();
-  return out;
-}
-
-PerformanceOracle::ExactOutcome PerformanceOracle::RunExactProvider(
-    const std::string& key, const TableProvider& materialize,
-    TaskEvaluator* evaluator) const {
-  auto train = [&materialize, evaluator]() -> Result<Evaluation> {
-    return evaluator->Evaluate(materialize());
-  };
-  ExactOutcome out;
-  out.executed = true;
-  if (fuser_ != nullptr) {
-    TrainingFuser::Outcome fused = fuser_->Train(fuser_fp_, key, train);
     out.result = std::move(fused.result);
     out.seconds = fused.seconds;
     out.shared = fused.shared;
@@ -146,9 +125,9 @@ ExactOracle::ExactOracle(TaskEvaluator* evaluator) : evaluator_(evaluator) {
   MODIS_CHECK(evaluator_ != nullptr) << "ExactOracle: null evaluator";
 }
 
-Result<Evaluation> ExactOracle::Valuate(const std::string& key,
-                                        const std::vector<double>& features,
-                                        const TableProvider& materialize) {
+Result<Evaluation> ExactOracle::Valuate(const ValuationRequest& request) {
+  const std::string& key = request.key;
+  const std::vector<double>& features = request.features;
   if (const Evaluation* hit = store_.Find(key)) {
     ++stats_.cache_hits;
     return *hit;
@@ -159,7 +138,7 @@ Result<Evaluation> ExactOracle::Valuate(const std::string& key,
     store_.Add(key, features, recorded);
     return recorded;
   }
-  ExactOutcome outcome = RunExactProvider(key, materialize, evaluator_);
+  ExactOutcome outcome = RunExactOne(request, evaluator_);
   stats_.exact_seconds += outcome.seconds;
   if (!outcome.result.ok()) {
     ++stats_.failed_evals;
@@ -266,8 +245,9 @@ MoGbmOracle::MoGbmOracle(TaskEvaluator* evaluator, SurrogateOptions options)
 }
 
 Result<Evaluation> MoGbmOracle::ExactValuate(
-    const std::string& key, const std::vector<double>& features,
-    const TableProvider& materialize) {
+    const ValuationRequest& request) {
+  const std::string& key = request.key;
+  const std::vector<double>& features = request.features;
   Result<Evaluation> result = Status::Internal("unset");
   Evaluation recorded;
   if (PersistentFetch(key, &recorded)) {
@@ -277,7 +257,7 @@ Result<Evaluation> MoGbmOracle::ExactValuate(
     result = std::move(recorded);
     ++stats_.persistent_hits;
   } else {
-    ExactOutcome outcome = RunExactProvider(key, materialize, evaluator_);
+    ExactOutcome outcome = RunExactOne(request, evaluator_);
     stats_.exact_seconds += outcome.seconds;
     if (!outcome.result.ok()) {
       ++stats_.failed_evals;
@@ -345,20 +325,18 @@ Evaluation MoGbmOracle::PredictEvaluation(
   return eval;
 }
 
-Result<Evaluation> MoGbmOracle::Valuate(const std::string& key,
-                                        const std::vector<double>& features,
-                                        const TableProvider& materialize) {
-  if (const Evaluation* hit = store_.Find(key)) {
+Result<Evaluation> MoGbmOracle::Valuate(const ValuationRequest& request) {
+  if (const Evaluation* hit = store_.Find(request.key)) {
     ++stats_.cache_hits;
     return *hit;
   }
   const bool must_exact =
       !surrogate_.trained() || rng_.Bernoulli(options_.exact_fraction);
   if (must_exact) {
-    return ExactValuate(key, features, materialize);
+    return ExactValuate(request);
   }
   WallTimer timer;
-  Evaluation eval = PredictEvaluation(features);
+  Evaluation eval = PredictEvaluation(request.features);
   stats_.surrogate_seconds += timer.Seconds();
   ++stats_.surrogate_evals;
   return eval;

@@ -55,9 +55,12 @@ struct ValuationRequest {
   std::string key;
   /// Numeric state encoding the surrogate learns from.
   std::vector<double> features;
-  /// Lazily materializes the dataset; invoked only for exact valuations,
-  /// possibly from a worker thread, so it must be safe to run concurrently
-  /// with the other requests' providers.
+  /// The universe the state selects from; an exact valuation trains on
+  /// `universe->View(*materialize())`. Not owned.
+  const SearchUniverse* universe = nullptr;
+  /// Lazily materializes the state's row mask; invoked only for exact
+  /// valuations, possibly from a worker thread, so it must be safe to run
+  /// concurrently with the other requests' providers.
   std::function<MaterializationPtr()> materialize;
 };
 
@@ -82,11 +85,11 @@ struct BatchPlan {
   size_t exact_count = 0;
 };
 
-/// Valuates tests for the search. `key` is the canonical state signature
-/// (the bitmap rendered as '0'/'1' characters); `features` is the numeric
-/// encoding of the state the surrogate learns from; `materialize` lazily
-/// produces the dataset — only exact valuations pay for it, which is how
-/// the surrogate keeps the per-test cost low.
+/// Valuates tests for the search, each given as a ValuationRequest: the
+/// canonical state signature (the bitmap rendered as '0'/'1' characters),
+/// the numeric encoding of the state the surrogate learns from, and a lazy
+/// materializer — only exact valuations pay for it, which is how the
+/// surrogate keeps the per-test cost low.
 ///
 /// Two call shapes exist: the single-test Valuate (baselines, exhaustive
 /// search, reporting) and the batched PrepareBatch/ValuateBatch pair the
@@ -113,11 +116,8 @@ class PerformanceOracle {
 
   virtual ~PerformanceOracle() = default;
 
-  using TableProvider = std::function<Table()>;
-
-  virtual Result<Evaluation> Valuate(const std::string& key,
-                                     const std::vector<double>& features,
-                                     const TableProvider& materialize) = 0;
+  /// Valuates one test.
+  virtual Result<Evaluation> Valuate(const ValuationRequest& request) = 0;
 
   /// Splits a level batch into cache hits, surrogate predictions, and
   /// exact trainings. Runs on the caller thread and consumes the oracle's
@@ -205,17 +205,13 @@ class PerformanceOracle {
         : result(Status::Internal("exact valuation not executed")) {}
   };
 
-  /// One exact training — materialize, then train the real model — routed
-  /// through the attached TrainingFuser when present. Safe to call from a
-  /// worker thread: it touches no oracle state (stats are committed by the
-  /// caller from the returned outcome).
+  /// One exact training — materialize the row mask, then train the real
+  /// model on the view it selects — routed through the attached
+  /// TrainingFuser when present. Safe to call from a worker thread: it
+  /// touches no oracle state (stats are committed by the caller from the
+  /// returned outcome).
   ExactOutcome RunExactOne(const ValuationRequest& req,
                            TaskEvaluator* evaluator) const;
-
-  /// Same, for the single-test Valuate path's table provider.
-  ExactOutcome RunExactProvider(const std::string& key,
-                                const TableProvider& materialize,
-                                TaskEvaluator* evaluator) const;
 
   /// The fan-out half of ValuateBatch, shared by both oracles: every
   /// kExact request trains via RunExactOne, spread over `pool`. Workers
@@ -269,9 +265,7 @@ class ExactOracle : public PerformanceOracle {
   /// Does not own `evaluator`; it must outlive the oracle.
   explicit ExactOracle(TaskEvaluator* evaluator);
 
-  Result<Evaluation> Valuate(const std::string& key,
-                             const std::vector<double>& features,
-                             const TableProvider& materialize) override;
+  Result<Evaluation> Valuate(const ValuationRequest& request) override;
   BatchPlan PrepareBatch(std::vector<ValuationRequest> requests) override;
   std::vector<Result<Evaluation>> ValuateBatch(BatchPlan plan,
                                                ThreadPool* pool) override;
@@ -314,9 +308,7 @@ class MoGbmOracle : public PerformanceOracle {
   /// Does not own `evaluator`.
   MoGbmOracle(TaskEvaluator* evaluator, SurrogateOptions options = {});
 
-  Result<Evaluation> Valuate(const std::string& key,
-                             const std::vector<double>& features,
-                             const TableProvider& materialize) override;
+  Result<Evaluation> Valuate(const ValuationRequest& request) override;
   BatchPlan PrepareBatch(std::vector<ValuationRequest> requests) override;
   std::vector<Result<Evaluation>> ValuateBatch(BatchPlan plan,
                                                ThreadPool* pool) override;
@@ -335,9 +327,7 @@ class MoGbmOracle : public PerformanceOracle {
   double SurrogateMse() const;
 
  private:
-  Result<Evaluation> ExactValuate(const std::string& key,
-                                  const std::vector<double>& features,
-                                  const TableProvider& materialize);
+  Result<Evaluation> ExactValuate(const ValuationRequest& request);
   Status MaybeRetrain();
   Evaluation PredictEvaluation(const std::vector<double>& features) const;
 

@@ -29,6 +29,20 @@ Result<Evaluation> SupervisedEvaluator::Evaluate(const Table& dataset) {
   bridge.exclude = task_.exclude;
   MODIS_ASSIGN_OR_RETURN(
       MlDataset full, TableToDataset(dataset, task_.target, task_.task, bridge));
+  return EvaluateDataset(full);
+}
+
+Result<Evaluation> SupervisedEvaluator::Evaluate(const DatasetView& view) {
+  BridgeOptions bridge;
+  bridge.exclude = task_.exclude;
+  MODIS_ASSIGN_OR_RETURN(
+      MlDataset full, GatherDataset(*view.encoded, *view.rows, view.columns,
+                                    task_.target, task_.task, bridge));
+  return EvaluateDataset(full);
+}
+
+Result<Evaluation> SupervisedEvaluator::EvaluateDataset(
+    const MlDataset& full) const {
   if (full.num_rows() < task_.min_rows) {
     return Status::FailedPrecondition("dataset too small to evaluate: " +
                                       std::to_string(full.num_rows()) +

@@ -40,6 +40,14 @@ class SupervisedEvaluator : public TaskEvaluator {
     return task_.measures;
   }
   Result<Evaluation> Evaluate(const Table& dataset) override;
+  /// Gathers the dataset from the view's encoding (GatherDataset) — no
+  /// table is copied — and evaluates exactly as Evaluate(view.ToTable())
+  /// would.
+  Result<Evaluation> Evaluate(const DatasetView& view) override;
+
+  /// The train/test split, fit and measures on an already-encoded
+  /// dataset: the shared back half of both Evaluate overloads.
+  Result<Evaluation> EvaluateDataset(const MlDataset& full) const;
 
   /// "supervised/<ModelName>/<task kind>/seed=<s>/test=<f>" — the model
   /// family plus the split parameters that shape every evaluation.

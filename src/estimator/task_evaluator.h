@@ -6,6 +6,7 @@
 
 #include "common/status.h"
 #include "estimator/measure.h"
+#include "ml/dataset.h"
 #include "table/table.h"
 
 namespace modis {
@@ -40,6 +41,15 @@ class TaskEvaluator {
   /// clone, RNGs, splits) local. Fails on datasets the model cannot be
   /// trained on (e.g. no rows, missing target).
   virtual Result<Evaluation> Evaluate(const Table& dataset) = 0;
+
+  /// Trains and evaluates on the dataset `view` selects — the search's
+  /// exact-valuation path (SearchUniverse::View), under the same contract
+  /// as Evaluate(Table). Evaluators with a learning encoding gather it
+  /// straight from `view.encoded`; this default copies the selection out
+  /// as a Table and evaluates that.
+  virtual Result<Evaluation> Evaluate(const DatasetView& view) {
+    return Evaluate(view.ToTable());
+  }
 };
 
 }  // namespace modis

@@ -1,6 +1,7 @@
 #include "ml/dataset.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <unordered_set>
 
@@ -32,10 +33,93 @@ std::vector<int> MlDataset::LabelsAsInt() const {
   return out;
 }
 
-Result<MlDataset> TableToDataset(const Table& table, const std::string& target,
-                                 TaskKind task, const BridgeOptions& options) {
-  auto target_col = table.schema().FindField(target);
-  if (!target_col.has_value()) {
+EncodedTable EncodeTable(const Table& table,
+                         const std::vector<std::string>& coded) {
+  const std::unordered_set<std::string> coded_set(coded.begin(), coded.end());
+  EncodedTable out;
+  out.schema = table.schema();
+  out.num_rows = table.num_rows();
+  out.columns.resize(table.num_cols());
+  for (size_t c = 0; c < table.num_cols(); ++c) {
+    const Field& field = table.schema().field(c);
+    const Column& cells = table.column(c);
+    EncodedTable::EncodedColumn& col = out.columns[c];
+    col.state.resize(cells.size());
+    col.value.assign(cells.size(), 0.0);
+    for (size_t r = 0; r < cells.size(); ++r) {
+      const Value& v = cells[r];
+      if (v.is_null()) {
+        col.state[r] = EncodedTable::kNull;
+      } else if (v.IsNumeric()) {
+        col.state[r] = EncodedTable::kNumeric;
+        col.value[r] = v.AsDouble();
+      } else {
+        col.state[r] = EncodedTable::kOther;
+      }
+    }
+    if (field.type == ColumnType::kNumeric &&
+        coded_set.count(field.name) == 0) {
+      continue;
+    }
+    // Value ranks: a std::map orders (and merges) the values exactly as
+    // the per-dataset encoding's own std::map would, and keeps each
+    // group's first row as its representative. One lookup per cell: the
+    // cell remembers its map slot, which receives the rank afterwards.
+    std::map<Value, uint32_t> ranks;
+    std::vector<const uint32_t*> slot(cells.size(), nullptr);
+    for (size_t r = 0; r < cells.size(); ++r) {
+      if (!cells[r].is_null()) {
+        slot[r] = &ranks.emplace(cells[r], 0).first->second;
+      }
+    }
+    col.distinct.reserve(ranks.size());
+    for (auto& [value, rank] : ranks) {
+      rank = static_cast<uint32_t>(col.distinct.size());
+      col.distinct.push_back(value);
+    }
+    col.code.assign(cells.size(), 0);
+    for (size_t r = 0; r < cells.size(); ++r) {
+      if (slot[r] != nullptr) col.code[r] = *slot[r];
+    }
+  }
+  return out;
+}
+
+namespace {
+
+constexpr uint32_t kAbsent = UINT32_MAX;
+
+/// Per code of `col`: its rank among the codes present in the non-null
+/// cells of `rows`, or kAbsent.
+std::vector<uint32_t> PresentRanks(const EncodedTable::EncodedColumn& col,
+                                   const std::vector<uint32_t>& rows) {
+  std::vector<uint32_t> rank(col.distinct.size(), kAbsent);
+  for (uint32_t r : rows) {
+    if (col.state[r] != EncodedTable::kNull) rank[col.code[r]] = 0;
+  }
+  uint32_t next = 0;
+  for (uint32_t& k : rank) {
+    if (k != kAbsent) k = next++;
+  }
+  return rank;
+}
+
+}  // namespace
+
+Result<MlDataset> GatherDataset(const EncodedTable& encoded,
+                                const std::vector<uint32_t>& rows,
+                                const std::vector<size_t>& columns,
+                                const std::string& target, TaskKind task,
+                                const BridgeOptions& options) {
+  const Schema& schema = encoded.schema;
+  size_t target_col = schema.num_fields();
+  for (size_t c : columns) {
+    if (schema.field(c).name == target) {
+      target_col = c;
+      break;
+    }
+  }
+  if (target_col == schema.num_fields()) {
     return Status::NotFound("TableToDataset: no target column " + target);
   }
   std::unordered_set<std::string> excluded(options.exclude.begin(),
@@ -44,88 +128,104 @@ Result<MlDataset> TableToDataset(const Table& table, const std::string& target,
 
   // Feature columns in schema order.
   std::vector<size_t> feature_cols;
-  for (size_t c = 0; c < table.num_cols(); ++c) {
-    if (excluded.count(table.schema().field(c).name) == 0) {
-      feature_cols.push_back(c);
-    }
+  for (size_t c : columns) {
+    if (excluded.count(schema.field(c).name) == 0) feature_cols.push_back(c);
   }
 
   // Rows with a non-null target.
-  std::vector<size_t> rows;
-  rows.reserve(table.num_rows());
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    if (!table.At(r, *target_col).is_null()) rows.push_back(r);
+  const EncodedTable::EncodedColumn& y_col = encoded.columns[target_col];
+  std::vector<uint32_t> kept;
+  kept.reserve(rows.size());
+  for (uint32_t r : rows) {
+    MODIS_DCHECK(r < encoded.num_rows) << "GatherDataset row out of range";
+    if (y_col.state[r] != EncodedTable::kNull) kept.push_back(r);
   }
 
   MlDataset out;
   out.task = task;
-  out.x = Matrix(rows.size(), feature_cols.size());
-  out.y.resize(rows.size());
+  out.x = Matrix(kept.size(), feature_cols.size());
+  out.y.resize(kept.size());
   for (size_t c : feature_cols) {
-    out.feature_names.push_back(table.schema().field(c).name);
+    out.feature_names.push_back(schema.field(c).name);
   }
 
   // Encode features column by column.
   for (size_t fc = 0; fc < feature_cols.size(); ++fc) {
     const size_t c = feature_cols[fc];
-    const Field& field = table.schema().field(c);
-    if (field.type == ColumnType::kNumeric) {
+    const EncodedTable::EncodedColumn& col = encoded.columns[c];
+    if (schema.field(c).type == ColumnType::kNumeric) {
+      // Summed in ascending row order, as the row-at-a-time encoding does.
       double sum = 0.0;
       size_t n = 0;
-      for (size_t r : rows) {
-        const Value& v = table.At(r, c);
-        if (!v.is_null() && v.IsNumeric()) {
-          sum += v.AsDouble();
+      for (uint32_t r : kept) {
+        if (col.state[r] == EncodedTable::kNumeric) {
+          sum += col.value[r];
           ++n;
         }
       }
       const double mean = n > 0 ? sum / static_cast<double>(n) : 0.0;
-      for (size_t i = 0; i < rows.size(); ++i) {
-        const Value& v = table.At(rows[i], c);
+      for (size_t i = 0; i < kept.size(); ++i) {
+        const uint32_t r = kept[i];
         out.x.At(i, fc) =
-            (!v.is_null() && v.IsNumeric()) ? v.AsDouble() : mean;
+            col.state[r] == EncodedTable::kNumeric ? col.value[r] : mean;
       }
     } else {
-      std::map<Value, double> codes;
-      for (size_t r : rows) {
-        const Value& v = table.At(r, c);
-        if (!v.is_null()) codes.emplace(v, 0.0);
-      }
-      double code = 1.0;
-      for (auto& kv : codes) kv.second = code++;
-      for (size_t i = 0; i < rows.size(); ++i) {
-        const Value& v = table.At(rows[i], c);
-        out.x.At(i, fc) = v.is_null() ? 0.0 : codes.at(v);
+      const std::vector<uint32_t> rank = PresentRanks(col, kept);
+      for (size_t i = 0; i < kept.size(); ++i) {
+        const uint32_t r = kept[i];
+        out.x.At(i, fc) = col.state[r] == EncodedTable::kNull
+                              ? 0.0
+                              : 1.0 + static_cast<double>(rank[col.code[r]]);
       }
     }
   }
 
   // Encode target.
   if (task == TaskKind::kRegression) {
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const Value& v = table.At(rows[i], *target_col);
-      if (!v.IsNumeric()) {
+    for (size_t i = 0; i < kept.size(); ++i) {
+      if (y_col.state[kept[i]] != EncodedTable::kNumeric) {
         return Status::InvalidArgument(
             "TableToDataset: regression target must be numeric");
       }
-      out.y[i] = v.AsDouble();
+      out.y[i] = y_col.value[kept[i]];
     }
   } else {
-    std::map<Value, int> classes;
-    for (size_t r : rows) {
-      classes.emplace(table.At(r, *target_col), 0);
+    if (y_col.code.size() != encoded.num_rows) {
+      return Status::FailedPrecondition(
+          "GatherDataset: classification target " + target +
+          " was not coded by EncodeTable");
     }
-    int next = 0;
-    for (auto& kv : classes) {
-      kv.second = next++;
-      out.class_labels.push_back(kv.first);
+    const std::vector<uint32_t> rank = PresentRanks(y_col, kept);
+    for (size_t k = 0; k < rank.size(); ++k) {
+      if (rank[k] != kAbsent) out.class_labels.push_back(y_col.distinct[k]);
     }
-    out.num_classes = next;
-    for (size_t i = 0; i < rows.size(); ++i) {
-      out.y[i] = classes.at(table.At(rows[i], *target_col));
+    out.num_classes = static_cast<int>(out.class_labels.size());
+    for (size_t i = 0; i < kept.size(); ++i) {
+      out.y[i] = rank[y_col.code[kept[i]]];
     }
   }
   return out;
+}
+
+Result<MlDataset> TableToDataset(const Table& table, const std::string& target,
+                                 TaskKind task, const BridgeOptions& options) {
+  std::vector<uint32_t> rows(table.num_rows());
+  for (size_t r = 0; r < rows.size(); ++r) rows[r] = static_cast<uint32_t>(r);
+  std::vector<size_t> columns(table.num_cols());
+  for (size_t c = 0; c < columns.size(); ++c) columns[c] = c;
+  const std::vector<std::string> coded = {target};
+  return GatherDataset(
+      EncodeTable(table, task == TaskKind::kClassification
+                             ? coded
+                             : std::vector<std::string>{}),
+      rows, columns, target, task, options);
+}
+
+Table DatasetView::ToTable() const {
+  std::vector<size_t> selected(rows->begin(), rows->end());
+  Result<Table> projected = table->SelectColumns(columns);
+  MODIS_CHECK(projected.ok()) << projected.status().ToString();
+  return projected.value().SelectRows(selected);
 }
 
 SplitIndices TrainTestSplit(size_t n, double test_fraction, Rng* rng) {

@@ -1,6 +1,7 @@
 #ifndef MODIS_ML_DATASET_H_
 #define MODIS_ML_DATASET_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -43,16 +44,72 @@ struct BridgeOptions {
   std::vector<std::string> exclude;
 };
 
-/// Converts `table` into an MlDataset predicting `target`.
+/// A table's cells encoded once for repeated gathers: per column, each
+/// cell's state, its numeric value, and — for the columns that need one —
+/// a code giving the value's rank among the column's distinct non-null
+/// values. Gathering a row subset from this is what lets every exact
+/// valuation skip copying its dataset out of D_U.
+struct EncodedTable {
+  enum CellState : uint8_t { kNull = 0, kNumeric, kOther };
+
+  struct EncodedColumn {
+    std::vector<uint8_t> state;  // CellState per row.
+    std::vector<double> value;   // AsDouble() of numeric cells, else 0.
+    /// Rank of the cell's value among `distinct` (nulls: 0, unused).
+    /// Empty when the column is not coded.
+    std::vector<uint32_t> code;
+    /// The column's distinct non-null values in Value order (coded
+    /// columns only).
+    std::vector<Value> distinct;
+  };
+
+  Schema schema;
+  size_t num_rows = 0;
+  std::vector<EncodedColumn> columns;
+};
+
+/// Encodes `table`. Categorical columns are always coded; numeric columns
+/// only when named in `coded` (a classification target, a key), because
+/// numeric features never need their value ranks.
+EncodedTable EncodeTable(const Table& table,
+                         const std::vector<std::string>& coded = {});
+
+/// The MlDataset predicting `target` from rows `rows` (ascending) and
+/// columns `columns` (ascending) of the encoded table: exactly what
+/// TableToDataset returns for that row and column selection of the source
+/// table, without copying a cell.
 ///
-/// Numeric features: nulls imputed with the column mean (0 if all null).
-/// Categorical features: label-encoded against the sorted distinct values;
-/// nulls map to a dedicated "missing" code (-1 shifted to 0, values from 1).
-/// Rows with a null target are dropped. For classification a numeric target
-/// is discretized by its distinct values.
+/// Numeric features: nulls imputed with the mean of the kept rows (0 if
+/// all null). Categorical features: label-encoded against the sorted
+/// distinct values present in the kept rows; nulls map to a dedicated
+/// "missing" code (0, values from 1). Rows with a null target are
+/// dropped. For classification a numeric target is discretized by its
+/// distinct values.
+Result<MlDataset> GatherDataset(const EncodedTable& encoded,
+                                const std::vector<uint32_t>& rows,
+                                const std::vector<size_t>& columns,
+                                const std::string& target, TaskKind task,
+                                const BridgeOptions& options = {});
+
+/// Converts `table` into an MlDataset predicting `target`: EncodeTable
+/// plus a GatherDataset over every row and column.
 Result<MlDataset> TableToDataset(const Table& table, const std::string& target,
                                  TaskKind task,
                                  const BridgeOptions& options = {});
+
+/// A dataset given as a selection over a table and its encoding: rows
+/// `rows` (ascending) and columns `columns` (ascending) of `table`. What a
+/// search state denotes, without a copied cell; the pointees must outlive
+/// the view.
+struct DatasetView {
+  const Table* table = nullptr;
+  const EncodedTable* encoded = nullptr;
+  const std::vector<uint32_t>* rows = nullptr;
+  std::vector<size_t> columns;
+
+  /// The selected cells copied out as a table.
+  Table ToTable() const;
+};
 
 /// Deterministic shuffled split of n rows into train/test index sets.
 struct SplitIndices {

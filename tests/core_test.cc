@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <functional>
 #include <set>
 
 #include "core/algorithms.h"
@@ -9,6 +11,7 @@
 #include "datagen/tasks.h"
 #include "moo/pareto.h"
 #include "ops/operators.h"
+#include "reference_encoder.h"
 
 namespace modis {
 namespace {
@@ -405,6 +408,132 @@ TEST(EngineTest, ThreadCountDoesNotChangeTheSkyline) {
       EXPECT_DOUBLE_EQ(a.eval.normalized[j], b.eval.normalized[j]);
       EXPECT_DOUBLE_EQ(a.eval.raw[j], b.eval.raw[j]);
     }
+  }
+}
+
+/// The exact valuation as it was before the gather path: the state's
+/// table copied out of D_U (TaskEvaluator's default view overload builds
+/// exactly Materialize(state)) and encoded row at a time by the reference
+/// encoder, then the same split, fit and measures.
+class TableReferenceEvaluator : public TaskEvaluator {
+ public:
+  explicit TableReferenceEvaluator(const SupervisedEvaluator* inner)
+      : inner_(inner) {}
+
+  const std::vector<MeasureSpec>& measures() const override {
+    return inner_->measures();
+  }
+  std::string ModelIdentity() const override {
+    return inner_->ModelIdentity();
+  }
+  Result<Evaluation> Evaluate(const Table& dataset) override {
+    BridgeOptions bridge;
+    bridge.exclude = inner_->task().exclude;
+    MODIS_ASSIGN_OR_RETURN(
+        MlDataset full,
+        ReferenceTableToDataset(dataset, inner_->task().target,
+                                inner_->task().task, bridge));
+    return inner_->EvaluateDataset(full);
+  }
+
+ private:
+  const SupervisedEvaluator* inner_;
+};
+
+void ExpectSameRun(ModisResult gathered, ModisResult reference,
+                   const std::string& context) {
+  EXPECT_EQ(gathered.valuated_states, reference.valuated_states) << context;
+  EXPECT_EQ(gathered.oracle_stats.exact_evals,
+            reference.oracle_stats.exact_evals)
+      << context;
+  EXPECT_EQ(gathered.oracle_stats.surrogate_evals,
+            reference.oracle_stats.surrogate_evals)
+      << context;
+  EXPECT_EQ(gathered.oracle_stats.failed_evals,
+            reference.oracle_stats.failed_evals)
+      << context;
+  ASSERT_EQ(gathered.skyline.size(), reference.skyline.size()) << context;
+  ASSERT_FALSE(gathered.skyline.empty()) << context;
+  auto by_signature = [](const SkylineEntry& a, const SkylineEntry& b) {
+    return a.state.Signature() < b.state.Signature();
+  };
+  std::sort(gathered.skyline.begin(), gathered.skyline.end(), by_signature);
+  std::sort(reference.skyline.begin(), reference.skyline.end(), by_signature);
+  for (size_t i = 0; i < gathered.skyline.size(); ++i) {
+    const SkylineEntry& a = gathered.skyline[i];
+    const SkylineEntry& b = reference.skyline[i];
+    EXPECT_EQ(a.state.Signature(), b.state.Signature()) << context;
+    EXPECT_EQ(a.level, b.level) << context;
+    EXPECT_EQ(a.rows, b.rows) << context;
+    EXPECT_EQ(a.cols, b.cols) << context;
+    ASSERT_EQ(a.eval.raw.size(), b.eval.raw.size()) << context;
+    ASSERT_EQ(a.eval.normalized.size(), b.eval.normalized.size()) << context;
+    EXPECT_EQ(std::memcmp(a.eval.raw.data(), b.eval.raw.data(),
+                          a.eval.raw.size() * sizeof(double)),
+              0)
+        << context << " raw measures of " << a.state.Signature();
+    EXPECT_EQ(std::memcmp(a.eval.normalized.data(), b.eval.normalized.data(),
+                          a.eval.normalized.size() * sizeof(double)),
+              0)
+        << context << " normalized measures of " << a.state.Signature();
+  }
+}
+
+TEST(EngineTest, MaskPathSkylinesMatchTheTableReference) {
+  // Every exact valuation gathers its rows from the encoded D_U; this pins
+  // that path against the table-then-encode one it replaced, on the four
+  // variants x {exact, gbm} oracles (plus the exhaustive baseline, which
+  // valuates one state at a time) over T1-T3. "train_time" is dropped:
+  // wall-clock measures differ between any two runs.
+  using Runner = std::function<Result<ModisResult>(
+      const SearchUniverse&, PerformanceOracle*, ModisConfig)>;
+  const std::vector<std::pair<std::string, Runner>> variants = {
+      {"apx", RunApxModis},
+      {"nobi", RunNoBiModis},
+      {"bi", RunBiModis},
+      {"div", RunDivModis}};
+  for (BenchTaskId id :
+       {BenchTaskId::kMovie, BenchTaskId::kHouse, BenchTaskId::kAvocado}) {
+    auto bench = MakeTabularBench(id, 0.3);
+    ASSERT_TRUE(bench.ok());
+    auto universe =
+        SearchUniverse::Build(bench->universal, bench->universe_options);
+    ASSERT_TRUE(universe.ok());
+    SupervisedTask task = bench->task;
+    task.measures.clear();
+    for (const MeasureSpec& m : bench->task.measures) {
+      if (m.name != "train_time") task.measures.push_back(m);
+    }
+    SupervisedEvaluator gather(task, bench->model->Clone());
+    TableReferenceEvaluator reference(&gather);
+
+    ModisConfig cfg;
+    cfg.epsilon = 0.25;
+    cfg.max_states = 40;
+    cfg.max_level = 3;
+    auto run = [&](const Runner& runner, TaskEvaluator* evaluator,
+                   bool surrogate) {
+      std::unique_ptr<PerformanceOracle> oracle;
+      if (surrogate) {
+        oracle = std::make_unique<MoGbmOracle>(evaluator);
+      } else {
+        oracle = std::make_unique<ExactOracle>(evaluator);
+      }
+      auto result = runner(*universe, oracle.get(), cfg);
+      EXPECT_TRUE(result.ok()) << result.status().ToString();
+      return std::move(result).value();
+    };
+    for (const auto& [name, runner] : variants) {
+      for (bool surrogate : {false, true}) {
+        const std::string context = std::string(BenchTaskName(id)) + "/" +
+                                    name + (surrogate ? "/gbm" : "/exact");
+        ExpectSameRun(run(runner, &gather, surrogate),
+                      run(runner, &reference, surrogate), context);
+      }
+    }
+    ExpectSameRun(run(RunExactSkyline, &gather, false),
+                  run(RunExactSkyline, &reference, false),
+                  std::string(BenchTaskName(id)) + "/exhaustive");
   }
 }
 

@@ -198,17 +198,33 @@ TEST(SupervisedEvaluatorTest, UnknownMeasureRejected) {
 
 // ---------------------------------------------------------------- Oracles
 
+/// A single-test request for `state` over `universe`.
+ValuationRequest StateRequest(const SearchUniverse& universe,
+                              const StateBitmap& state) {
+  ValuationRequest req;
+  req.key = state.Signature();
+  req.features = universe.StateFeatures(state);
+  req.universe = &universe;
+  req.materialize = [&universe, state]() {
+    return universe.MaterializeRecord(state);
+  };
+  return req;
+}
+
 TEST(ExactOracleTest, CachesBySignature) {
   TabularBench bench = SmallHouse();
   auto evaluator = bench.MakeEvaluator();
   ExactOracle oracle(evaluator.get());
+  auto uni = SearchUniverse::Build(bench.universal, bench.universe_options);
+  ASSERT_TRUE(uni.ok());
   int materializations = 0;
-  auto provider = [&]() {
+  ValuationRequest req = StateRequest(*uni, uni->FullBitmap());
+  req.materialize = [&]() {
     ++materializations;
-    return bench.universal;
+    return uni->MaterializeRecord(uni->FullBitmap());
   };
-  auto a = oracle.Valuate("sig1", {1.0, 0.5}, provider);
-  auto b = oracle.Valuate("sig1", {1.0, 0.5}, provider);
+  auto a = oracle.Valuate(req);
+  auto b = oracle.Valuate(req);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(materializations, 1);
   EXPECT_EQ(oracle.stats().exact_evals, 1u);
@@ -221,8 +237,18 @@ TEST(ExactOracleTest, FailedEvalNotCached) {
   TabularBench bench = SmallHouse();
   auto evaluator = bench.MakeEvaluator();
   ExactOracle oracle(evaluator.get());
-  Table tiny = bench.universal.SelectRows({0});
-  auto r = oracle.Valuate("bad", {0.0, 0.0}, [&]() { return tiny; });
+  auto uni = SearchUniverse::Build(bench.universal, bench.universe_options);
+  ASSERT_TRUE(uni.ok());
+  // A one-row dataset: too small to train on.
+  ValuationRequest req = StateRequest(*uni, uni->FullBitmap());
+  req.materialize = [&]() {
+    auto m = std::make_shared<Materialization>();
+    m->state = uni->FullBitmap();
+    m->mask = RowMask(bench.universal.num_rows(), false);
+    m->mask.Set(0, true);
+    return MaterializationPtr(m);
+  };
+  auto r = oracle.Valuate(req);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(oracle.stats().failed_evals, 1u);
   EXPECT_EQ(oracle.store().size(), 0u);
@@ -267,14 +293,31 @@ Table StubTable(size_t rows) {
   return t;
 }
 
+/// The universe every stub request selects from: StubTable(kStubRows).
+constexpr size_t kStubRows = 64;
+const SearchUniverse& StubUniverse() {
+  static const SearchUniverse* universe = [] {
+    auto built = SearchUniverse::Build(StubTable(kStubRows), {});
+    MODIS_CHECK_OK(built.status());
+    return new SearchUniverse(std::move(built).value());
+  }();
+  return *universe;
+}
+
+/// A request whose dataset is the first `rows` rows of the stub universe.
 ValuationRequest StubRequest(const std::string& key, size_t rows,
                              double feature) {
+  MODIS_CHECK(rows <= kStubRows) << "stub request too large";
+  const SearchUniverse& universe = StubUniverse();
   ValuationRequest req;
   req.key = key;
   req.features = {feature, 1.0};
-  req.materialize = [rows]() {
+  req.universe = &universe;
+  req.materialize = [&universe, rows]() {
     auto m = std::make_shared<Materialization>();
-    m->table = StubTable(rows);
+    m->state = universe.FullBitmap();
+    m->mask = RowMask(kStubRows, false);
+    for (size_t r = 0; r < rows; ++r) m->mask.Set(r, true);
     return MaterializationPtr(m);
   };
   return req;
@@ -284,8 +327,7 @@ TEST(ExactOracleBatchTest, PlansCacheHitsAndCommitsInOrder) {
   StubEvaluator evaluator;
   ExactOracle oracle(&evaluator);
   // Pre-valuate "a" so the batch sees it as cached.
-  auto warm = oracle.Valuate("a", {0.0, 1.0},
-                             []() { return StubTable(4); });
+  auto warm = oracle.Valuate(StubRequest("a", 4, 0.0));
   ASSERT_TRUE(warm.ok());
 
   std::vector<ValuationRequest> requests;
@@ -376,8 +418,7 @@ TEST(MoGbmOracleTest, BootstrapsExactThenPredicts) {
       continue;
     }
     StateBitmap s = full.WithFlipped(u);
-    auto r = oracle.Valuate(s.Signature(), uni->StateFeatures(s),
-                            [&]() { return uni->Materialize(s); });
+    auto r = oracle.Valuate(StateRequest(*uni, s));
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ++flips;
   }
@@ -404,9 +445,7 @@ TEST(MoGbmOracleTest, SurrogateIsFastAfterBootstrap) {
       continue;
     }
     StateBitmap s = full.WithFlipped(u);
-    ASSERT_TRUE(oracle.Valuate(s.Signature(), uni->StateFeatures(s),
-                               [&]() { return uni->Materialize(s); })
-                    .ok());
+    ASSERT_TRUE(oracle.Valuate(StateRequest(*uni, s)).ok());
     ++done;
   }
   const auto& st = oracle.stats();

@@ -30,6 +30,19 @@ struct Pipeline {
   }
 };
 
+/// A single-test request for the universal state (the original D_U).
+ValuationRequest FullStateRequest(const SearchUniverse& universe) {
+  const StateBitmap full = universe.FullBitmap();
+  ValuationRequest req;
+  req.key = full.Signature();
+  req.features = universe.StateFeatures(full);
+  req.universe = &universe;
+  req.materialize = [&universe, full]() {
+    return universe.MaterializeRecord(full);
+  };
+  return req;
+}
+
 /// Index of the measure named `name` in the task's measure vector.
 size_t MeasureIndex(const SupervisedTask& task, const std::string& name) {
   for (size_t i = 0; i < task.measures.size(); ++i) {
@@ -43,10 +56,7 @@ TEST(IntegrationTest, HouseSkylineImprovesOverOriginal) {
   Pipeline p = Pipeline::Make(BenchTaskId::kHouse, 0.5);
   ExactOracle oracle(p.evaluator.get());
 
-  auto original = oracle.Valuate(
-      p.universe.FullBitmap().Signature(),
-      p.universe.StateFeatures(p.universe.FullBitmap()),
-      [&]() { return p.bench.universal; });
+  auto original = oracle.Valuate(FullStateRequest(p.universe));
   ASSERT_TRUE(original.ok());
 
   ModisConfig cfg;
@@ -121,10 +131,7 @@ TEST(IntegrationTest, RegressionTaskSkylineReducesError) {
   Pipeline p = Pipeline::Make(BenchTaskId::kAvocado, 0.25);
   ExactOracle oracle(p.evaluator.get());
 
-  auto original = oracle.Valuate(
-      p.universe.FullBitmap().Signature(),
-      p.universe.StateFeatures(p.universe.FullBitmap()),
-      [&]() { return p.bench.universal; });
+  auto original = oracle.Valuate(FullStateRequest(p.universe));
   ASSERT_TRUE(original.ok());
 
   ModisConfig cfg;
@@ -155,9 +162,7 @@ TEST(IntegrationTest, GraphTaskSkylineImprovesPrecision) {
   ASSERT_TRUE(uni.ok());
 
   ExactOracle oracle(evaluator.get());
-  auto original = oracle.Valuate(
-      uni->FullBitmap().Signature(), uni->StateFeatures(uni->FullBitmap()),
-      [&]() { return bench->lake.edge_table; });
+  auto original = oracle.Valuate(FullStateRequest(*uni));
   ASSERT_TRUE(original.ok());
 
   ModisConfig cfg;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <memory>
 #include <mutex>
@@ -578,6 +579,7 @@ TEST(ServiceSatelliteTest, EvictedPlannedHitDegradesToFreshTraining) {
     ValuationRequest request;
     request.key = state.Signature();
     request.features = universe->StateFeatures(state);
+    request.universe = &*universe;
     request.materialize = [&universe, &state] {
       return universe->MaterializeRecord(state);
     };
@@ -734,18 +736,55 @@ TEST(QosTest, RateLimitedTenantDoesNotPerturbOtherTenantsAnswers) {
   EXPECT_EQ(snapshot.tenants[1].served, 1u);
 }
 
-/// Blocks until the admission queue is empty (every queued job picked up
-/// by a session) — the hook the deterministic QoS tests use to pin the
-/// queue state before overloading it.
-void WaitForEmptyQueue(DiscoveryService* service) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (service->SnapshotMetrics().queue_depth > 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+/// Parks the next query that opens a "train" span until Release() — the
+/// in-process counterpart of a worker's hold point. A blocker parked there
+/// keeps a single-session service busy for exactly as long as a test
+/// needs, whatever a cold query costs. The span observer is process-global,
+/// so the hold is too: one per test, declared after the service so it
+/// releases the parked query before the service drains.
+class TrainHold {
+ public:
+  TrainHold() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = true;
+    held_ = false;
+    released_ = false;
+    SetGlobalSpanObserver(&OnSpan);
   }
-  ASSERT_EQ(service->SnapshotMetrics().queue_depth, 0u);
-}
+  ~TrainHold() {
+    Release();
+    SetGlobalSpanObserver(nullptr);
+  }
+
+  /// True once a query is parked at "train" (false after 30 s).
+  bool WaitUntilHeld() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(30), [] { return held_; });
+  }
+
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  static void OnSpan(const char* name) {
+    if (std::string(name) != "train") return;
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!armed_) return;
+    armed_ = false;
+    held_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [] { return released_; });
+  }
+
+  static inline std::mutex mu_;
+  static inline std::condition_variable cv_;
+  static inline bool armed_ = false;
+  static inline bool held_ = false;
+  static inline bool released_ = false;
+};
 
 TEST(QosTest, InFlightQuotaRejectsTheExcessSynchronously) {
   DiscoveryService::Options options = SmallServiceOptions();
@@ -755,19 +794,21 @@ TEST(QosTest, InFlightQuotaRejectsTheExcessSynchronously) {
   capped.api_key = "capped-key";
   capped.max_in_flight = 2;
   options.tenants = {capped};
-  DiscoveryService service(options);
-
-  DiscoveryRequest request = MakeRequest("apx");
-  request.api_key = "capped-key";
   std::atomic<size_t> completed{0};
   const auto count_done = [&completed](Result<DiscoveryResponse> response) {
     EXPECT_TRUE(response.ok());
     completed.fetch_add(1);
   };
+  DiscoveryService service(options);
+  TrainHold hold;
+
+  DiscoveryRequest request = MakeRequest("apx");
+  request.api_key = "capped-key";
   // The quota counts queued AND executing work: two submits fill it (one
-  // executing on the single session, one queued), the third is rejected
-  // at the door, synchronously.
+  // parked mid-train on the single session, one queued), the third is
+  // rejected at the door, synchronously.
   ASSERT_TRUE(service.Submit(request, count_done).ok());
+  ASSERT_TRUE(hold.WaitUntilHeld());
   ASSERT_TRUE(service.Submit(request, count_done).ok());
   const Status third = service.Submit(request, count_done);
   ASSERT_FALSE(third.ok());
@@ -778,6 +819,7 @@ TEST(QosTest, InFlightQuotaRejectsTheExcessSynchronously) {
   const MetricsSnapshot snapshot = service.SnapshotMetrics();
   ASSERT_EQ(snapshot.tenants.size(), 2u);
   EXPECT_EQ(snapshot.tenants[0].quota_rejected, 1u);
+  hold.Release();
 }
 
 /// The shed-ordering gate: under a full queue, the cheapest-to-retry
@@ -796,6 +838,9 @@ TEST(QosTest, ShedOrderingDisplacesLowPriorityColdBeforeHighWarm) {
   high.api_key = "high-key";
   high.priority = 10;
   options.tenants = {low, high};
+  // Declared before the service: its drain still runs callbacks into them.
+  std::mutex mu;
+  std::vector<std::string> events;
   auto service = std::make_unique<DiscoveryService>(options);
 
   // Pre-warm one query so the shed ordering can tell warm from cold
@@ -804,8 +849,6 @@ TEST(QosTest, ShedOrderingDisplacesLowPriorityColdBeforeHighWarm) {
   warm_request.api_key = "low-key";
   ASSERT_TRUE(service->Answer(warm_request).ok());
 
-  std::mutex mu;
-  std::vector<std::string> events;
   const auto record = [&mu, &events](const std::string& label) {
     return [&mu, &events, label](Result<DiscoveryResponse> response) {
       std::string event = label;
@@ -823,10 +866,11 @@ TEST(QosTest, ShedOrderingDisplacesLowPriorityColdBeforeHighWarm) {
     };
   };
 
-  // Occupy the single session (a cold query runs for hundreds of ms;
-  // every submit below lands within microseconds of each other).
+  // Occupy the single session: the blocker stays parked mid-train until
+  // every submit below has been admitted or shed.
+  TrainHold hold;
   ASSERT_TRUE(service->Submit(MakeRequest("bi"), record("blocker")).ok());
-  WaitForEmptyQueue(service.get());
+  ASSERT_TRUE(hold.WaitUntilHeld());
 
   // Fill the queue to capacity: a low-priority cold job and the
   // low-priority warm one.
@@ -865,6 +909,7 @@ TEST(QosTest, ShedOrderingDisplacesLowPriorityColdBeforeHighWarm) {
   EXPECT_NE(door.message().find("queue full"), std::string::npos);
 
   // Drain: everything still queued completes, highest priority first.
+  hold.Release();
   service.reset();
   {
     std::lock_guard<std::mutex> lock(mu);
@@ -1234,8 +1279,9 @@ TEST(QosTest, HighPriorityJumpsTheAdmissionQueue) {
 
   {
     DiscoveryService service(options);
+    TrainHold hold;
     ASSERT_TRUE(service.Submit(MakeRequest("bi"), record("blocker")).ok());
-    WaitForEmptyQueue(&service);
+    ASSERT_TRUE(hold.WaitUntilHeld());
 
     DiscoveryRequest low_request = MakeRequest("apx");
     low_request.api_key = "low-key";
@@ -1245,6 +1291,7 @@ TEST(QosTest, HighPriorityJumpsTheAdmissionQueue) {
     low_request.variant = "div";
     ASSERT_TRUE(service.Submit(low_request, record("low-2")).ok());
     ASSERT_TRUE(service.Submit(high_request, record("high")).ok());
+    hold.Release();
   }  // Destructor drains.
 
   // The high-priority job was submitted last but runs first; the two
