@@ -25,15 +25,10 @@
 ///      its uncontended p99 (docs/SERVING.md §7).
 ///
 /// Usage: bench_serving [--json] [--queries N] [--task T1] [--scale S]
-///                      [--threads N] [--workers N] [--connect ENDPOINT]
+///                      [--threads N] [--workers N]
 ///
-/// --connect switches to remote mode: instead of an in-process service,
-/// the query mix goes through a running modis_server at ENDPOINT (unix
-/// socket path, "unix:PATH", "HOST:PORT", or "tcp:HOST:PORT") — each
-/// client thread on its own connection. The cold phase is skipped (the
-/// server's cache configuration is in charge); the warm phases and the
-/// zero-trainings assertion are identical, which is how the unix-vs-TCP
-/// p50 comparison of docs/SERVING.md is measured.
+/// The same warm phases through a running modis_server over HTTP are
+/// bench/e2e's job (bench/e2e/README.md).
 ///
 /// --json emits one serving-metrics record per (mode, clients) pair:
 ///   {"bench":"serving","mode":..,"clients":..,"queries":..,"qps":..,
@@ -60,7 +55,6 @@
 #include "service/discovery_service.h"
 #include "service/http.h"
 #include "service/qos.h"
-#include "service/transport.h"
 #include "service/wire.h"
 #include "service/worker.h"
 
@@ -75,7 +69,6 @@ struct Args {
   double scale = 0.4;
   size_t threads = 0;
   size_t workers = 2;    // warm_pool worker processes; 0 skips the phase.
-  std::string connect;   // Remote mode endpoint; empty = in-process.
 };
 
 /// Absolute path of this binary, for re-exec'ing pool worker children.
@@ -104,13 +97,10 @@ Args ParseArgs(int argc, char** argv) {
       args.threads = std::stoul(value());
     } else if (arg == "--workers") {
       args.workers = std::stoul(value());
-    } else if (arg == "--connect") {
-      args.connect = value();
     } else {
       std::fprintf(stderr,
                    "unknown argument %s (supported: --json, --queries N, "
-                   "--task T, --scale S, --threads N, --workers N, "
-                   "--connect E)\n",
+                   "--task T, --scale S, --threads N, --workers N)\n",
                    arg.c_str());
       std::exit(2);
     }
@@ -150,7 +140,7 @@ double Percentile(std::vector<double> sorted_ms, double p) {
 
 struct PhaseResult {
   std::string mode;
-  std::string transport;  // Endpoint string in remote mode; else empty.
+  std::string transport;  // "shm_ring" in the warm_pool phases; else empty.
   std::string tenant;     // QoS overload phases only; else empty.
   size_t clients = 1;
   size_t queries = 0;
@@ -264,108 +254,6 @@ pid_t SpawnBenchWorker(const Args& args, const std::string& cache_path,
   return pid;
 }
 
-/// Remote mode: the same warm phases, but every query travels through a
-/// running modis_server — one ClientChannel per client thread. Returns
-/// the process exit code.
-int RunRemote(const Args& args) {
-  auto endpoint = ParseEndpoint(args.connect);
-  if (!endpoint.ok()) {
-    std::fprintf(stderr, "bench_serving: %s\n",
-                 endpoint.status().ToString().c_str());
-    return 2;
-  }
-  const std::vector<DiscoveryRequest> mix = QueryMix(args.task);
-
-  // Warm-up pass: each unique query once, so the server's cache holds
-  // every training the measured phases replay.
-  {
-    auto channel = ClientChannel::Connect(*endpoint);
-    if (!channel.ok()) {
-      std::fprintf(stderr, "bench_serving: %s\n",
-                   channel.status().ToString().c_str());
-      return 1;
-    }
-    for (const DiscoveryRequest& request : mix) {
-      auto reply =
-          channel->RoundTrip(SerializeDiscoveryRequest(request));
-      if (!reply.ok()) {
-        std::fprintf(stderr, "bench_serving: warm-up failed: %s\n",
-                     reply.status().ToString().c_str());
-        return 1;
-      }
-      auto response = ParseDiscoveryResponse(reply.value());
-      if (!response.ok()) {
-        std::fprintf(stderr, "bench_serving: warm-up query failed: %s\n",
-                     response.status().ToString().c_str());
-        return 1;
-      }
-    }
-  }
-
-  std::vector<PhaseResult> phases;
-  for (size_t clients : {size_t{1}, size_t{2}, size_t{4}}) {
-    PhaseResult warm;
-    warm.mode = "warm_remote";
-    warm.transport = endpoint->ToString();
-    warm.clients = clients;
-    warm.queries = args.queries;
-    std::mutex mu;
-    std::atomic<size_t> next{0};
-    std::vector<std::thread> workers;
-    WallTimer wall;
-    for (size_t c = 0; c < clients; ++c) {
-      workers.emplace_back([&] {
-        auto channel = ClientChannel::Connect(*endpoint);
-        if (!channel.ok()) return;
-        for (;;) {
-          const size_t q = next.fetch_add(1);
-          if (q >= warm.queries) return;
-          WallTimer latency;
-          auto reply = channel->RoundTrip(
-              SerializeDiscoveryRequest(mix[q % mix.size()]));
-          const double ms = latency.Millis();
-          if (!reply.ok()) continue;
-          auto response = ParseDiscoveryResponse(reply.value());
-          if (!response.ok()) continue;
-          std::lock_guard<std::mutex> lock(mu);
-          warm.latencies_ms.push_back(ms);
-          warm.exact_evals += response->exact_evals;
-          warm.persistent_hits += response->persistent_hits;
-          warm.fused_hits += response->fused_hits;
-        }
-      });
-    }
-    for (std::thread& w : workers) w.join();
-    warm.wall_seconds = wall.Seconds();
-    if (warm.latencies_ms.size() != warm.queries) {
-      std::fprintf(stderr, "remote phase dropped queries (%zu of %zu)\n",
-                   warm.latencies_ms.size(), warm.queries);
-      return 1;
-    }
-    phases.push_back(std::move(warm));
-  }
-
-  for (const PhaseResult& warm : phases) {
-    if (warm.exact_evals != 0) {
-      std::fprintf(stderr,
-                   "FAIL: warm remote phase (clients=%zu) performed %zu "
-                   "exact trainings\n",
-                   warm.clients, warm.exact_evals);
-      return 1;
-    }
-  }
-
-  if (args.json) {
-    PrintJson(phases, /*cold_p50=*/0.0);
-  } else {
-    std::printf("== bench_serving: remote %s, task %s, %zu-query mix ==\n",
-                endpoint->ToString().c_str(), args.task.c_str(),
-                mix.size());
-    for (const PhaseResult& r : phases) PrintHuman(r, 0.0);
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -390,7 +278,6 @@ int main(int argc, char** argv) {
   }
   g_self_exe = argv[0];
   const Args args = ParseArgs(argc, argv);
-  if (!args.connect.empty()) return RunRemote(args);
   const std::vector<DiscoveryRequest> mix = QueryMix(args.task);
   namespace fs = std::filesystem;
   const std::string cache_path =

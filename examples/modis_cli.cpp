@@ -31,11 +31,14 @@
 ///   modis_cli --connect <endpoint> --metrics
 ///
 /// <endpoint> is a unix socket path, "unix:PATH", "HOST:PORT", or
-/// "tcp:HOST:PORT" (src/service/transport.h). The first form sends one
-/// discovery request to the modis_server listening there and prints the
-/// answer (the raw response JSON line with --raw — the shape
-/// scripts/serving_smoke.sh diffs); --metrics asks the host for its
-/// metrics snapshot instead and always prints the raw JSON line.
+/// "tcp:HOST:PORT" (src/service/transport.h). The first form POSTs one
+/// discovery request to /v1/query of the modis_server listening there and
+/// prints the answer (the raw response JSON body with --raw — the shape
+/// scripts/serving_smoke.sh diffs); --metrics prints the host's GET
+/// /metrics Prometheus exposition instead.
+///
+/// A numeric flag whose value is not a number within its range is
+/// reported and the binary exits 2.
 
 #include <cstdio>
 #include <cstring>
@@ -46,9 +49,11 @@
 #include "core/algorithms.h"
 #include "datagen/data_lake.h"
 #include "estimator/supervised_evaluator.h"
+#include "flags.h"
 #include "ml/gradient_boosting.h"
 #include "ml/random_forest.h"
 #include "ops/operators.h"
+#include "service/http.h"
 #include "service/transport.h"
 #include "service/wire.h"
 #include "table/csv.h"
@@ -115,40 +120,49 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       return false;
     }
     const std::string value = argv[++i];
+    // Numeric operands: the same ranges the server's request decoder
+    // enforces (service/wire.cc).
+    bool ok = true;
     if (auto it = str_flags.find(flag); it != str_flags.end()) {
       *it->second = value;
     } else if (flag == "--epsilon") {
-      args->epsilon = std::stod(value);
+      ok = ParseNumericFlag(flag, value, 1e-9, 100.0, &args->epsilon);
     } else if (flag == "--budget") {
-      args->budget = std::stoul(value);
+      ok = ParseNumericFlag(flag, value, size_t{0}, size_t{100'000'000},
+                            &args->budget);
     } else if (flag == "--maxl") {
-      args->maxl = std::stoi(value);
+      ok = ParseNumericFlag(flag, value, 0, 100'000, &args->maxl);
     } else if (flag == "--k") {
-      args->k = std::stoul(value);
+      ok = ParseNumericFlag(flag, value, size_t{0}, size_t{100'000'000},
+                            &args->k);
     } else if (flag == "--alpha") {
-      args->alpha = std::stod(value);
+      ok = ParseNumericFlag(flag, value, 0.0, 1.0, &args->alpha);
     } else if (flag == "--seed") {
-      args->seed = std::stoull(value);
+      ok = ParseNumericFlag(flag, value, uint64_t{0}, uint64_t{1} << 53,
+                            &args->seed);
     } else {
       std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
       return false;
     }
+    if (!ok) return false;
   }
   return true;
 }
 
-/// Sends one request line to a modis_server endpoint (unix or TCP) and
-/// prints the response: the raw JSON line with --raw or --metrics, a
-/// human summary otherwise.
+/// Sends one request to a modis_server endpoint (unix or TCP) and prints
+/// the response: the raw body with --raw or --metrics, a human summary
+/// otherwise.
 Status RunConnect(const Args& args) {
   MODIS_ASSIGN_OR_RETURN(Endpoint endpoint, ParseEndpoint(args.connect));
-  MODIS_ASSIGN_OR_RETURN(ClientChannel channel,
-                         ClientChannel::Connect(endpoint));
 
   if (args.metrics) {
-    MODIS_ASSIGN_OR_RETURN(const std::string reply,
-                           channel.RoundTrip("{\"verb\":\"metrics\"}"));
-    std::printf("%s\n", reply.c_str());
+    MODIS_ASSIGN_OR_RETURN(HttpReply reply,
+                           HttpExchange(endpoint, "GET", "/metrics"));
+    if (reply.status != 200) {
+      return Status::IoError("GET /metrics answered " +
+                             std::to_string(reply.status));
+    }
+    std::fputs(reply.body.c_str(), stdout);
     return Status::OK();
   }
 
@@ -181,16 +195,16 @@ Status RunConnect(const Args& args) {
     start = comma + 1;
   }
 
-  MODIS_ASSIGN_OR_RETURN(
-      const std::string reply,
-      channel.RoundTrip(SerializeDiscoveryRequest(request)));
+  MODIS_ASSIGN_OR_RETURN(HttpReply reply,
+                         HttpExchange(endpoint, "POST", "/v1/query",
+                                      SerializeDiscoveryRequest(request)));
 
   if (args.raw) {
-    std::printf("%s\n", reply.c_str());
+    std::fputs(reply.body.c_str(), stdout);  // One JSON document + '\n'.
     return Status::OK();
   }
   MODIS_ASSIGN_OR_RETURN(DiscoveryResponse response,
-                         ParseDiscoveryResponse(reply));
+                         ParseDiscoveryResponse(reply.body));
   std::printf("%s %s: skyline size %zu (valuated %zu, queue %.1f ms, run "
               "%.1f ms)\n",
               response.task.c_str(), response.variant.c_str(),

@@ -1,14 +1,14 @@
 /// modis_server — the long-lived discovery host.
 ///
-/// Serves MODis discovery queries over a line-delimited JSON protocol
-/// (docs/SERVING.md): one request object per line in, one response object
-/// per line out, over any mix of unix-socket and TCP listeners behind a
-/// single accept loop (src/service/transport.h).
+/// Serves MODis discovery queries over HTTP/1.1 (docs/SERVING.md) on any
+/// mix of unix-socket and TCP listeners behind a single accept loop
+/// (src/service/transport.h): POST /v1/query takes one JSON request
+/// document and answers one JSON response document; GET /metrics
+/// (Prometheus), GET /v1/debug/traces, and GET /healthz observe the host.
 ///
 /// Usage:
 ///   modis_server --socket /tmp/modis.sock    # AF_UNIX stream listener
 ///   modis_server --listen 127.0.0.1:7077     # TCP listener (port 0 = any)
-///   modis_server --stdio                     # one session on stdin/stdout
 ///   modis_server --batch '<request json>'    # one-shot reference run
 ///             [--tasks T1,T2]    preload task contexts before serving
 ///             [--sessions N]     concurrent query executors (default 2)
@@ -20,7 +20,7 @@
 ///             [--max-task-contexts N]  LRU cap on live contexts (0 = off)
 ///             [--context-ttl S]  idle context TTL in seconds (0 = off)
 ///             [--row-scale S]    bench-lake row scale (default 1.0)
-///             [--http]           sniff HTTP/1.1 on every listener
+///             [--http]           accepted and ignored: HTTP is always on
 ///             [--tenant SPEC]    QoS tenant (repeatable); SPEC is
 ///                                NAME:API_KEY[:RATE[:BURST[:MAX_IN_FLIGHT
 ///                                [:PRIORITY]]]] — see docs/SERVING.md §7
@@ -37,12 +37,10 @@
 ///                                path derived from the pid)
 ///
 /// --socket and --listen may be combined; both transports answer from the
-/// same service. With --http each connection is protocol-sniffed: HTTP
-/// requests route through POST /v1/query, GET /metrics (Prometheus), and
-/// GET /healthz; everything else stays line-delimited JSON on the same
-/// port. SIGTERM/SIGINT drain gracefully: stop accepting, half-
-/// close every session, finish all accepted work, flush the caches, dump
-/// a final metrics line, exit 0.
+/// same service. A numeric flag whose value is not a number within its
+/// range is reported and the binary exits 2. SIGTERM/SIGINT drain
+/// gracefully: stop accepting, half-close every connection, finish all
+/// accepted work, flush the caches, dump a final metrics line, exit 0.
 ///
 /// The host owns its cache files: a writable open holds the flock writer
 /// lock for the process lifetime, so a second host on the same file fails
@@ -59,6 +57,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "flags.h"
 #include "service/discovery_service.h"
 #include "service/http.h"
 #include "service/qos.h"
@@ -73,7 +72,6 @@ namespace {
 struct Args {
   std::string socket_path;
   std::string listen;  // TCP HOST:PORT.
-  bool stdio = false;
   std::string batch_request;
   std::string tasks;
   size_t sessions = 2;
@@ -85,7 +83,6 @@ struct Args {
   size_t max_task_contexts = 0;
   double context_ttl = 0.0;
   double row_scale = 1.0;
-  bool http = false;
   std::vector<TenantSpec> tenants;
   std::string log_level = "info";
   bool log_json = false;
@@ -100,14 +97,17 @@ struct Args {
   // coordinator via fork+exec of its own binary).
   std::string worker_attach;
   uint32_t worker_index = 0;
-  // Hidden, test only (--test-hold-at SPAN): each worker's first
-  // incarnation parks when a query opens SPAN (WorkerOptions::hold_at).
+  // Hidden, test only (--test-hold-at SPAN): the first query to open
+  // SPAN parks there until SIGUSR1 (ArmTestHold) — in the in-process
+  // host, or in each worker's first incarnation.
   std::string test_hold_at;
 };
 
 bool ParseArgs(int argc, char** argv, Args* args) {
+  constexpr size_t kMaxCount = size_t(1) << 20;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
+    std::string value;
     auto next = [&](std::string* out) {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "%s needs a value\n", flag.c_str());
@@ -116,72 +116,61 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       *out = argv[++i];
       return true;
     };
-    std::string value;
-    if (flag == "--stdio") {
-      args->stdio = true;
-    } else if (flag == "--socket") {
-      if (!next(&args->socket_path)) return false;
+    // A numeric operand must be a number within [min, max].
+    auto number = [&](auto min, auto max, auto* out) {
+      return next(&value) && ParseNumericFlag(flag, value, min, max, out);
+    };
+    bool ok = true;
+    if (flag == "--socket") {
+      ok = next(&args->socket_path);
     } else if (flag == "--listen") {
-      if (!next(&args->listen)) return false;
+      ok = next(&args->listen);
     } else if (flag == "--batch") {
-      if (!next(&args->batch_request)) return false;
+      ok = next(&args->batch_request);
     } else if (flag == "--tasks") {
-      if (!next(&args->tasks)) return false;
+      ok = next(&args->tasks);
     } else if (flag == "--sessions") {
-      if (!next(&value)) return false;
-      args->sessions = std::stoul(value);
+      ok = number(size_t{1}, size_t{1024}, &args->sessions);
     } else if (flag == "--queue") {
-      if (!next(&value)) return false;
-      args->queue = std::stoul(value);
+      ok = number(size_t{1}, kMaxCount, &args->queue);
     } else if (flag == "--threads") {
-      if (!next(&value)) return false;
-      args->threads = std::stoul(value);
+      ok = number(size_t{0}, size_t{1024}, &args->threads);
     } else if (flag == "--cache") {
-      if (!next(&args->cache)) return false;
+      ok = next(&args->cache);
     } else if (flag == "--cache-mode") {
-      if (!next(&args->cache_mode)) return false;
+      ok = next(&args->cache_mode);
     } else if (flag == "--cache-max-bytes") {
-      if (!next(&value)) return false;
-      args->cache_max_bytes = std::stoull(value);
+      ok = number(uint64_t{0}, uint64_t{INT64_MAX}, &args->cache_max_bytes);
     } else if (flag == "--max-task-contexts") {
-      if (!next(&value)) return false;
-      args->max_task_contexts = std::stoul(value);
+      ok = number(size_t{0}, kMaxCount, &args->max_task_contexts);
     } else if (flag == "--context-ttl") {
-      if (!next(&value)) return false;
-      args->context_ttl = std::stod(value);
+      ok = number(0.0, 1e9, &args->context_ttl);
     } else if (flag == "--row-scale") {
-      if (!next(&value)) return false;
-      args->row_scale = std::stod(value);
+      ok = number(1e-6, 1e3, &args->row_scale);
     } else if (flag == "--http") {
-      args->http = true;
+      // No-op: every listener speaks HTTP/1.1.
     } else if (flag == "--log-level") {
-      if (!next(&args->log_level)) return false;
+      ok = next(&args->log_level);
     } else if (flag == "--log-json") {
       args->log_json = true;
     } else if (flag == "--slow-query-ms") {
-      if (!next(&value)) return false;
-      args->slow_query_ms = std::stod(value);
+      ok = number(0.0, 1e12, &args->slow_query_ms);
     } else if (flag == "--trace-ring") {
-      if (!next(&value)) return false;
-      args->trace_ring = std::stoul(value);
+      ok = number(size_t{0}, kMaxCount, &args->trace_ring);
     } else if (flag == "--workers") {
-      if (!next(&value)) return false;
-      args->workers = static_cast<uint32_t>(std::stoul(value));
+      ok = number(uint32_t{0}, ShmRing::kMaxWorkers, &args->workers);
     } else if (flag == "--job-ring") {
-      if (!next(&value)) return false;
-      args->job_ring = static_cast<uint32_t>(std::stoul(value));
+      ok = number(uint32_t{1}, uint32_t{4096}, &args->job_ring);
     } else if (flag == "--worker-respawn-ms") {
-      if (!next(&value)) return false;
-      args->worker_respawn_ms = std::stoi(value);
+      ok = number(1, 3'600'000, &args->worker_respawn_ms);
     } else if (flag == "--ring-path") {
-      if (!next(&args->ring_path)) return false;
+      ok = next(&args->ring_path);
     } else if (flag == "--worker-attach") {
-      if (!next(&args->worker_attach)) return false;
+      ok = next(&args->worker_attach);
     } else if (flag == "--worker-index") {
-      if (!next(&value)) return false;
-      args->worker_index = static_cast<uint32_t>(std::stoul(value));
+      ok = number(uint32_t{0}, ShmRing::kMaxWorkers - 1, &args->worker_index);
     } else if (flag == "--test-hold-at") {
-      if (!next(&args->test_hold_at)) return false;
+      ok = next(&args->test_hold_at);
     } else if (flag == "--tenant") {
       if (!next(&value)) return false;
       auto spec = ParseTenantSpec(value);
@@ -195,29 +184,16 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
       return false;
     }
+    if (!ok) return false;
   }
-  if (!args->stdio && args->socket_path.empty() && args->listen.empty() &&
+  if (args->socket_path.empty() && args->listen.empty() &&
       args->batch_request.empty() && args->worker_attach.empty()) {
     std::fprintf(stderr,
-                 "one of --socket PATH, --listen HOST:PORT, --stdio, or "
-                 "--batch JSON is required\n");
+                 "one of --socket PATH, --listen HOST:PORT, or --batch JSON "
+                 "is required\n");
     return false;
   }
   return true;
-}
-
-void ServeStdio(DiscoveryService* service, WorkerPool* pool) {
-  std::string line;
-  std::vector<char> buffer(1 << 20);
-  while (std::fgets(buffer.data(), int(buffer.size()), stdin) != nullptr) {
-    line.assign(buffer.data());
-    while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
-      line.pop_back();
-    }
-    if (line.empty()) continue;
-    std::printf("%s\n", HandleServiceLine(service, pool, line).c_str());
-    std::fflush(stdout);
-  }
 }
 
 /// fork+execs this very binary (/proc/self/exe) in worker mode,
@@ -331,7 +307,7 @@ void Preload(DiscoveryService* service, const std::string& tasks) {
 
 /// The drain trigger: SIGTERM/SIGINT handlers may only touch the
 /// async-signal-safe RequestStop() (one write(2) to the server's pipe).
-LineServer* g_server = nullptr;
+HttpServer* g_server = nullptr;
 
 void OnShutdownSignal(int) {
   if (g_server != nullptr) g_server->RequestStop();
@@ -384,8 +360,13 @@ int main(int argc, char** argv) {
 
   // Coordinator of the multi-process host: queries execute in worker
   // processes over the shared cache file, so its own service opens the
-  // cache in shared mode too (metrics/trace verbs stay local).
+  // cache in shared mode too (metrics and traces stay local).
   if (args.workers > 0) options.shared_cache = true;
+  // In-process host: the hold parks this process's first query at the
+  // span (a pool host forwards the flag to its workers instead).
+  if (args.workers == 0 && !args.test_hold_at.empty()) {
+    ArmTestHold(args.test_hold_at);
+  }
 
   DiscoveryService service(options);
   if (!args.cache.empty() && options.default_cache_mode != CacheMode::kOff) {
@@ -429,29 +410,11 @@ int main(int argc, char** argv) {
         << "worker pool started";
   }
 
-  if (args.stdio) {
-    Preload(&service, args.tasks);
-    ServeStdio(&service, pool.get());
-    if (pool) {
-      pool->Stop();
-      ::unlink(ring_path.c_str());
-    }
-    MODIS_LOG(INFO, "server")
-        << "final "
-        << SerializeServiceMetrics(service.SnapshotMetrics());
-    return 0;
-  }
-
-  LineServer server(
-      [&service, &pool](const std::string& line) {
-        return HandleServiceLine(&service, pool.get(), line);
+  HttpServer server(
+      [&service, &pool](const HttpRequest& request) {
+        return RouteHttpRequest(&service, pool.get(), request);
       },
-      LineServer::Options(), service.metrics());
-  if (args.http) {
-    server.set_http_handler([&service, &pool](const HttpRequest& request) {
-      return RouteHttpRequest(&service, pool.get(), request);
-    });
-  }
+      HttpServer::Options(), service.metrics());
 
   // Bind every listener before the (potentially slow) preloads: clients
   // can connect immediately (the accept backlog holds them) and their
@@ -482,12 +445,9 @@ int main(int argc, char** argv) {
   for (const Endpoint& endpoint : server.endpoints()) {
     MODIS_LOG(INFO, "server")
         .Tag("endpoint", endpoint.ToString())
-        << "serving on " << endpoint.ToString();
-  }
-  if (args.http) {
-    MODIS_LOG(INFO, "server")
-        << "http front door enabled (POST /v1/query, GET /metrics, "
-           "GET /v1/debug/traces, GET /healthz)";
+        << "serving HTTP/1.1 on " << endpoint.ToString()
+        << " (POST /v1/query, GET /metrics, GET /v1/debug/traces, "
+           "GET /healthz)";
   }
   for (const TenantSpec& tenant : args.tenants) {
     MODIS_LOG(INFO, "server")

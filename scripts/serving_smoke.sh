@@ -1,33 +1,37 @@
 #!/usr/bin/env bash
-# End-to-end smoke of the discovery service (docs/SERVING.md):
+# End-to-end smoke of the discovery service (docs/SERVING.md). Every
+# client speaks HTTP/1.1, the host's one protocol:
 #
+#   0. numeric flags: a bad value (not a number, out of range, too wide
+#      for its type) makes modis_server / modis_cli exit 2 naming the flag
 #   1. start modis_server on a unix socket AND a TCP port (one accept
-#      loop, shared cache file)
-#   2. cold query through modis_cli --connect over the unix socket
-#   3. warm query (same request) — must perform 0 exact trainings
-#   4. warm query over TCP — must also train nothing
-#   5. metrics verb — the host must report the served queries
-#   6. batch reference: the same request via `modis_server --batch`
-#      (fresh process, no service, no cache)
-#   7. assert all four skylines are identical
-#   8. drain: fresh server, query in flight, SIGTERM mid-stream — the
-#      client still gets the full (identical) response and the server
-#      exits 0 after dumping its final metrics line
-#   9. HTTP front door (--http): POST /v1/query answers the warm query
-#      identically to the line-JSON path on the same sniffed port,
-#      GET /metrics is valid Prometheus exposition, GET /healthz is ok,
-#      and a quota-capped tenant's second request gets 429 + Retry-After
-#      (curl when available, python3 http.client otherwise)
-#  10. tracing: a warm query with X-Modis-Trace: 1 returns an inline
+#      loop, shared cache file); cold query through modis_cli --connect
+#      over the unix socket, a warm one (0 exact trainings) over unix and
+#      over TCP, GET /metrics through modis_cli --metrics, and the batch
+#      reference (`modis_server --batch`: fresh process, no service, no
+#      cache) — all four skylines identical
+#   2. drain: fresh in-process server with the hidden --test-hold-at
+#      train, so its first query parks at the train span; once the log
+#      says so, SIGTERM then SIGUSR1 — the client still gets the full
+#      answer (skyline byte-identical to phase 1's) and the server exits
+#      0 after dumping its final metrics line
+#   3. HTTP front door: POST /v1/query answers the warm query identically
+#      to modis_cli over TCP, GET /metrics is valid Prometheus exposition,
+#      GET /healthz is ok, and a quota-capped tenant's second request gets
+#      429 + Retry-After (curl when available, python3 http.client
+#      otherwise)
+#   4. tracing: a warm query with X-Modis-Trace: 1 returns an inline
 #      span tree whose request_id matches the X-Modis-Request-Id
 #      response header, GET /v1/debug/traces serves Chrome trace_event
 #      JSON naming that id, and /metrics carries the trace-derived
 #      modis_phase_* histogram series
-#  11. worker-crash-smoke (docs/MULTIPROCESS.md): a --workers 2 pool
+#   5. worker-crash-smoke (docs/MULTIPROCESS.md): a --workers 2 pool
 #      host, SIGKILL of every worker process while a cold query is held
 #      at its train span — the query is requeued to a respawned worker, the
 #      client still gets the full (identical) skyline, and the HTTP
 #      /metrics exposition shows modis_worker_restarts_total incremented
+#
+# Waits are on conditions (a socket, a log line), never on elapsed time.
 #
 # Usage: serving_smoke.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -70,25 +74,63 @@ wait_for_socket() {  # wait_for_socket PID SOCKET LOG
   exit 1
 }
 
+# Polls LOG (bounded, 60 s) until it matches the extended regex PATTERN;
+# prints the first match.
+wait_for_log() {  # wait_for_log LOG PATTERN WHAT
+  local match=""
+  for _ in $(seq 1 600); do
+    match=$(grep -oE "$2" "$1" | head -1 || true)
+    if [ -n "$match" ]; then
+      echo "$match"
+      return 0
+    fi
+    sleep 0.1
+  done
+  echo "serving_smoke: $3 never appeared in the log:" >&2
+  cat "$1" >&2
+  exit 1
+}
+
+# ---- Phase 0: numeric flags never abort (uncaught std::stoul) or wrap
+# (a narrowing cast): a bad value exits 2 with a message naming the flag.
+expect_flag_error() {  # expect_flag_error FLAG COMMAND...
+  local flag=$1
+  shift
+  local rc=0
+  "$@" > "$WORK/flag.out" 2> "$WORK/flag.err" || rc=$?
+  if [ "$rc" -ne 2 ] || ! grep -q -- "^$flag: " "$WORK/flag.err"; then
+    echo "serving_smoke: '$*' exited $rc; want 2 naming $flag:" >&2
+    cat "$WORK/flag.err" >&2
+    exit 1
+  fi
+}
+BAD_SOCK="$WORK/never.sock"
+expect_flag_error --sessions "$SERVER" --socket "$BAD_SOCK" --sessions abc
+expect_flag_error --workers "$SERVER" --socket "$BAD_SOCK" \
+  --workers 4294967298
+expect_flag_error --job-ring "$SERVER" --socket "$BAD_SOCK" --job-ring -1
+expect_flag_error --worker-index "$SERVER" --worker-attach "$BAD_SOCK" \
+  --worker-index 4294967296
+expect_flag_error --row-scale "$SERVER" --socket "$BAD_SOCK" \
+  --row-scale 0.5x
+expect_flag_error --budget "$CLI" --connect "$BAD_SOCK" --bench-task T1 \
+  --budget x
+expect_flag_error --seed "$CLI" --seed 18446744073709551617
+expect_flag_error --epsilon "$CLI" --epsilon nan
+[ ! -e "$BAD_SOCK" ] || {
+  echo "serving_smoke: a rejected command line still bound a socket" >&2
+  exit 1
+}
+echo "serving smoke OK: bad numeric flags exit 2 naming the flag"
+
 # ---- Phase 1: unix + TCP serving, cold/warm/metrics/batch.
 "$SERVER" --socket "$SOCK" --listen 127.0.0.1:0 --row-scale "$ROW_SCALE" \
   --cache "$CACHE" > "$WORK/server.log" 2>&1 &
 SERVER_PID=$!
 wait_for_socket "$SERVER_PID" "$SOCK" "$WORK/server.log"
-
-# The TCP listener announces its kernel-assigned port on stdout.
-TCP_ENDPOINT=""
-for _ in $(seq 1 50); do
-  TCP_ENDPOINT=$(grep -o 'tcp:[0-9.]*:[0-9]*' "$WORK/server.log" | head -1 \
-    || true)
-  [ -n "$TCP_ENDPOINT" ] && break
-  sleep 0.1
-done
-[ -n "$TCP_ENDPOINT" ] || {
-  echo "serving_smoke: TCP endpoint never announced" >&2
-  cat "$WORK/server.log" >&2
-  exit 1
-}
+# The TCP listener announces its kernel-assigned port in the log.
+TCP_ENDPOINT=$(wait_for_log "$WORK/server.log" 'tcp:[0-9.]+:[0-9]+' \
+  "the TCP endpoint")
 grep -q "record cache budget" "$WORK/server.log" || {
   echo "serving_smoke: missing cache-budget startup line" >&2
   exit 1
@@ -97,16 +139,16 @@ grep -q "record cache budget" "$WORK/server.log" || {
 COLD=$("$CLI" --connect "$SOCK" "${REQUEST_FLAGS[@]}" --raw)
 WARM=$("$CLI" --connect "$SOCK" "${REQUEST_FLAGS[@]}" --raw)
 WARM_TCP=$("$CLI" --connect "$TCP_ENDPOINT" "${REQUEST_FLAGS[@]}" --raw)
-METRICS=$("$CLI" --connect "$TCP_ENDPOINT" --metrics)
+"$CLI" --connect "$TCP_ENDPOINT" --metrics > "$WORK/metrics1.prom"
 BATCH=$("$SERVER" --batch \
   '{"task":"T1","variant":"bi","epsilon":0.25,"budget":60,"maxl":3,"measures":["acc","fisher","mi"]}' \
   --row-scale "$ROW_SCALE")
 
-python3 - "$COLD" "$WARM" "$WARM_TCP" "$METRICS" "$BATCH" <<'PY'
+python3 - "$COLD" "$WARM" "$WARM_TCP" "$BATCH" "$WORK/metrics1.prom" <<'PY'
 import json
 import sys
 
-cold, warm, warm_tcp, metrics, batch = (json.loads(a) for a in sys.argv[1:6])
+cold, warm, warm_tcp, batch = (json.loads(a) for a in sys.argv[1:5])
 for name, doc in (("cold", cold), ("warm", warm), ("warm_tcp", warm_tcp),
                   ("batch", batch)):
     assert doc.get("ok"), f"{name} response not ok: {doc}"
@@ -125,22 +167,25 @@ def skyline(doc):
 assert (skyline(cold) == skyline(warm) == skyline(warm_tcp)
         == skyline(batch)), "skylines diverge across cold/warm/tcp/batch"
 
-assert metrics.get("ok"), metrics
-m = metrics["metrics"]
-assert m["served"] == 3, m
-assert m["failed"] == 0, m
-assert m["live_contexts"] == 1, m
-assert m["cache_files"] == 1, m
-assert m["connections_opened"] >= 4, m
-assert m["run_ms"]["count"] == 3, m
-assert not m["draining"], m
+samples = {}
+for line in open(sys.argv[5]).read().splitlines():
+    if line and not line.startswith("#"):
+        name, value = line.rsplit(" ", 1)
+        samples[name] = float(value)
+assert samples["modis_served_total"] == 3, samples
+assert samples["modis_failed_total"] == 0, samples
+assert samples["modis_live_contexts"] == 1, samples
+assert samples["modis_cache_files"] == 1, samples
+assert samples["modis_connections_opened_total"] >= 4, samples
+assert samples["modis_run_ms_count"] == 3, samples
+assert samples["modis_draining"] == 0, samples
 
 print(
     "serving smoke OK: warm unix+tcp queries trained nothing "
     f"({warm['stats']['persistent_hits']} replays), skyline of "
     f"{len(warm['skyline'])} matches the batch run "
     f"(cold {cold['stats']['run_ms']:.0f} ms -> warm "
-    f"{warm['stats']['run_ms']:.1f} ms), metrics verb consistent"
+    f"{warm['stats']['run_ms']:.1f} ms), /metrics consistent"
 )
 PY
 
@@ -149,21 +194,26 @@ wait "$SERVER_PID" 2>/dev/null || true
 SERVER_PID=""
 
 # ---- Phase 2: SIGTERM drain with a query in flight. Fresh server, fresh
-# cache: the query actually trains, so it is still running when the
-# signal lands. The client must receive the complete response anyway and
-# the server must exit 0 with a drained-metrics line.
+# cache, and the hidden --test-hold-at train: the query parks at its
+# train span, so it is provably mid-flight when SIGTERM lands. SIGUSR1
+# then releases it; the client must receive the complete response anyway
+# and the server must exit 0 with a drained-metrics line.
 SOCK2="$WORK/drain.sock"
 CACHE2="$WORK/drain.rlog"
 "$SERVER" --socket "$SOCK2" --row-scale "$ROW_SCALE" --cache "$CACHE2" \
-  > "$WORK/drain.log" 2>&1 &
+  --test-hold-at train > "$WORK/drain.log" 2>&1 &
 SERVER_PID=$!
 wait_for_socket "$SERVER_PID" "$SOCK2" "$WORK/drain.log"
 
 "$CLI" --connect "$SOCK2" "${REQUEST_FLAGS[@]}" --raw \
   > "$WORK/drain_reply.json" &
 CLIENT_PID=$!
-sleep 1  # The request is on the wire and training by now.
+wait_for_log "$WORK/drain.log" "holding at span train" \
+  "the train hold point" > /dev/null
 kill -TERM "$SERVER_PID"
+wait_for_log "$WORK/drain.log" "stopped accepting" "the drain start" \
+  > /dev/null
+kill -USR1 "$SERVER_PID"
 
 if ! wait "$CLIENT_PID"; then
   echo "serving_smoke: drain client failed" >&2
@@ -192,44 +242,35 @@ cold = json.loads(sys.argv[1])
 with open(sys.argv[2]) as f:
     drained = json.loads(f.read())
 assert drained.get("ok"), f"drained response not ok: {drained}"
+assert drained["stats"]["exact_evals"] > 0, "the drained query never trained"
 
-def skyline(doc):
-    return sorted(
-        (e["signature"], e["raw"], e["normalized"]) for e in doc["skyline"]
-    )
+# The drained response is the full answer: its skyline member is
+# byte-identical to the undisturbed run of the same request (phase 1's
+# cold query).
+def skyline_bytes(doc):
+    return json.dumps(doc["skyline"], sort_keys=True)
 
-# The drained response is the full answer, identical to the undisturbed
-# run of the same request (phase 1's cold query).
-assert skyline(drained) == skyline(cold), (
+assert skyline_bytes(drained) == skyline_bytes(cold), (
     "SIGTERM-drained response diverges from the undisturbed run"
 )
-print("serving smoke OK: SIGTERM mid-stream drained cleanly "
-      f"(full skyline of {len(drained['skyline'])} delivered, exit 0)")
+print("serving smoke OK: SIGTERM with a query held mid-train drained "
+      f"cleanly (full skyline of {len(drained['skyline'])} delivered, "
+      "exit 0)")
 PY
 
-# ---- Phase 3: the HTTP front door. Same warm cache as phase 1, HTTP
-# sniffing on, plus a bronze tenant whose bucket holds exactly one token
-# and never refills — the deterministic 429-on-quota check.
+# ---- Phase 3: the HTTP front door. Same warm cache as phase 1, plus a
+# bronze tenant whose bucket holds exactly one token and never refills —
+# the deterministic 429-on-quota check.
 SOCK3="$WORK/http.sock"
-"$SERVER" --socket "$SOCK3" --listen 127.0.0.1:0 --http \
+"$SERVER" --socket "$SOCK3" --listen 127.0.0.1:0 \
   --tenant "bronze:sk_bronze:0:1" \
   --row-scale "$ROW_SCALE" --cache "$CACHE" > "$WORK/http.log" 2>&1 &
 SERVER_PID=$!
 wait_for_socket "$SERVER_PID" "$SOCK3" "$WORK/http.log"
-HTTP_ENDPOINT=""
-for _ in $(seq 1 50); do
-  HTTP_ENDPOINT=$(grep -o 'tcp:[0-9.]*:[0-9]*' "$WORK/http.log" | head -1 \
-    || true)
-  [ -n "$HTTP_ENDPOINT" ] && break
-  sleep 0.1
-done
-[ -n "$HTTP_ENDPOINT" ] || {
-  echo "serving_smoke: HTTP TCP endpoint never announced" >&2
-  cat "$WORK/http.log" >&2
-  exit 1
-}
-grep -q "http front door enabled" "$WORK/http.log" || {
-  echo "serving_smoke: missing http-front-door startup line" >&2
+HTTP_ENDPOINT=$(wait_for_log "$WORK/http.log" 'tcp:[0-9.]+:[0-9]+' \
+  "the HTTP TCP endpoint")
+grep -q "serving HTTP/1.1 on" "$WORK/http.log" || {
+  echo "serving_smoke: missing serving-HTTP startup line" >&2
   exit 1
 }
 HTTP_HOSTPORT=${HTTP_ENDPOINT#tcp:}
@@ -238,10 +279,10 @@ HTTP_HOST=${HTTP_HOSTPORT%:*}
 BASE="http://$HTTP_HOST:$HTTP_PORT"
 REQUEST_JSON='{"task":"T1","variant":"bi","epsilon":0.25,"budget":60,"maxl":3,"measures":["acc","fisher","mi"]}'
 
-# The same sniffed port still answers the line-JSON dialect: the warm
-# query through modis_cli, recorded for the identity assert below.
+# The warm query through modis_cli over TCP, recorded for the identity
+# assert below.
 "$CLI" --connect "$HTTP_ENDPOINT" "${REQUEST_FLAGS[@]}" --raw \
-  > "$WORK/http_wire.json"
+  > "$WORK/http_cli.json"
 
 if command -v curl >/dev/null 2>&1; then
   curl -fsS -X POST "$BASE/v1/query" -H 'Content-Type: application/json' \
@@ -309,13 +350,13 @@ def skyline(doc):
     )
 
 query = json.loads(read("http_query.json"))
-wire = json.loads(read("http_wire.json"))
+cli = json.loads(read("http_cli.json"))
 assert query.get("ok"), f"HTTP query not ok: {query}"
 assert query["stats"]["exact_evals"] == 0, query["stats"]
-# Cross-transport identity: HTTP, line-JSON-on-the-same-port, and the
-# undisturbed phase-1 run all return the same skyline.
-assert skyline(query) == skyline(wire) == skyline(cold), (
-    "HTTP skyline diverges from the line-JSON answer"
+# Client identity: a raw HTTP client, modis_cli, and the undisturbed
+# phase-1 run all return the same skyline.
+assert skyline(query) == skyline(cli) == skyline(cold), (
+    "HTTP skyline diverges from the modis_cli answer"
 )
 
 health = json.loads(read("healthz.json"))
@@ -332,7 +373,7 @@ for line in lines:
         continue
     assert SAMPLE.match(line), f"invalid exposition line: {line!r}"
     samples[line.rsplit(" ", 1)[0]] = float(line.rsplit(" ", 1)[1])
-# Two queries (the wire one and the HTTP one) were served when the
+# Two queries (modis_cli's and the raw client's) were served when the
 # exposition was scraped; the bronze tenant existed but had no traffic.
 assert samples["modis_served_total"] == 2, samples["modis_served_total"]
 assert samples['modis_tenant_admitted_total{tenant="bronze"}'] == 0
@@ -349,7 +390,7 @@ assert re.search(r"(?im)^retry-after: *[0-9]+\r?$", read("bronze2.hdr")), (
 
 print(
     "serving smoke OK: HTTP front door answered the warm query "
-    f"identically over 3 transports, /metrics exposed {len(samples)} "
+    f"identically to modis_cli, /metrics exposed {len(samples)} "
     "valid samples, and the bronze quota check got its 429 + Retry-After"
 )
 PY
@@ -466,6 +507,8 @@ SERVER_PID=""
 # SIGKILL every worker: the supervisor must reap them, requeue the
 # orphaned job, respawn (disarmed), and the client must still receive
 # the full answer — identical to the undisturbed phase-1 run.
+# --http is an accepted no-op (the benchmark's command line still
+# passes it).
 SOCK5="$WORK/pool.sock"
 CACHE5="$WORK/pool.rlog"
 RING5="$WORK/pool.ring"
@@ -474,18 +517,8 @@ RING5="$WORK/pool.ring"
   --cache "$CACHE5" --test-hold-at train > "$WORK/pool.log" 2>&1 &
 SERVER_PID=$!
 wait_for_socket "$SERVER_PID" "$SOCK5" "$WORK/pool.log"
-POOL_ENDPOINT=""
-for _ in $(seq 1 50); do
-  POOL_ENDPOINT=$(grep -o 'tcp:[0-9.]*:[0-9]*' "$WORK/pool.log" | head -1 \
-    || true)
-  [ -n "$POOL_ENDPOINT" ] && break
-  sleep 0.1
-done
-[ -n "$POOL_ENDPOINT" ] || {
-  echo "serving_smoke: pool TCP endpoint never announced" >&2
-  cat "$WORK/pool.log" >&2
-  exit 1
-}
+POOL_ENDPOINT=$(wait_for_log "$WORK/pool.log" 'tcp:[0-9.]+:[0-9]+' \
+  "the pool TCP endpoint")
 grep -q "worker pool started" "$WORK/pool.log" || {
   echo "serving_smoke: missing worker-pool startup line" >&2
   cat "$WORK/pool.log" >&2
@@ -503,20 +536,9 @@ WORKER_PIDS=$(grep -o 'worker spawned.*pid=[0-9]*' "$WORK/pool.log" \
 "$CLI" --connect "$SOCK5" "${REQUEST_FLAGS[@]}" --raw \
   > "$WORK/pool_reply.json" &
 CLIENT_PID=$!
-# Wait (bounded) until the worker that claimed the job parks at "train".
-HELD=""
-for _ in $(seq 1 600); do
-  if grep -q "holding at span train" "$WORK/pool.log"; then
-    HELD=1
-    break
-  fi
-  sleep 0.1
-done
-[ -n "$HELD" ] || {
-  echo "serving_smoke: no worker reached the train hold point" >&2
-  cat "$WORK/pool.log" >&2
-  exit 1
-}
+# Wait until the worker that claimed the job parks at "train".
+wait_for_log "$WORK/pool.log" "holding at span train" \
+  "a worker's train hold point" > /dev/null
 # Kill BOTH workers: the held one carries the query.
 for pid in $WORKER_PIDS; do
   kill -9 "$pid" 2>/dev/null || true

@@ -32,7 +32,7 @@ namespace modis {
 /// One discovery query against the long-lived service: which task, which
 /// MODis variant, which slice of the task's measure set, and the knobs of
 /// the (N, ε)-approximation. The wire codec (service/wire.h) maps this
-/// 1:1 onto the line-delimited JSON protocol of docs/SERVING.md.
+/// 1:1 onto the JSON request document of docs/SERVING.md.
 struct DiscoveryRequest {
   /// Bench task: "T1".."T4", "case1"/"case2", or a full BenchTaskName
   /// ("T2-house"). The service loads each task's lake and universe once.
@@ -179,7 +179,7 @@ class DiscoveryService {
     /// tenant, task, and per-phase breakdown. 0 = off.
     double slow_query_ms = 0.0;
     /// Completed-trace retention: the N most recent and the N slowest
-    /// traces, served by the `trace` wire verb / GET /v1/debug/traces.
+    /// traces, served by GET /v1/debug/traces.
     size_t trace_recent_capacity = 16;
     size_t trace_slow_capacity = 16;
     /// Multi-process mode: open every cache file as a *shared*
@@ -241,18 +241,18 @@ class DiscoveryService {
   Stats stats() const;
   const Options& options() const { return options_; }
 
-  /// The shared counter registry. The transport layer (LineServer) and
+  /// The shared counter registry. The transport layer (HttpServer) and
   /// the server binary write transport counters into the same registry so
-  /// one `{"verb":"metrics"}` snapshot covers the whole host.
+  /// one GET /metrics snapshot covers the whole host.
   ServiceMetrics* metrics() { return &metrics_; }
 
   /// One consistent export of every counter, gauge (queue depth, live
   /// contexts, open-cache totals), and latency histogram — the payload of
-  /// the `"metrics"` wire verb and of the shutdown dump.
+  /// GET /metrics and of the shutdown dump.
   MetricsSnapshot SnapshotMetrics() const;
 
   /// Completed traces retained by the host debug ring — the payload of
-  /// the `trace` wire verb and GET /v1/debug/traces.
+  /// GET /v1/debug/traces.
   std::vector<Trace> RecentTraces() const { return trace_ring_.Recent(); }
   std::vector<Trace> SlowestTraces() const { return trace_ring_.Slowest(); }
 

@@ -3,12 +3,14 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <utility>
 
 #include "service/discovery_service.h"
 #include "service/json.h"
 #include "service/qos.h"
+#include "service/transport.h"
 #include "service/wire.h"
 #include "service/worker.h"
 
@@ -444,24 +446,6 @@ HttpRequest HttpParser::TakeRequest() {
   return request;
 }
 
-// ------------------------------------------------------------- sniffing
-
-ProtocolGuess SniffProtocol(const std::string& prefix) {
-  static constexpr const char* kMethods[] = {
-      "GET ", "HEAD ", "POST ", "PUT ", "DELETE ", "OPTIONS ", "PATCH "};
-  bool could_be_http = false;
-  for (const char* method : kMethods) {
-    const size_t length = std::strlen(method);
-    if (prefix.size() >= length) {
-      if (prefix.compare(0, length, method) == 0) return ProtocolGuess::kHttp;
-    } else if (std::strncmp(method, prefix.data(), prefix.size()) == 0) {
-      could_be_http = true;
-    }
-  }
-  return could_be_http ? ProtocolGuess::kNeedMoreBytes
-                       : ProtocolGuess::kLineJson;
-}
-
 // ------------------------------------------------------------ exposition
 
 std::string PrometheusExposition(const MetricsSnapshot& snapshot) {
@@ -561,8 +545,8 @@ HttpResponse MakeHttpError(int status, const std::string& message) {
 
 namespace {
 
-/// A service Status as an HTTP response: the same {"ok":false,...} body
-/// the line protocol sends, plus Retry-After on 429/503 so shed work is
+/// A service Status as an HTTP response: the {"ok":false,...} body of
+/// SerializeDiscoveryError, plus Retry-After on 429/503 so shed work is
 /// cheap to retry correctly.
 HttpResponse ResponseFromStatus(const Status& status) {
   HttpResponse response;
@@ -585,17 +569,7 @@ HttpResponse MethodNotAllowed(const char* allow) {
 
 HttpResponse QueryEndpoint(DiscoveryService* service, WorkerPool* pool,
                            const HttpRequest& request) {
-  auto doc = JsonValue::Parse(request.body);
-  if (!doc.ok()) return ResponseFromStatus(doc.status());
-  if (doc->is_object()) {
-    const std::string verb = doc->GetString("verb", "");
-    if (!verb.empty() && verb != "discover") {
-      return ResponseFromStatus(Status::InvalidArgument(
-          "POST /v1/query serves discovery requests only (got verb '" +
-          verb + "')"));
-    }
-  }
-  auto parsed = ParseDiscoveryRequestDoc(*doc);
+  auto parsed = ParseDiscoveryRequest(request.body);
   if (!parsed.ok()) return ResponseFromStatus(parsed.status());
   DiscoveryRequest query = std::move(parsed).value();
   if (query.api_key.empty()) {
@@ -611,7 +585,7 @@ HttpResponse QueryEndpoint(DiscoveryService* service, WorkerPool* pool,
   if (pool != nullptr) {
     // Multi-process mode: the query runs on a worker via the job ring.
     // Re-serialize (not the raw body) so the header-derived members
-    // (api_key, trace) travel with the request line.
+    // (api_key, trace) travel with the ring job.
     std::string line;
     const Status submitted =
         pool->Submit(SerializeDiscoveryRequest(query), &line);
@@ -619,7 +593,7 @@ HttpResponse QueryEndpoint(DiscoveryService* service, WorkerPool* pool,
     auto answered = JsonValue::Parse(line);
     if (answered.ok() && answered->is_object() &&
         !answered->GetBool("ok", false)) {
-      // Re-type the worker's error line so the HTTP status mapping
+      // Re-type the worker's error document so the HTTP status mapping
       // (429 for QoS, 400 for bad requests, ...) matches in-process
       // mode.
       return ResponseFromStatus(
@@ -693,6 +667,89 @@ HttpResponse RouteHttpRequest(DiscoveryService* service, WorkerPool* pool,
       "no route for '" + path +
       "' (POST /v1/query, GET /metrics, GET /v1/debug/traces, "
       "GET /healthz)"));
+}
+
+// ---------------------------------------------------------------- client
+
+const std::string* HttpReply::FindHeader(const std::string& lower_name) const {
+  for (const auto& [name, value] : headers) {
+    if (name == lower_name) return &value;
+  }
+  return nullptr;
+}
+
+Result<HttpReply> ReadHttpReply(ClientChannel* channel, std::string* carry) {
+  size_t head_end;
+  for (;;) {
+    head_end = carry->find("\r\n\r\n");
+    if (head_end != std::string::npos) break;
+    auto chunk = channel->ReceiveRaw();
+    if (!chunk.ok()) return chunk.status();
+    if (chunk->empty()) {
+      return Status::IoError("connection closed before the header end");
+    }
+    *carry += *chunk;
+  }
+  HttpReply reply;
+  const size_t line_end = carry->find("\r\n");
+  const std::string status_line = carry->substr(0, line_end);
+  if (status_line.rfind("HTTP/1.1 ", 0) != 0 || status_line.size() < 12) {
+    return Status::InvalidArgument("bad status line: " + status_line);
+  }
+  reply.status = std::atoi(status_line.c_str() + 9);
+  size_t content_length = 0;
+  size_t pos = line_end + 2;
+  while (pos < head_end) {
+    const size_t end = carry->find("\r\n", pos);
+    const std::string line = carry->substr(pos, end - pos);
+    pos = end + 2;
+    const size_t colon = line.find(':');
+    if (colon == std::string::npos) {
+      return Status::InvalidArgument("bad header line: " + line);
+    }
+    std::string name = ToLower(line.substr(0, colon));
+    std::string value = TrimOws(line.substr(colon + 1));
+    if (name == "content-length") {
+      content_length = size_t(std::strtoull(value.c_str(), nullptr, 10));
+    }
+    reply.headers.emplace_back(std::move(name), std::move(value));
+  }
+  carry->erase(0, head_end + 4);
+  while (carry->size() < content_length) {
+    auto chunk = channel->ReceiveRaw();
+    if (!chunk.ok()) return chunk.status();
+    if (chunk->empty()) return Status::IoError("connection closed mid-body");
+    *carry += *chunk;
+  }
+  reply.body = carry->substr(0, content_length);
+  carry->erase(0, content_length);
+  return reply;
+}
+
+std::string FormatHttpRequest(const std::string& method,
+                              const std::string& target,
+                              const std::string& body,
+                              const std::string& extra_headers) {
+  std::string wire =
+      method + " " + target + " HTTP/1.1\r\nHost: modis\r\n" + extra_headers;
+  if (!body.empty()) {
+    wire += "Content-Type: application/json\r\nContent-Length: " +
+            std::to_string(body.size()) + "\r\n";
+  }
+  return wire + "\r\n" + body;
+}
+
+Result<HttpReply> HttpExchange(const Endpoint& endpoint,
+                               const std::string& method,
+                               const std::string& target,
+                               const std::string& body,
+                               const std::string& extra_headers) {
+  MODIS_ASSIGN_OR_RETURN(ClientChannel channel,
+                         ClientChannel::Connect(endpoint));
+  MODIS_RETURN_IF_ERROR(channel.SendRaw(FormatHttpRequest(
+      method, target, body, extra_headers + "Connection: close\r\n")));
+  std::string carry;
+  return ReadHttpReply(&channel, &carry);
 }
 
 }  // namespace modis

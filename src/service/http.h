@@ -130,16 +130,6 @@ class HttpParser {
   std::string error_message_;
 };
 
-/// Transport-level protocol sniffing: what do the first bytes of a
-/// connection look like?
-enum class ProtocolGuess {
-  kNeedMoreBytes,  // Prefix of an HTTP method; keep reading.
-  kHttp,           // A known method name followed by a space.
-  kLineJson,       // Anything else — the line-delimited JSON dialect.
-};
-
-ProtocolGuess SniffProtocol(const std::string& prefix);
-
 /// Renders one metrics snapshot as Prometheus text exposition (version
 /// 0.0.4): every ScalarMetricDescriptors() entry as a counter/gauge
 /// line, `draining` as a 0/1 gauge, the pow2 latency histograms as
@@ -153,14 +143,15 @@ std::string PrometheusExposition(const MetricsSnapshot& snapshot);
 /// FailedPrecondition → 503, ...).
 int HttpStatusForStatus(const Status& status);
 
-/// A canned JSON error response: {"ok":false,"code":...,"error":...}.
+/// A canned JSON error response: {"ok":false,"status":...,"error":...}.
 HttpResponse MakeHttpError(int status, const std::string& message);
 
-/// The endpoint router over the service's wire verbs (docs/SERVING.md
-/// §6): POST /v1/query (line-JSON request document as the body, X-Api-Key
+/// The endpoint router of the host (docs/SERVING.md §6): POST /v1/query
+/// (the JSON request document of service/wire.h as the body, X-Api-Key
 /// honored when the body names no api_key), GET /metrics (Prometheus
-/// exposition), GET /healthz. Unknown paths → 404, wrong methods → 405
-/// with Allow. Runs on the connection's thread; thread-safe.
+/// exposition), GET /v1/debug/traces, GET /healthz. Unknown paths → 404,
+/// wrong methods → 405 with Allow. Runs on the connection's thread;
+/// thread-safe.
 HttpResponse RouteHttpRequest(DiscoveryService* service,
                               const HttpRequest& request);
 
@@ -173,6 +164,45 @@ class WorkerPool;
 /// `pool` is exactly the in-process router above.
 HttpResponse RouteHttpRequest(DiscoveryService* service, WorkerPool* pool,
                               const HttpRequest& request);
+
+// ------------------------------------------------------------ client side
+
+class ClientChannel;
+struct Endpoint;
+
+/// One response as a client reads it. Header names are lowercased.
+struct HttpReply {
+  int status = 0;
+  std::vector<std::pair<std::string, std::string>> headers;
+  std::string body;
+
+  /// First header named `lower_name` (pass it lowercased), or nullptr.
+  const std::string* FindHeader(const std::string& lower_name) const;
+};
+
+/// Reads one Content-Length-framed response (the only framing the host
+/// sends) from `channel`. `carry` holds bytes read beyond the previous
+/// response on the same connection (pipelining) and keeps any beyond
+/// this one.
+Result<HttpReply> ReadHttpReply(ClientChannel* channel, std::string* carry);
+
+/// The bytes of one request: request line, `Host`, `extra_headers`
+/// (each "Name: value\r\n"), then Content-Type/Content-Length and
+/// `body` when the body is non-empty. Keep-alive unless
+/// `extra_headers` says otherwise.
+std::string FormatHttpRequest(const std::string& method,
+                              const std::string& target,
+                              const std::string& body = "",
+                              const std::string& extra_headers = "");
+
+/// One request/response exchange on a fresh connection: sends
+/// FormatHttpRequest(...) with `Connection: close`, reads one reply,
+/// closes.
+Result<HttpReply> HttpExchange(const Endpoint& endpoint,
+                               const std::string& method,
+                               const std::string& target,
+                               const std::string& body = "",
+                               const std::string& extra_headers = "");
 
 }  // namespace modis
 

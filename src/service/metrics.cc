@@ -79,11 +79,6 @@ const std::vector<ScalarMetricDesc>& ScalarMetricDescriptors() {
        &MetricsSnapshot::connections_opened, "Connections accepted."},
       {"connections_active", "modis_connections_active", false,
        &MetricsSnapshot::connections_active, "Connections being served."},
-      {"lines_served", "modis_lines_served_total", true,
-       &MetricsSnapshot::lines_served, "Line-JSON requests answered."},
-      {"oversized_lines", "modis_oversized_lines_total", true,
-       &MetricsSnapshot::oversized_lines,
-       "Request lines rejected for size."},
       {"dropped_connections", "modis_dropped_connections_total", true,
        &MetricsSnapshot::dropped_connections,
        "Connections lost mid-request or mid-response."},
@@ -217,8 +212,6 @@ MetricsSnapshot ServiceMetrics::Snapshot() const {
   snapshot.mask_fast_path_hits = mask_fast_path_hits.load();
   snapshot.connections_opened = connections_opened.load();
   snapshot.connections_active = connections_active.load();
-  snapshot.lines_served = lines_served.load();
-  snapshot.oversized_lines = oversized_lines.load();
   snapshot.dropped_connections = dropped_connections.load();
   snapshot.http_requests = http_requests.load();
   snapshot.http_errors = http_errors.load();

@@ -43,9 +43,9 @@ class LatencyHistogram {
 };
 
 /// Per-tenant admission counters (QoS; docs/SERVING.md §7). Collected by
-/// DiscoveryService::SnapshotMetrics() from the tenant table; exported on
-/// both wire surfaces (the `"tenants"` array of the metrics verb and the
-/// `modis_tenant_*{tenant="..."}` Prometheus series).
+/// DiscoveryService::SnapshotMetrics() from the tenant table; exported as
+/// the `modis_tenant_*{tenant="..."}` Prometheus series and the
+/// `"tenants"` array of the shutdown dump.
 struct TenantMetricsSnapshot {
   std::string name;
   int priority = 0;
@@ -60,9 +60,10 @@ struct TenantMetricsSnapshot {
 
 /// Per-worker-process counters (multi-process mode; docs/MULTIPROCESS.md).
 /// Filled by the coordinator from the job ring's per-worker tallies and
-/// the pool supervisor's restart ledger; exported as the `"workers"`
-/// array of the metrics verb and the `modis_worker_*{worker="..."}`
-/// Prometheus series. Empty in the in-process (`--workers 0`) mode.
+/// the pool supervisor's restart ledger; exported as the
+/// `modis_worker_*{worker="..."}` Prometheus series and the `"workers"`
+/// array of the shutdown dump. Empty in the in-process (`--workers 0`)
+/// mode.
 struct WorkerMetricsSnapshot {
   uint32_t index = 0;
   uint64_t alive = 0;  // Gauge: 1 when the process is currently running.
@@ -73,7 +74,7 @@ struct WorkerMetricsSnapshot {
 };
 
 /// One flat snapshot of everything the service exports — the schema of
-/// the `{"verb":"metrics"}` wire response (docs/SERVING.md §5). Counter
+/// GET /metrics and the shutdown dump (docs/SERVING.md §5). Counter
 /// fields are filled from ServiceMetrics; the gauges only the service can
 /// compute (queue depth, live contexts, cache totals) are filled by
 /// DiscoveryService::SnapshotMetrics().
@@ -110,14 +111,12 @@ struct MetricsSnapshot {
   /// (popcount) instead of a rescan of D_U.
   uint64_t mask_fast_path_hits = 0;
 
-  // Transport (filled by LineServer when one is attached).
+  // Transport (filled by HttpServer when one is attached).
   uint64_t connections_opened = 0;
   uint64_t connections_active = 0;  // Gauge.
-  uint64_t lines_served = 0;
-  uint64_t oversized_lines = 0;
   uint64_t dropped_connections = 0;
 
-  // HTTP facade (service/http.h, served by the same LineServer).
+  // HTTP front door (service/http.h, served by the same HttpServer).
   uint64_t http_requests = 0;
   /// 4xx/5xx responses, parse failures included.
   uint64_t http_errors = 0;
@@ -221,7 +220,7 @@ struct HistogramMetricDesc {
 const std::vector<HistogramMetricDesc>& HistogramMetricDescriptors();
 
 /// The shared counter registry. The DiscoveryService owns one; the
-/// transport layer (LineServer) and the session loops both write into it
+/// transport layer (HttpServer) and the session loops both write into it
 /// lock-free. Gauges live with their owners and are collected into the
 /// snapshot by DiscoveryService::SnapshotMetrics().
 class ServiceMetrics {
@@ -240,8 +239,6 @@ class ServiceMetrics {
 
   std::atomic<uint64_t> connections_opened{0};
   std::atomic<uint64_t> connections_active{0};
-  std::atomic<uint64_t> lines_served{0};
-  std::atomic<uint64_t> oversized_lines{0};
   std::atomic<uint64_t> dropped_connections{0};
 
   std::atomic<uint64_t> http_requests{0};

@@ -1,11 +1,10 @@
 #include "service/transport.h"
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <utility>
 
-#include "service/json.h"
+#include "common/logging.h"
 
 #if !defined(_WIN32)
 #include <arpa/inet.h>
@@ -52,16 +51,6 @@ Result<Endpoint> ParseTcpSpec(const std::string& spec,
   }
   endpoint.host = rest.substr(0, colon);
   return endpoint;
-}
-
-/// One `{"ok":false,...}` line for errors the transport itself produces
-/// (the handler is never consulted for an unreadable stream).
-std::string TransportErrorLine(const std::string& message) {
-  JsonValue doc{JsonValue::Object{}};
-  doc.Set("ok", false);
-  doc.Set("code", "InvalidArgument");
-  doc.Set("error", message);
-  return doc.Dump();
 }
 
 }  // namespace
@@ -147,57 +136,6 @@ bool WriteAllFd(int fd, const std::string& data) {
   return true;
 }
 
-enum class ReadLineResult {
-  kLine,        // A complete '\n'-terminated line.
-  kPartial,     // EOF with a non-empty unterminated tail (truncated frame).
-  kEof,         // Clean EOF, nothing buffered.
-  kOversized,   // Line exceeded the cap; the stream cannot be resynced.
-  kError,       // recv failed.
-};
-
-/// Buffered line framing over recv(2): `buffer`/`pos` carry unconsumed
-/// bytes between calls (a chunked recv may deliver several lines, or a
-/// fraction of one). One syscall per ~4 KiB instead of one per byte —
-/// this path is the transport cost the serving benchmarks measure.
-ReadLineResult ReadLineBuffered(int fd, std::string* buffer, size_t* pos,
-                                size_t max_bytes, std::string* line) {
-  line->clear();
-  for (;;) {
-    const size_t newline = buffer->find('\n', *pos);
-    if (newline != std::string::npos) {
-      if (newline - *pos > max_bytes) {
-        *pos = newline + 1;
-        return ReadLineResult::kOversized;
-      }
-      line->assign(*buffer, *pos, newline - *pos);
-      *pos = newline + 1;
-      if (*pos == buffer->size()) {
-        buffer->clear();
-        *pos = 0;
-      }
-      return ReadLineResult::kLine;
-    }
-    if (buffer->size() - *pos > max_bytes) return ReadLineResult::kOversized;
-    if (*pos > 0) {
-      buffer->erase(0, *pos);
-      *pos = 0;
-    }
-    char chunk[4096];
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n == 0) {
-      if (buffer->empty()) return ReadLineResult::kEof;
-      line->assign(*buffer);
-      buffer->clear();
-      return ReadLineResult::kPartial;
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return ReadLineResult::kError;
-    }
-    buffer->append(chunk, size_t(n));
-  }
-}
-
 }  // namespace
 
 // ------------------------------------------------------------ ClientChannel
@@ -238,29 +176,17 @@ Result<ClientChannel> ClientChannel::Connect(const Endpoint& endpoint) {
 ClientChannel::~ClientChannel() { Close(); }
 
 ClientChannel::ClientChannel(ClientChannel&& other) noexcept
-    : fd_(other.fd_),
-      rx_buffer_(std::move(other.rx_buffer_)),
-      rx_pos_(other.rx_pos_) {
+    : fd_(other.fd_) {
   other.fd_ = -1;
-  other.rx_buffer_.clear();
-  other.rx_pos_ = 0;
 }
 
 ClientChannel& ClientChannel::operator=(ClientChannel&& other) noexcept {
   if (this != &other) {
     Close();
     fd_ = other.fd_;
-    rx_buffer_ = std::move(other.rx_buffer_);
-    rx_pos_ = other.rx_pos_;
     other.fd_ = -1;
-    other.rx_buffer_.clear();
-    other.rx_pos_ = 0;
   }
   return *this;
-}
-
-Status ClientChannel::SendLine(const std::string& line) {
-  return SendRaw(line + "\n");
 }
 
 Status ClientChannel::SendRaw(const std::string& bytes) {
@@ -272,39 +198,8 @@ Status ClientChannel::SendRaw(const std::string& bytes) {
   return Status::OK();
 }
 
-Result<std::string> ClientChannel::ReceiveLine(size_t max_bytes) {
-  if (fd_ < 0) return Status::FailedPrecondition("channel is closed");
-  std::string line;
-  switch (ReadLineBuffered(fd_, &rx_buffer_, &rx_pos_, max_bytes, &line)) {
-    case ReadLineResult::kLine:
-    case ReadLineResult::kPartial:  // Server's final line before close.
-      if (!line.empty()) return line;
-      [[fallthrough]];
-    case ReadLineResult::kEof:
-      return Status::IoError("server closed the connection");
-    case ReadLineResult::kOversized:
-      return Status::IoError("response line exceeds " +
-                             std::to_string(max_bytes) + " bytes");
-    case ReadLineResult::kError:
-      return Status::IoError("recv failed: " +
-                             std::string(std::strerror(errno)));
-  }
-  return Status::Internal("unreachable");
-}
-
 Result<std::string> ClientChannel::ReceiveRaw(size_t max_bytes) {
   if (fd_ < 0) return Status::FailedPrecondition("channel is closed");
-  if (rx_pos_ < rx_buffer_.size()) {
-    const size_t available = rx_buffer_.size() - rx_pos_;
-    const size_t take = available < max_bytes ? available : max_bytes;
-    std::string out = rx_buffer_.substr(rx_pos_, take);
-    rx_pos_ += take;
-    if (rx_pos_ == rx_buffer_.size()) {
-      rx_buffer_.clear();
-      rx_pos_ = 0;
-    }
-    return out;
-  }
   std::string out(max_bytes, '\0');
   for (;;) {
     const ssize_t n = ::recv(fd_, &out[0], max_bytes, 0);
@@ -318,23 +213,16 @@ Result<std::string> ClientChannel::ReceiveRaw(size_t max_bytes) {
   }
 }
 
-Result<std::string> ClientChannel::RoundTrip(const std::string& line) {
-  MODIS_RETURN_IF_ERROR(SendLine(line));
-  return ReceiveLine();
-}
-
 void ClientChannel::Close() {
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
   }
-  rx_buffer_.clear();
-  rx_pos_ = 0;
 }
 
-// --------------------------------------------------------------- LineServer
+// --------------------------------------------------------------- HttpServer
 
-LineServer::LineServer(Handler handler, Options options,
+HttpServer::HttpServer(HttpHandler handler, Options options,
                        ServiceMetrics* metrics)
     : handler_(std::move(handler)),
       options_(options),
@@ -344,7 +232,7 @@ LineServer::LineServer(Handler handler, Options options,
   }
 }
 
-LineServer::~LineServer() {
+HttpServer::~HttpServer() {
   RequestStop();
   std::map<uint64_t, std::thread> threads;
   {
@@ -372,7 +260,7 @@ LineServer::~LineServer() {
   if (stop_pipe_[1] >= 0) ::close(stop_pipe_[1]);
 }
 
-Status LineServer::Listen(const Endpoint& endpoint) {
+Status HttpServer::Listen(const Endpoint& endpoint) {
   if (stop_pipe_[0] < 0) {
     // Without the pipe, RequestStop() would be a silent no-op and the
     // drain contract (SIGTERM -> exit 0) unfulfillable: refuse to serve.
@@ -427,7 +315,7 @@ Status LineServer::Listen(const Endpoint& endpoint) {
   return Status::OK();
 }
 
-void LineServer::Serve() {
+void HttpServer::Serve() {
   std::vector<pollfd> fds;
   for (;;) {
     fds.clear();
@@ -472,6 +360,9 @@ void LineServer::Serve() {
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
     draining_ = true;
+    MODIS_LOG(INFO, "transport")
+        .Tag("connections", uint64_t(live_fds_.size()))
+        << "stopped accepting; draining open connections";
     for (auto& [id, fd] : live_fds_) {
       (void)id;
       ::shutdown(fd, SHUT_RD);
@@ -485,7 +376,7 @@ void LineServer::Serve() {
   }
 }
 
-void LineServer::RequestStop() {
+void HttpServer::RequestStop() {
   // Only async-signal-safe calls here: SIGTERM handlers call this.
   if (stop_pipe_[1] >= 0) {
     const char byte = 's';
@@ -494,7 +385,7 @@ void LineServer::RequestStop() {
   }
 }
 
-void LineServer::ReapFinishedLocked() {
+void HttpServer::ReapFinishedLocked() {
   for (uint64_t id : finished_) {
     auto it = threads_.find(id);
     if (it == threads_.end()) continue;
@@ -504,78 +395,8 @@ void LineServer::ReapFinishedLocked() {
   finished_.clear();
 }
 
-void LineServer::ServeConnection(uint64_t id, int fd) {
-  std::string line;
-  std::string buffer;
-  size_t pos = 0;
-  bool http = false;
-  if (http_handler_) {
-    // Protocol sniffing: the first bytes decide the dialect. Every HTTP
-    // method name fits in 8 bytes ("OPTIONS "), so the loop terminates
-    // as soon as that many arrive — or earlier, when the prefix already
-    // cannot be a method.
-    ProtocolGuess guess = SniffProtocol(buffer);
-    while (guess == ProtocolGuess::kNeedMoreBytes) {
-      char chunk[4096];
-      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) break;  // EOF/error before the protocol was clear:
-                          // the line loop below settles the connection.
-      buffer.append(chunk, size_t(n));
-      guess = SniffProtocol(buffer);
-    }
-    http = guess == ProtocolGuess::kHttp;
-  }
-  if (http) {
-    ServeHttpConnection(fd, buffer);
-    ::close(fd);
-    metrics_->connections_active.fetch_sub(1);
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    live_fds_.erase(id);
-    finished_.push_back(id);
-    return;
-  }
-  for (bool open = true; open;) {
-    const ReadLineResult read = ReadLineBuffered(
-        fd, &buffer, &pos, options_.max_line_bytes, &line);
-    switch (read) {
-      case ReadLineResult::kLine:
-      case ReadLineResult::kPartial: {
-        // A partial line is a truncated frame (the client died or gave
-        // up mid-request): it still gets one parse -> one clean error
-        // line (the write usually fails — that is fine), never a crash.
-        if (line.empty()) {
-          open = read == ReadLineResult::kLine;
-          break;
-        }
-        const std::string response = handler_(line);
-        metrics_->lines_served.fetch_add(1);
-        if (!WriteAllFd(fd, response + "\n")) {
-          metrics_->dropped_connections.fetch_add(1);
-          open = false;
-          break;
-        }
-        open = read == ReadLineResult::kLine;
-        break;
-      }
-      case ReadLineResult::kOversized:
-        metrics_->oversized_lines.fetch_add(1);
-        (void)WriteAllFd(
-            fd, TransportErrorLine("request line exceeds " +
-                                   std::to_string(options_.max_line_bytes) +
-                                   " bytes") +
-                    "\n");
-        open = false;
-        break;
-      case ReadLineResult::kError:
-        metrics_->dropped_connections.fetch_add(1);
-        open = false;
-        break;
-      case ReadLineResult::kEof:
-        open = false;
-        break;
-    }
-  }
+void HttpServer::ServeConnection(uint64_t id, int fd) {
+  ServeRequests(fd);
   ::close(fd);
   metrics_->connections_active.fetch_sub(1);
   std::lock_guard<std::mutex> lock(conn_mu_);
@@ -583,14 +404,13 @@ void LineServer::ServeConnection(uint64_t id, int fd) {
   finished_.push_back(id);
 }
 
-void LineServer::ServeHttpConnection(int fd, const std::string& initial) {
+void HttpServer::ServeRequests(int fd) {
   HttpParser parser(options_.http);
-  parser.Feed(initial);
   for (;;) {
     while (parser.has_request()) {
       const HttpRequest request = parser.TakeRequest();
       metrics_->http_requests.fetch_add(1);
-      HttpResponse response = http_handler_(request);
+      HttpResponse response = handler_(request);
       if (!request.keep_alive) response.close = true;
       if (response.status >= 400) metrics_->http_errors.fetch_add(1);
       if (!WriteAllFd(fd, response.Serialize())) {
@@ -637,37 +457,28 @@ ClientChannel& ClientChannel::operator=(ClientChannel&& other) noexcept {
   other.fd_ = -1;
   return *this;
 }
-Status ClientChannel::SendLine(const std::string&) {
-  return Status::Unimplemented("transport requires POSIX sockets");
-}
 Status ClientChannel::SendRaw(const std::string&) {
-  return Status::Unimplemented("transport requires POSIX sockets");
-}
-Result<std::string> ClientChannel::ReceiveLine(size_t) {
   return Status::Unimplemented("transport requires POSIX sockets");
 }
 Result<std::string> ClientChannel::ReceiveRaw(size_t) {
   return Status::Unimplemented("transport requires POSIX sockets");
 }
-Result<std::string> ClientChannel::RoundTrip(const std::string&) {
-  return Status::Unimplemented("transport requires POSIX sockets");
-}
 void ClientChannel::Close() {}
 
-LineServer::LineServer(Handler handler, Options options,
+HttpServer::HttpServer(HttpHandler handler, Options options,
                        ServiceMetrics* metrics)
     : handler_(std::move(handler)),
       options_(options),
       metrics_(metrics != nullptr ? metrics : &owned_metrics_) {}
-LineServer::~LineServer() = default;
-Status LineServer::Listen(const Endpoint&) {
+HttpServer::~HttpServer() = default;
+Status HttpServer::Listen(const Endpoint&) {
   return Status::Unimplemented("transport requires POSIX sockets");
 }
-void LineServer::Serve() {}
-void LineServer::RequestStop() {}
-void LineServer::ReapFinishedLocked() {}
-void LineServer::ServeConnection(uint64_t, int) {}
-void LineServer::ServeHttpConnection(int, const std::string&) {}
+void HttpServer::Serve() {}
+void HttpServer::RequestStop() {}
+void HttpServer::ReapFinishedLocked() {}
+void HttpServer::ServeConnection(uint64_t, int) {}
+void HttpServer::ServeRequests(int) {}
 
 #endif  // _WIN32
 

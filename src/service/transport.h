@@ -16,8 +16,8 @@
 namespace modis {
 
 /// A serving address of the discovery host: a unix-domain socket path or
-/// a TCP host:port. Both speak the same line-delimited JSON protocol
-/// (docs/SERVING.md §1) through the same accept loop (LineServer).
+/// a TCP host:port. Both speak HTTP/1.1 (docs/SERVING.md §1) through the
+/// same accept loop (HttpServer).
 struct Endpoint {
   enum class Kind { kUnix, kTcp };
 
@@ -30,7 +30,7 @@ struct Endpoint {
 };
 
 /// Parses the user-facing endpoint spelling, shared by `modis_server
-/// --listen`, `modis_cli --connect`, and `bench_serving --connect`:
+/// --listen` and `modis_cli --connect`:
 ///
 ///   "unix:PATH"                      explicit unix socket
 ///   "tcp:HOST:PORT"                  explicit TCP
@@ -38,8 +38,9 @@ struct Endpoint {
 ///   anything else (e.g. "/a.sock")   unix socket path
 Result<Endpoint> ParseEndpoint(const std::string& spec);
 
-/// Client side of the protocol: one connection, line-oriented. Move-only;
-/// the destructor closes the socket.
+/// Client side of one connection: raw bytes in and out, no framing (HTTP
+/// framing lives in service/http.h: ReadHttpReply). Move-only; the
+/// destructor closes the socket.
 class ClientChannel {
  public:
   static Result<ClientChannel> Connect(const Endpoint& endpoint);
@@ -51,44 +52,25 @@ class ClientChannel {
   ClientChannel(const ClientChannel&) = delete;
   ClientChannel& operator=(const ClientChannel&) = delete;
 
-  /// Writes `line` plus the terminating '\n'.
-  Status SendLine(const std::string& line);
-
-  /// Writes exactly `bytes`, no framing. Exists so fault-injection tests
-  /// can craft truncated frames (a partial line with no newline).
+  /// Writes exactly `bytes`.
   Status SendRaw(const std::string& bytes);
 
-  /// Reads one '\n'-terminated line (the newline is stripped). EOF before
-  /// any byte — or a line beyond `max_bytes` — is an IoError.
-  Result<std::string> ReceiveLine(size_t max_bytes = 1u << 20);
-
   /// Reads up to `max_bytes` raw bytes, blocking until at least one
-  /// arrives; a clean EOF returns the empty string. Serves any bytes
-  /// already buffered by ReceiveLine() first. Exists for clients of
-  /// non-line protocols (the HTTP tests frame by Content-Length).
+  /// arrives; a clean EOF returns the empty string.
   Result<std::string> ReceiveRaw(size_t max_bytes = 4096);
 
-  /// SendLine + ReceiveLine.
-  Result<std::string> RoundTrip(const std::string& line);
-
   void Close();
-  bool connected() const { return fd_ >= 0; }
 
  private:
   explicit ClientChannel(int fd) : fd_(fd) {}
 
   int fd_ = -1;
-  /// Receive buffering: a chunked recv may deliver more than one line
-  /// (or a fraction of one); the unconsumed tail carries over between
-  /// ReceiveLine() calls.
-  std::string rx_buffer_;
-  size_t rx_pos_ = 0;
 };
 
-/// The accept loop every transport of the discovery host shares. Listens
-/// on any number of endpoints (unix and TCP side by side), serves each
-/// connection on its own thread through a line handler, and owns the
-/// graceful-drain choreography:
+/// The HTTP/1.1 accept loop of the discovery host. Listens on any number
+/// of endpoints (unix and TCP side by side), serves each connection on its
+/// own thread through the incremental HttpParser (keep-alive and
+/// pipelining), and owns the graceful-drain choreography:
 ///
 ///   RequestStop() — async-signal-safe (one write(2) to an internal
 ///   pipe), so a SIGTERM handler may call it directly — makes Serve():
@@ -98,41 +80,35 @@ class ClientChannel {
 ///        writes its response — accepted work is completed, not dropped,
 ///     3. join every connection thread, then return.
 ///
-/// Oversized request lines are answered with one `{"ok":false,...}` line
-/// and a close (the stream cannot be resynced); a client that disconnects
-/// mid-request or mid-response never takes the host down — both paths are
-/// counted in ServiceMetrics and exercised by tests/transport_test.cc.
-class LineServer {
+/// Malformed or over-limit input (anything that is not HTTP/1.x, too)
+/// is answered with one typed 4xx/5xx and a close — the stream cannot be
+/// resynced; a client that disconnects mid-request or mid-response never
+/// takes the host down. Both paths are counted in ServiceMetrics and
+/// exercised by tests/http_test.cc and tests/transport_test.cc.
+class HttpServer {
  public:
   struct Options {
-    /// Request lines beyond this are rejected and the connection closed.
-    /// (Initialized in the constructor: an inline default would make
-    /// `Options()` as a default argument of the enclosing class's own
-    /// constructor ill-formed.)
-    size_t max_line_bytes;
     int listen_backlog;
-    /// Parser caps for HTTP connections (only consulted when an HTTP
-    /// handler is installed).
+    /// Parser caps applied to every connection.
     HttpParser::Limits http;
 
-    Options() : max_line_bytes(1u << 20), listen_backlog(16) {}
+    /// (Initialized here: an inline default would make `Options()` as a
+    /// default argument of the enclosing class's own constructor
+    /// ill-formed.)
+    Options() : listen_backlog(16) {}
   };
 
-  /// Maps one request line to one response line. Runs on the connection's
-  /// thread; must be thread-safe (the service's Answer() is).
-  using Handler = std::function<std::string(const std::string& line)>;
-
-  /// Maps one parsed HTTP request to one response. Runs on the
-  /// connection's thread; must be thread-safe.
+  /// Maps one parsed request to one response. Runs on the connection's
+  /// thread; must be thread-safe (RouteHttpRequest is).
   using HttpHandler = std::function<HttpResponse(const HttpRequest&)>;
 
-  LineServer(Handler handler, Options options = Options(),
+  HttpServer(HttpHandler handler, Options options = Options(),
              ServiceMetrics* metrics = nullptr);
   /// Implies RequestStop(); joins any still-running connection threads.
-  ~LineServer();
+  ~HttpServer();
 
-  LineServer(const LineServer&) = delete;
-  LineServer& operator=(const LineServer&) = delete;
+  HttpServer(const HttpServer&) = delete;
+  HttpServer& operator=(const HttpServer&) = delete;
 
   /// Binds + listens. May be called repeatedly to serve several endpoints
   /// from one accept loop. TCP port 0 is resolved to the kernel-assigned
@@ -150,26 +126,17 @@ class LineServer {
   /// Stops Serve() and starts the drain. Async-signal-safe; idempotent.
   void RequestStop();
 
-  /// Enables per-connection protocol sniffing: a connection whose first
-  /// bytes spell an HTTP method is served by `handler` through the
-  /// incremental HttpParser; anything else takes the line-JSON path, so
-  /// both dialects share one port. Install before Serve(); without it
-  /// the accept loop is byte-for-byte the pre-HTTP line server.
-  void set_http_handler(HttpHandler handler) {
-    http_handler_ = std::move(handler);
-  }
-
  private:
+  /// Runs ServeRequests(), then closes `fd` and files the thread for
+  /// reaping.
   void ServeConnection(uint64_t id, int fd);
-  /// HTTP side of a sniffed connection: keep-alive/pipelining loop until
-  /// close, parse error (answered with a typed 4xx/5xx, then close), or
-  /// EOF. `initial` holds the sniffed bytes already read.
-  void ServeHttpConnection(int fd, const std::string& initial);
+  /// One connection's keep-alive/pipelining loop until close, parse
+  /// error (answered with a typed 4xx/5xx, then close), or EOF.
+  void ServeRequests(int fd);
   /// Joins connection threads that have finished. Caller holds conn_mu_.
   void ReapFinishedLocked();
 
-  Handler handler_;
-  HttpHandler http_handler_;
+  HttpHandler handler_;
   Options options_;
   ServiceMetrics* metrics_;  // Never null (falls back to an owned one).
   ServiceMetrics owned_metrics_;

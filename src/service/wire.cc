@@ -3,8 +3,8 @@
 #include <cmath>
 #include <utility>
 
+#include "service/json.h"
 #include "service/qos.h"
-#include "service/worker.h"
 
 namespace modis {
 
@@ -54,12 +54,8 @@ std::vector<double> NumbersFromJson(const JsonValue& value) {
 
 }  // namespace
 
-Result<DiscoveryRequest> ParseDiscoveryRequest(const std::string& line) {
-  MODIS_ASSIGN_OR_RETURN(JsonValue doc, JsonValue::Parse(line));
-  return ParseDiscoveryRequestDoc(doc);
-}
-
-Result<DiscoveryRequest> ParseDiscoveryRequestDoc(const JsonValue& doc) {
+Result<DiscoveryRequest> ParseDiscoveryRequest(const std::string& text) {
+  MODIS_ASSIGN_OR_RETURN(JsonValue doc, JsonValue::Parse(text));
   if (!doc.is_object()) {
     return Status::InvalidArgument("request must be a JSON object");
   }
@@ -136,7 +132,7 @@ std::string SerializeDiscoveryRequest(const DiscoveryRequest& request) {
   }
   if (!request.api_key.empty()) doc.Set("api_key", request.api_key);
   // Emitted only when set so traced and untraced requests serialize to
-  // the same line otherwise — the warm-key / shed fingerprints that hash
+  // the same bytes otherwise — the warm-key / shed fingerprints that hash
   // serialized requests stay stable.
   if (request.trace) doc.Set("trace", true);
   doc.Set("seed", double(request.seed));
@@ -224,7 +220,7 @@ std::string SerializeDiscoveryError(const Status& status) {
   doc.Set("code", StatusCodeName(status.code()));
   doc.Set("error", status.message());
   // QoS rejections carry a machine-readable retry hint; surface it as a
-  // member so line-protocol clients need not parse the message.
+  // member so clients need not parse the message.
   if (const double retry_after = RetryAfterSeconds(status);
       retry_after > 0.0) {
     doc.Set("retry_after_s", retry_after);
@@ -355,49 +351,8 @@ std::string SerializeTraceDebug(const std::vector<Trace>& slowest,
   return doc.Dump();
 }
 
-std::string HandleServiceLine(DiscoveryService* service,
-                              const std::string& line) {
-  return HandleServiceLine(service, /*pool=*/nullptr, line);
-}
-
-std::string HandleServiceLine(DiscoveryService* service, WorkerPool* pool,
-                              const std::string& line) {
-  auto doc = JsonValue::Parse(line);
-  if (!doc.ok()) return SerializeDiscoveryError(doc.status());
-  if (doc->is_object()) {
-    const std::string verb = doc->GetString("verb", "");
-    if (verb == "metrics") {
-      MetricsSnapshot snapshot = service->SnapshotMetrics();
-      if (pool != nullptr) pool->FillMetrics(&snapshot);
-      return SerializeServiceMetrics(snapshot);
-    }
-    if (verb == "trace") {
-      return SerializeTraceDebug(service->SlowestTraces(),
-                                 service->RecentTraces());
-    }
-    if (!verb.empty() && verb != "discover") {
-      return SerializeDiscoveryError(Status::InvalidArgument(
-          "unknown verb '" + verb + "' (discover | metrics | trace)"));
-    }
-  }
-  auto request = ParseDiscoveryRequestDoc(*doc);
-  if (!request.ok()) return SerializeDiscoveryError(request.status());
-  if (pool != nullptr) {
-    // Validated above, so a malformed line is rejected here and never
-    // occupies a ring slot. The raw line travels; the worker's own
-    // dispatcher re-parses it — one codec, both modes.
-    std::string response;
-    const Status submitted = pool->Submit(line, &response);
-    if (!submitted.ok()) return SerializeDiscoveryError(submitted);
-    return response;
-  }
-  auto response = service->Answer(request.value());
-  if (!response.ok()) return SerializeDiscoveryError(response.status());
-  return SerializeDiscoveryResponse(response.value());
-}
-
-Result<DiscoveryResponse> ParseDiscoveryResponse(const std::string& line) {
-  MODIS_ASSIGN_OR_RETURN(JsonValue doc, JsonValue::Parse(line));
+Result<DiscoveryResponse> ParseDiscoveryResponse(const std::string& text) {
+  MODIS_ASSIGN_OR_RETURN(JsonValue doc, JsonValue::Parse(text));
   if (!doc.is_object()) {
     return Status::InvalidArgument("response must be a JSON object");
   }

@@ -7,41 +7,35 @@
 #include "common/status.h"
 #include "common/trace.h"
 #include "service/discovery_service.h"
-#include "service/json.h"
 
 namespace modis {
 
-/// The line-delimited JSON wire protocol of the discovery service
-/// (docs/SERVING.md): one request object per line in, one response object
-/// per line out. These codecs are the single source of truth for the
-/// field names; modis_server, modis_cli --connect, and the smoke test all
-/// go through them.
+/// The JSON codec of the discovery protocol (docs/SERVING.md): one
+/// request document in, one response document out. HTTP bodies (POST
+/// /v1/query) and shm job-ring slots both carry these documents, and
+/// these codecs are the single source of truth for the field names.
 
-/// Decodes one request line. Unknown members are ignored; absent members
-/// keep the DiscoveryRequest defaults; a wrong-typed or malformed
+/// Decodes one request document. Unknown members are ignored; absent
+/// members keep the DiscoveryRequest defaults; a wrong-typed or malformed
 /// document is an InvalidArgument.
-Result<DiscoveryRequest> ParseDiscoveryRequest(const std::string& line);
+Result<DiscoveryRequest> ParseDiscoveryRequest(const std::string& text);
 
-/// Same, over an already-parsed document (the handler parses once to
-/// dispatch on the "verb" member).
-Result<DiscoveryRequest> ParseDiscoveryRequestDoc(const JsonValue& doc);
-
-/// Encodes a request as one line (no trailing newline).
+/// Encodes a request as one compact document (no trailing newline).
 std::string SerializeDiscoveryRequest(const DiscoveryRequest& request);
 
-/// Encodes a response as `{"ok":true, ...}` on one line.
+/// Encodes a response as `{"ok":true, ...}`.
 std::string SerializeDiscoveryResponse(const DiscoveryResponse& response);
 
 /// Encodes a failure as `{"ok":false,"code":...,"error":...}`.
 std::string SerializeDiscoveryError(const Status& status);
 
-/// Decodes a response line (client side). A well-formed
+/// Decodes a response document (client side). A well-formed
 /// `{"ok":false,...}` document decodes into the transported Status.
-Result<DiscoveryResponse> ParseDiscoveryResponse(const std::string& line);
+Result<DiscoveryResponse> ParseDiscoveryResponse(const std::string& text);
 
 /// Encodes a metrics snapshot as `{"ok":true,"metrics":{...}}` — the
-/// response of the `"metrics"` verb and the host's shutdown dump. The
-/// member names are the metrics schema documented in docs/SERVING.md §5.
+/// host's shutdown dump. The member names are the JSON side of the one
+/// descriptor table behind GET /metrics (docs/SERVING.md §5).
 std::string SerializeServiceMetrics(const MetricsSnapshot& snapshot);
 
 /// Encodes the debug trace ring as one
@@ -49,32 +43,10 @@ std::string SerializeServiceMetrics(const MetricsSnapshot& snapshot);
 /// `trace_event` format (complete "X" events, timestamps/durations in
 /// microseconds), loadable as-is in about:tracing or ui.perfetto.dev.
 /// Each retained trace becomes one process (pid = request sequence)
-/// named after its request id; shared by the `"trace"` wire verb and
-/// `GET /v1/debug/traces` (docs/OBSERVABILITY.md).
+/// named after its request id; served by `GET /v1/debug/traces`
+/// (docs/OBSERVABILITY.md).
 std::string SerializeTraceDebug(const std::vector<Trace>& slowest,
                                 const std::vector<Trace>& recent);
-
-/// THE request dispatcher of the protocol: maps one request line to one
-/// response line, shared by `modis_server` (socket + stdio), and the
-/// in-process servers of tests/transport_test.cc. Dispatches on the
-/// optional "verb" member — absent or "discover" runs a discovery query
-/// through Answer(); "metrics" snapshots the host; "trace" dumps the
-/// retained slow/recent traces; anything else is an InvalidArgument
-/// line. Never throws, never returns an empty string.
-std::string HandleServiceLine(DiscoveryService* service,
-                              const std::string& line);
-
-class WorkerPool;
-
-/// Pool-aware dispatcher of the multi-process host
-/// (docs/MULTIPROCESS.md): "discover" lines are installed into the
-/// shared-memory job ring and answered by a worker process (the typed
-/// ring errors — full ring, oversized line, poisoned job — come back as
-/// error lines); "metrics" serves the coordinator's snapshot overlaid
-/// with the pool + ring series. A null `pool` is exactly the in-process
-/// dispatcher above.
-std::string HandleServiceLine(DiscoveryService* service, WorkerPool* pool,
-                              const std::string& line);
 
 }  // namespace modis
 

@@ -35,19 +35,41 @@ void OnSpan(const char* name) {
   }
   if (g_hold_span != nullptr && strcmp(name, g_hold_span) == 0 &&
       g_hold_armed.exchange(false)) {
-    MODIS_LOG(WARN, "worker")
+    MODIS_LOG(WARN, "hold")
         .Tag("pid", int64_t(::getpid()))
         << "holding at span " << name << " until SIGUSR1 or kill";
     while (g_hold_released == 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-    MODIS_LOG(INFO, "worker") << "released from span " << name;
+    MODIS_LOG(INFO, "hold") << "released from span " << name;
   }
 }
 
 void SelfKill() { ::kill(::getpid(), SIGKILL); }
 
+/// One ring job: parse -> Answer -> serialize. Never throws and always
+/// yields a document — a malformed request or a failed query becomes its
+/// typed error document, which is an answered job, not a failed one.
+std::string AnswerJob(DiscoveryService* service, const std::string& job) {
+  auto request = ParseDiscoveryRequest(job);
+  if (!request.ok()) return SerializeDiscoveryError(request.status());
+  auto response = service->Answer(request.value());
+  if (!response.ok()) return SerializeDiscoveryError(response.status());
+  return SerializeDiscoveryResponse(response.value());
+}
+
 }  // namespace
+
+void ArmTestHold(const std::string& span) {
+  static std::string hold_span;  // Outlives every observer call.
+  hold_span = span;
+  g_hold_span = hold_span.c_str();
+  g_hold_armed = true;
+  struct sigaction release = {};
+  release.sa_handler = &ReleaseHold;
+  ::sigaction(SIGUSR1, &release, nullptr);
+  SetGlobalSpanObserver(&OnSpan);
+}
 
 Status RunWorkerLoop(DiscoveryService* service, const WorkerOptions& options) {
   std::unique_ptr<ShmRing> ring;
@@ -67,16 +89,7 @@ Status RunWorkerLoop(DiscoveryService* service, const WorkerOptions& options) {
     return Status::InvalidArgument("unknown crash_at point: " +
                                    options.crash_at);
   }
-  if (!options.hold_at.empty()) {
-    static std::string hold_span;  // Outlives every observer call.
-    hold_span = options.hold_at;
-    g_hold_span = hold_span.c_str();
-    g_hold_armed = true;
-    struct sigaction release = {};
-    release.sa_handler = &ReleaseHold;
-    ::sigaction(SIGUSR1, &release, nullptr);
-    SetGlobalSpanObserver(&OnSpan);
-  }
+  if (!options.hold_at.empty()) ArmTestHold(options.hold_at);
   MODIS_LOG(INFO, "worker") << "worker " << options.worker_index
                             << " draining ring " << options.ring_path;
   for (;;) {
@@ -90,11 +103,8 @@ Status RunWorkerLoop(DiscoveryService* service, const WorkerOptions& options) {
                                                             : next;
     }
     if (options.crash_at == "claimed") SelfKill();
-    // The dispatcher never throws and always yields a response line —
-    // a malformed request becomes its typed error line, which is an
-    // answered job, not a failed one.
-    const std::string response = HandleServiceLine(service, job.request);
-    const Status completed = ring->Complete(job, Status::OK(), response);
+    const Status completed =
+        ring->Complete(job, Status::OK(), AnswerJob(service, job.request));
     if (!completed.ok() &&
         completed.code() != StatusCode::kFailedPrecondition) {
       MODIS_LOG(WARN, "worker")

@@ -33,17 +33,24 @@ struct WorkerOptions {
   /// or "mid_response" (inside Complete() while holding the ring mutex
   /// — the robust-mutex owner-death case).
   std::string crash_at;
-  /// Test-only hold point: "" (never), or a span name ("train",
-  /// "context", ...). The first time a query opens that span, the worker
-  /// logs "holding at span NAME" and parks there until it receives
-  /// SIGUSR1 or is killed — a deterministic "mid-query" for kill and
-  /// placement tests, where a sleep would race the query.
+  /// Test-only hold point: "" (never), or a span name armed through
+  /// ArmTestHold().
   std::string hold_at;
 };
 
+/// Test-only hold point of a host process, in-process and worker mode
+/// alike: the first time any query of this process opens span `span`
+/// ("train", "context", ...), it logs "holding at span NAME" and parks
+/// there until the process receives SIGUSR1 or is killed — a
+/// deterministic "mid-query" for kill, drain, and placement tests, where
+/// a sleep would race the query. Installs the SIGUSR1 handler and the
+/// process-global span observer; call once, before serving.
+void ArmTestHold(const std::string& span);
+
 /// Drains the ring until stop is requested: claim a job, answer it
-/// through the service's wire dispatcher (HandleServiceLine), publish
-/// the response line. Runs in a worker process whose DiscoveryService
+/// (parse -> DiscoveryService::Answer -> serialize; a bad request or a
+/// failed query is answered with its typed error document), publish the
+/// response. Runs in a worker process whose DiscoveryService
 /// was built with Options::shared_cache so the pool shares one cache
 /// file. Returns OK on a clean stop.
 Status RunWorkerLoop(DiscoveryService* service, const WorkerOptions& options);

@@ -6,10 +6,9 @@
 /// 4xx/5xx, or "need more bytes", never crash —, the same abuse replayed
 /// over real sockets (the host survives, answers what it can with typed
 /// errors, and leaks no session thread), the endpoint router, Prometheus
-/// exposition parity with the `"metrics"` wire verb, cross-transport
-/// answer identity (unix line-JSON == TCP line-JSON == HTTP), and
-/// tenant rate limiting surfacing as 429 + Retry-After. The
-/// `sanitize-thread` CI job runs this suite under ThreadSanitizer.
+/// exposition parity with the JSON shutdown dump, and tenant rate
+/// limiting surfacing as 429 + Retry-After. The `sanitize-thread` and
+/// `sanitize-address` CI jobs run this suite under the sanitizers.
 
 #include <gtest/gtest.h>
 
@@ -52,14 +51,6 @@ Endpoint UnixEndpoint(const std::string& name) {
   return endpoint;
 }
 
-Endpoint TcpAnyPort() {
-  Endpoint endpoint;
-  endpoint.kind = Endpoint::Kind::kTcp;
-  endpoint.host = "127.0.0.1";
-  endpoint.port = 0;  // Resolved at bind.
-  return endpoint;
-}
-
 /// The canonical test query (same shape as tests/transport_test.cc).
 DiscoveryRequest MakeRequest(const std::string& variant) {
   DiscoveryRequest request;
@@ -81,23 +72,19 @@ DiscoveryService::Options SmallServiceOptions() {
   return options;
 }
 
-/// An in-process discovery host speaking BOTH dialects on every
-/// endpoint: the line handler plus the HTTP router behind the sniffer.
+/// An in-process discovery host: the HTTP router behind a real
+/// HttpServer on every endpoint.
 class HttpHost {
  public:
   explicit HttpHost(
       DiscoveryService::Options service_options = SmallServiceOptions(),
-      LineServer::Options server_options = LineServer::Options())
+      HttpServer::Options server_options = HttpServer::Options())
       : service_(service_options),
         server_(
-            [this](const std::string& line) {
-              return HandleServiceLine(&service_, line);
+            [this](const HttpRequest& request) {
+              return RouteHttpRequest(&service_, request);
             },
-            server_options, service_.metrics()) {
-    server_.set_http_handler([this](const HttpRequest& request) {
-      return RouteHttpRequest(&service_, request);
-    });
-  }
+            server_options, service_.metrics()) {}
 
   ~HttpHost() { Stop(); }
 
@@ -113,111 +100,34 @@ class HttpHost {
   }
 
   DiscoveryService& service() { return service_; }
-  LineServer& server() { return server_; }
   const Endpoint& endpoint(size_t i = 0) const {
     return server_.endpoints().at(i);
   }
 
  private:
   DiscoveryService service_;
-  LineServer server_;
+  HttpServer server_;
   std::thread serving_;
 };
 
-// ------------------------------------------------- minimal HTTP client
-
-struct HttpReply {
-  int status = 0;
-  std::vector<std::pair<std::string, std::string>> headers;  // Lowercased.
-  std::string body;
-
-  const std::string* FindHeader(const std::string& lower_name) const {
-    for (const auto& [name, value] : headers) {
-      if (name == lower_name) return &value;
+/// Finds `series` (a metric name, optionally with a label set, e.g.
+/// `modis_tenant_shed_total{tenant="gold"}`) at the start of a line and
+/// returns its sample value.
+double PromValue(const std::string& exposition, const std::string& series,
+                 bool* found) {
+  size_t pos = 0;
+  while ((pos = exposition.find(series, pos)) != std::string::npos) {
+    const bool at_line_start = pos == 0 || exposition[pos - 1] == '\n';
+    const size_t after = pos + series.size();
+    if (at_line_start && after < exposition.size() &&
+        exposition[after] == ' ') {
+      *found = true;
+      return std::strtod(exposition.c_str() + after + 1, nullptr);
     }
-    return nullptr;
+    pos = after;
   }
-};
-
-std::string ToLowerCopy(std::string text) {
-  for (char& c : text) {
-    if (c >= 'A' && c <= 'Z') c = char(c - 'A' + 'a');
-  }
-  return text;
-}
-
-/// Reads one Content-Length-framed response. `carry` holds bytes beyond
-/// the previous response on the same connection (pipelining).
-Result<HttpReply> ReadHttpReply(ClientChannel* channel, std::string* carry) {
-  size_t head_end;
-  for (;;) {
-    head_end = carry->find("\r\n\r\n");
-    if (head_end != std::string::npos) break;
-    auto chunk = channel->ReceiveRaw();
-    if (!chunk.ok()) return chunk.status();
-    if (chunk->empty()) {
-      return Status::IoError("connection closed before the header end");
-    }
-    *carry += *chunk;
-  }
-  HttpReply reply;
-  const size_t line_end = carry->find("\r\n");
-  const std::string status_line = carry->substr(0, line_end);
-  if (status_line.rfind("HTTP/1.1 ", 0) != 0 || status_line.size() < 12) {
-    return Status::InvalidArgument("bad status line: " + status_line);
-  }
-  reply.status = std::atoi(status_line.c_str() + 9);
-  size_t content_length = 0;
-  size_t pos = line_end + 2;
-  while (pos < head_end) {
-    const size_t end = carry->find("\r\n", pos);
-    const std::string line = carry->substr(pos, end - pos);
-    pos = end + 2;
-    const size_t colon = line.find(':');
-    if (colon == std::string::npos) {
-      return Status::InvalidArgument("bad header line: " + line);
-    }
-    std::string name = ToLowerCopy(line.substr(0, colon));
-    std::string value = line.substr(colon + 1);
-    while (!value.empty() && (value.front() == ' ' || value.front() == '\t')) {
-      value.erase(value.begin());
-    }
-    if (name == "content-length") {
-      content_length = size_t(std::strtoull(value.c_str(), nullptr, 10));
-    }
-    reply.headers.emplace_back(std::move(name), std::move(value));
-  }
-  carry->erase(0, head_end + 4);
-  while (carry->size() < content_length) {
-    auto chunk = channel->ReceiveRaw();
-    if (!chunk.ok()) return chunk.status();
-    if (chunk->empty()) return Status::IoError("connection closed mid-body");
-    *carry += *chunk;
-  }
-  reply.body = carry->substr(0, content_length);
-  carry->erase(0, content_length);
-  return reply;
-}
-
-std::string HttpGetText(const std::string& path,
-                        const std::string& extra = "") {
-  return "GET " + path + " HTTP/1.1\r\nHost: test\r\n" + extra + "\r\n";
-}
-
-std::string HttpPostText(const std::string& path, const std::string& body,
-                         const std::string& extra = "") {
-  return "POST " + path + " HTTP/1.1\r\nHost: test\r\n" + extra +
-         "Content-Length: " + std::to_string(body.size()) + "\r\n\r\n" + body;
-}
-
-/// One request/response exchange on a fresh connection.
-Result<HttpReply> HttpRoundTrip(const Endpoint& endpoint,
-                                const std::string& wire) {
-  MODIS_ASSIGN_OR_RETURN(ClientChannel channel,
-                         ClientChannel::Connect(endpoint));
-  MODIS_RETURN_IF_ERROR(channel.SendRaw(wire));
-  std::string carry;
-  return ReadHttpReply(&channel, &carry);
+  *found = false;
+  return 0.0;
 }
 
 // The typed statuses the front door may answer a malformed stream with.
@@ -524,22 +434,6 @@ TEST(HttpParserTest, SingleBitFlipFuzzOverHeadTerminatesTyped) {
   }
 }
 
-// ----------------------------------------------------------- sniffing
-
-TEST(SniffProtocolTest, ClassifiesPrefixes) {
-  EXPECT_EQ(SniffProtocol(""), ProtocolGuess::kNeedMoreBytes);
-  EXPECT_EQ(SniffProtocol("G"), ProtocolGuess::kNeedMoreBytes);
-  EXPECT_EQ(SniffProtocol("GET"), ProtocolGuess::kNeedMoreBytes);
-  EXPECT_EQ(SniffProtocol("GET "), ProtocolGuess::kHttp);
-  EXPECT_EQ(SniffProtocol("GET /metrics"), ProtocolGuess::kHttp);
-  EXPECT_EQ(SniffProtocol("POST /v1/query"), ProtocolGuess::kHttp);
-  EXPECT_EQ(SniffProtocol("OPTIONS"), ProtocolGuess::kNeedMoreBytes);
-  EXPECT_EQ(SniffProtocol("OPTIONS "), ProtocolGuess::kHttp);
-  EXPECT_EQ(SniffProtocol("{\"task\":\"T2\"}"), ProtocolGuess::kLineJson);
-  EXPECT_EQ(SniffProtocol("GETX"), ProtocolGuess::kLineJson);
-  EXPECT_EQ(SniffProtocol("get "), ProtocolGuess::kLineJson);  // Lowercase.
-}
-
 // ------------------------------------------------------ endpoint router
 
 TEST(HttpRouterTest, ServesQueryHealthzMetricsAndTypedErrors) {
@@ -549,9 +443,15 @@ TEST(HttpRouterTest, ServesQueryHealthzMetricsAndTypedErrors) {
   ASSERT_TRUE(host.Listen(UnixEndpoint("http_router.sock")).ok());
   host.Start();
 
-  // POST /v1/query answers the canonical query.
+  // POST /v1/query answers the canonical query; the scrape below rides
+  // the same keep-alive connection, the only one opened so far.
+  auto channel = ClientChannel::Connect(host.endpoint());
+  ASSERT_TRUE(channel.ok()) << channel.status().ToString();
+  std::string carry;
   const std::string body = SerializeDiscoveryRequest(MakeRequest("bi"));
-  auto query = HttpRoundTrip(host.endpoint(), HttpPostText("/v1/query", body));
+  ASSERT_TRUE(
+      channel->SendRaw(FormatHttpRequest("POST", "/v1/query", body)).ok());
+  auto query = ReadHttpReply(&*channel, &carry);
   ASSERT_TRUE(query.ok()) << query.status().ToString();
   EXPECT_EQ(query->status, 200);
   ASSERT_NE(query->FindHeader("content-type"), nullptr);
@@ -560,8 +460,54 @@ TEST(HttpRouterTest, ServesQueryHealthzMetricsAndTypedErrors) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_FALSE(parsed->skyline.empty());
 
+  // GET /metrics is Prometheus exposition of the host's counters,
+  // gauges, and histograms after the one query.
+  ASSERT_TRUE(channel->SendRaw(FormatHttpRequest("GET", "/metrics")).ok());
+  auto metrics = ReadHttpReply(&*channel, &carry);
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  EXPECT_EQ(metrics->status, 200);
+  ASSERT_NE(metrics->FindHeader("content-type"), nullptr);
+  EXPECT_EQ(*metrics->FindHeader("content-type"),
+            "text/plain; version=0.0.4; charset=utf-8");
+  const std::vector<std::pair<std::string, double>> expected = {
+      {"modis_accepted_total", 1.0},      {"modis_served_total", 1.0},
+      {"modis_rejected_total", 0.0},      {"modis_failed_total", 0.0},
+      {"modis_queue_depth", 0.0},         {"modis_live_contexts", 1.0},
+      {"modis_context_builds_total", 1.0}, {"modis_cache_files", 1.0},
+      {"modis_run_ms_count", 1.0},        {"modis_draining", 0.0},
+      {"modis_connections_active", 1.0},
+  };
+  for (const auto& [series, value] : expected) {
+    bool found = false;
+    EXPECT_EQ(PromValue(metrics->body, series, &found), value) << series;
+    EXPECT_TRUE(found) << series;
+  }
+  for (const char* series :
+       {"modis_cache_appends_total", "modis_cache_bytes", "modis_run_ms_sum"}) {
+    bool found = false;
+    EXPECT_GT(PromValue(metrics->body, series, &found), 0.0) << series;
+    EXPECT_TRUE(found) << series;
+  }
+
+  // The JSON shutdown dump carries the latency quantiles the exposition
+  // leaves out.
+  auto dump = JsonValue::Parse(
+      SerializeServiceMetrics(host.service().SnapshotMetrics()));
+  ASSERT_TRUE(dump.ok()) << dump.status().ToString();
+  const JsonValue* dump_metrics = dump->Get("metrics");
+  ASSERT_NE(dump_metrics, nullptr);
+  EXPECT_EQ(dump_metrics->GetNumber("connections_active", -1), 1.0);
+  const JsonValue* run_ms = dump_metrics->Get("run_ms");
+  ASSERT_NE(run_ms, nullptr);
+  EXPECT_EQ(run_ms->GetNumber("count", -1), 1.0);
+  EXPECT_GT(run_ms->GetNumber("sum_ms", -1), 0.0);
+  EXPECT_GT(run_ms->GetNumber("p50_ms", -1), 0.0);
+  EXPECT_GE(run_ms->GetNumber("p99_ms", -1), run_ms->GetNumber("p50_ms", -1));
+  EXPECT_LE(run_ms->GetNumber("p99_ms", -1), run_ms->GetNumber("max_ms", -1));
+  channel->Close();
+
   // GET /healthz.
-  auto health = HttpRoundTrip(host.endpoint(), HttpGetText("/healthz"));
+  auto health = HttpExchange(host.endpoint(), "GET", "/healthz");
   ASSERT_TRUE(health.ok()) << health.status().ToString();
   EXPECT_EQ(health->status, 200);
   auto health_doc = JsonValue::Parse(health->body);
@@ -569,27 +515,17 @@ TEST(HttpRouterTest, ServesQueryHealthzMetricsAndTypedErrors) {
   EXPECT_TRUE(health_doc->GetBool("ok", false));
   EXPECT_FALSE(health_doc->GetBool("draining", true));
 
-  // GET /metrics is Prometheus exposition.
-  auto metrics = HttpRoundTrip(host.endpoint(), HttpGetText("/metrics"));
-  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
-  EXPECT_EQ(metrics->status, 200);
-  ASSERT_NE(metrics->FindHeader("content-type"), nullptr);
-  EXPECT_EQ(*metrics->FindHeader("content-type"),
-            "text/plain; version=0.0.4; charset=utf-8");
-  EXPECT_NE(metrics->body.find("modis_served_total 1"), std::string::npos)
-      << metrics->body.substr(0, 512);
-
   // Unknown path -> 404; wrong method -> 405 with Allow; bad body -> 400.
-  auto missing = HttpRoundTrip(host.endpoint(), HttpGetText("/nope"));
+  auto missing = HttpExchange(host.endpoint(), "GET", "/nope");
   ASSERT_TRUE(missing.ok());
   EXPECT_EQ(missing->status, 404);
-  auto wrong = HttpRoundTrip(host.endpoint(), HttpGetText("/v1/query"));
+  auto wrong = HttpExchange(host.endpoint(), "GET", "/v1/query");
   ASSERT_TRUE(wrong.ok());
   EXPECT_EQ(wrong->status, 405);
   ASSERT_NE(wrong->FindHeader("allow"), nullptr);
   EXPECT_EQ(*wrong->FindHeader("allow"), "POST");
-  auto bad = HttpRoundTrip(host.endpoint(),
-                           HttpPostText("/v1/query", "this is not json"));
+  auto bad =
+      HttpExchange(host.endpoint(), "POST", "/v1/query", "this is not json");
   ASSERT_TRUE(bad.ok());
   EXPECT_EQ(bad->status, 400);
   auto bad_doc = JsonValue::Parse(bad->body);
@@ -614,8 +550,9 @@ TEST(HttpRouterTest, KeepAliveServesPipelinedRequestsInOrder) {
   // Three pipelined requests in one write; responses come back in order
   // on the same connection.
   ASSERT_TRUE(channel
-                  ->SendRaw(HttpGetText("/healthz") + HttpGetText("/metrics") +
-                            HttpGetText("/healthz"))
+                  ->SendRaw(FormatHttpRequest("GET", "/healthz") +
+                            FormatHttpRequest("GET", "/metrics") +
+                            FormatHttpRequest("GET", "/healthz"))
                   .ok());
   std::string carry;
   auto first = ReadHttpReply(&*channel, &carry);
@@ -644,8 +581,8 @@ TEST(HttpFaultTest, TruncatedRequestsAtEveryByteLeakNothing) {
   ASSERT_TRUE(host.Listen(UnixEndpoint("http_trunc.sock")).ok());
   host.Start();
 
-  const std::string wire = HttpPostText(
-      "/v1/query", "{\"verb\":\"discover\",\"task\":\"T2\"}");
+  const std::string wire = FormatHttpRequest(
+      "POST", "/v1/query", "{\"task\":\"T2\",\"variant\":\"bi\"}");
   size_t opened = 0;
   for (size_t cut = 0; cut < wire.size(); ++cut) {
     auto channel = ClientChannel::Connect(host.endpoint());
@@ -656,7 +593,7 @@ TEST(HttpFaultTest, TruncatedRequestsAtEveryByteLeakNothing) {
   }
 
   // The host is unharmed: a full request still answers.
-  auto probe = HttpRoundTrip(host.endpoint(), HttpGetText("/healthz"));
+  auto probe = HttpExchange(host.endpoint(), "GET", "/healthz");
   ASSERT_TRUE(probe.ok()) << probe.status().ToString();
   EXPECT_EQ(probe->status, 200);
   ++opened;
@@ -673,7 +610,7 @@ TEST(HttpFaultTest, SingleBitFlipFuzzOverHeadNeverKillsTheHost) {
   ASSERT_TRUE(host.Listen(UnixEndpoint("http_fuzz.sock")).ok());
   host.Start();
 
-  const std::string head = HttpGetText("/healthz");
+  const std::string head = FormatHttpRequest("GET", "/healthz");
   for (size_t i = 0; i < head.size(); ++i) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string mutated = head;
@@ -689,7 +626,7 @@ TEST(HttpFaultTest, SingleBitFlipFuzzOverHeadNeverKillsTheHost) {
     }
   }
 
-  auto probe = HttpRoundTrip(host.endpoint(), HttpGetText("/healthz"));
+  auto probe = HttpExchange(host.endpoint(), "GET", "/healthz");
   ASSERT_TRUE(probe.ok()) << probe.status().ToString();
   EXPECT_EQ(probe->status, 200);
 
@@ -699,7 +636,7 @@ TEST(HttpFaultTest, SingleBitFlipFuzzOverHeadNeverKillsTheHost) {
 }
 
 TEST(HttpFaultTest, OversizedAndMalformedStreamsGetTypedErrorsThenClose) {
-  LineServer::Options server_options;
+  HttpServer::Options server_options;
   server_options.http.max_request_line_bytes = 256;
   server_options.http.max_header_bytes = 512;
   server_options.http.max_body_bytes = 1024;
@@ -755,9 +692,9 @@ TEST(HttpFaultTest, MidPipelineDisconnectCompletesWhatWasRead) {
     ASSERT_TRUE(channel.ok());
     // Three pipelined requests; read one response, then vanish.
     ASSERT_TRUE(channel
-                    ->SendRaw(HttpGetText("/healthz") +
-                              HttpGetText("/metrics") +
-                              HttpGetText("/healthz"))
+                    ->SendRaw(FormatHttpRequest("GET", "/healthz") +
+                              FormatHttpRequest("GET", "/metrics") +
+                              FormatHttpRequest("GET", "/healthz"))
                     .ok());
     std::string carry;
     auto first = ReadHttpReply(&*channel, &carry);
@@ -766,7 +703,7 @@ TEST(HttpFaultTest, MidPipelineDisconnectCompletesWhatWasRead) {
     channel->Close();
   }
 
-  auto probe = HttpRoundTrip(host.endpoint(), HttpGetText("/healthz"));
+  auto probe = HttpExchange(host.endpoint(), "GET", "/healthz");
   ASSERT_TRUE(probe.ok()) << probe.status().ToString();
   EXPECT_EQ(probe->status, 200);
 
@@ -775,135 +712,7 @@ TEST(HttpFaultTest, MidPipelineDisconnectCompletesWhatWasRead) {
   EXPECT_EQ(snapshot.connections_active, 0u);
 }
 
-// ----------------------------------------- line-JSON and HTTP share ports
-
-TEST(HttpTransportTest, BothDialectsShareOneTcpPort) {
-  HttpHost host;
-  ASSERT_TRUE(host.Listen(TcpAnyPort()).ok());
-  host.Start();
-
-  // Line-JSON on the port.
-  auto line_channel = ClientChannel::Connect(host.endpoint());
-  ASSERT_TRUE(line_channel.ok());
-  auto line_reply = line_channel->RoundTrip("{\"verb\":\"metrics\"}");
-  ASSERT_TRUE(line_reply.ok()) << line_reply.status().ToString();
-  auto doc = JsonValue::Parse(line_reply.value());
-  ASSERT_TRUE(doc.ok());
-  EXPECT_TRUE(doc->GetBool("ok", false));
-
-  // HTTP on the same port.
-  auto http_reply = HttpRoundTrip(host.endpoint(), HttpGetText("/healthz"));
-  ASSERT_TRUE(http_reply.ok()) << http_reply.status().ToString();
-  EXPECT_EQ(http_reply->status, 200);
-
-  host.Stop();
-  const MetricsSnapshot snapshot = host.service().SnapshotMetrics();
-  EXPECT_EQ(snapshot.lines_served, 1u);
-  EXPECT_EQ(snapshot.http_requests, 1u);
-  EXPECT_EQ(snapshot.connections_active, 0u);
-}
-
-// ------------------------------------------------ cross-transport identity
-
-void ExpectSameSkylines(const DiscoveryResponse& a,
-                        const DiscoveryResponse& b) {
-  ASSERT_EQ(a.skyline.size(), b.skyline.size());
-  ASSERT_FALSE(a.skyline.empty());
-  auto sorted = [](const DiscoveryResponse& r) {
-    std::vector<DiscoverySkylineRow> rows = r.skyline;
-    std::sort(rows.begin(), rows.end(),
-              [](const DiscoverySkylineRow& x, const DiscoverySkylineRow& y) {
-                return x.signature < y.signature;
-              });
-    return rows;
-  };
-  const auto rows_a = sorted(a);
-  const auto rows_b = sorted(b);
-  for (size_t i = 0; i < rows_a.size(); ++i) {
-    EXPECT_EQ(rows_a[i].signature, rows_b[i].signature);
-    ASSERT_EQ(rows_a[i].raw.size(), rows_b[i].raw.size());
-    for (size_t j = 0; j < rows_a[i].raw.size(); ++j) {
-      EXPECT_EQ(rows_a[i].raw[j], rows_b[i].raw[j]);
-      EXPECT_EQ(rows_a[i].normalized[j], rows_b[i].normalized[j]);
-    }
-  }
-}
-
-/// The cross-transport identity gate: the same warm query over unix
-/// line-JSON, TCP line-JSON, and HTTP returns byte-identical skyline
-/// rows, with exact_evals == 0 on every warm path.
-TEST(HttpTransportTest, WarmAnswersAreIdenticalAcrossAllThreeTransports) {
-  DiscoveryService::Options options = SmallServiceOptions();
-  options.default_cache_path = TempPath("http_identity.rlog");
-  HttpHost host(options);
-  ASSERT_TRUE(host.Listen(UnixEndpoint("http_identity.sock")).ok());
-  ASSERT_TRUE(host.Listen(TcpAnyPort()).ok());
-  host.Start();
-
-  const std::string request = SerializeDiscoveryRequest(MakeRequest("bi"));
-
-  // Cold once (over unix) to warm the record cache.
-  auto cold_channel = ClientChannel::Connect(host.endpoint(0));
-  ASSERT_TRUE(cold_channel.ok());
-  auto cold_reply = cold_channel->RoundTrip(request);
-  ASSERT_TRUE(cold_reply.ok());
-  auto cold = ParseDiscoveryResponse(cold_reply.value());
-  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  EXPECT_GT(cold->exact_evals, 0u);
-
-  // Warm via unix line-JSON.
-  auto unix_reply = cold_channel->RoundTrip(request);
-  ASSERT_TRUE(unix_reply.ok());
-  auto warm_unix = ParseDiscoveryResponse(unix_reply.value());
-  ASSERT_TRUE(warm_unix.ok()) << warm_unix.status().ToString();
-
-  // Warm via TCP line-JSON.
-  auto tcp_channel = ClientChannel::Connect(host.endpoint(1));
-  ASSERT_TRUE(tcp_channel.ok());
-  auto tcp_reply = tcp_channel->RoundTrip(request);
-  ASSERT_TRUE(tcp_reply.ok());
-  auto warm_tcp = ParseDiscoveryResponse(tcp_reply.value());
-  ASSERT_TRUE(warm_tcp.ok()) << warm_tcp.status().ToString();
-
-  // Warm via HTTP on the TCP port.
-  auto http_reply =
-      HttpRoundTrip(host.endpoint(1), HttpPostText("/v1/query", request));
-  ASSERT_TRUE(http_reply.ok()) << http_reply.status().ToString();
-  ASSERT_EQ(http_reply->status, 200);
-  auto warm_http = ParseDiscoveryResponse(http_reply->body);
-  ASSERT_TRUE(warm_http.ok()) << warm_http.status().ToString();
-
-  EXPECT_EQ(warm_unix->exact_evals, 0u);
-  EXPECT_EQ(warm_tcp->exact_evals, 0u);
-  EXPECT_EQ(warm_http->exact_evals, 0u);
-  ExpectSameSkylines(*cold, *warm_unix);
-  ExpectSameSkylines(*warm_unix, *warm_tcp);
-  ExpectSameSkylines(*warm_tcp, *warm_http);
-
-  host.Stop();
-}
-
 // -------------------------------------------------- exposition parity
-
-/// Finds `series` (a metric name, optionally with a label set, e.g.
-/// `modis_tenant_shed_total{tenant="gold"}`) at the start of a line and
-/// returns its sample value.
-double PromValue(const std::string& exposition, const std::string& series,
-                 bool* found) {
-  size_t pos = 0;
-  while ((pos = exposition.find(series, pos)) != std::string::npos) {
-    const bool at_line_start = pos == 0 || exposition[pos - 1] == '\n';
-    const size_t after = pos + series.size();
-    if (at_line_start && after < exposition.size() &&
-        exposition[after] == ' ') {
-      *found = true;
-      return std::strtod(exposition.c_str() + after + 1, nullptr);
-    }
-    pos = after;
-  }
-  *found = false;
-  return 0.0;
-}
 
 /// Every line of a 0.0.4 exposition is a comment (`# HELP`/`# TYPE`) or
 /// a `name[{labels}] value` sample with a parseable value.
@@ -935,9 +744,10 @@ void ExpectValidExposition(const std::string& text) {
   EXPECT_GT(samples, 0u);
 }
 
-/// The parity contract: GET /metrics and the `{"verb":"metrics"}` wire
-/// snapshot agree value-for-value over the SAME quiesced snapshot.
-TEST(ExpositionParityTest, PrometheusAgreesWithWireMetricsValueForValue) {
+/// The parity contract: GET /metrics and the JSON shutdown dump
+/// (SerializeServiceMetrics) agree value-for-value over the SAME quiesced
+/// snapshot.
+TEST(ExpositionParityTest, PrometheusAgreesWithJsonDumpValueForValue) {
   DiscoveryService::Options options = SmallServiceOptions();
   TenantSpec gold;
   gold.name = "gold";
@@ -1063,7 +873,7 @@ TEST(HttpTraceTest, TraceHeaderRequestIdAndDebugEndpoint) {
 
   // An untraced query carries a request id in header and body but no
   // span tree.
-  auto plain = HttpRoundTrip(host.endpoint(), HttpPostText("/v1/query", body));
+  auto plain = HttpExchange(host.endpoint(), "POST", "/v1/query", body);
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
   ASSERT_EQ(plain->status, 200);
   const std::string* plain_id = plain->FindHeader("x-modis-request-id");
@@ -1075,8 +885,8 @@ TEST(HttpTraceTest, TraceHeaderRequestIdAndDebugEndpoint) {
 
   // X-Modis-Trace: 1 turns on the inline span tree (warm-path answer
   // identity under tracing is covered in tests/service_test.cc).
-  auto traced = HttpRoundTrip(
-      host.endpoint(), HttpPostText("/v1/query", body, "X-Modis-Trace: 1\r\n"));
+  auto traced = HttpExchange(host.endpoint(), "POST", "/v1/query", body,
+                             "X-Modis-Trace: 1\r\n");
   ASSERT_TRUE(traced.ok()) << traced.status().ToString();
   ASSERT_EQ(traced->status, 200);
   const std::string* traced_id = traced->FindHeader("x-modis-request-id");
@@ -1090,7 +900,7 @@ TEST(HttpTraceTest, TraceHeaderRequestIdAndDebugEndpoint) {
 
   // GET /v1/debug/traces serves Chrome trace_event JSON whose process
   // metadata names both request ids.
-  auto debug = HttpRoundTrip(host.endpoint(), HttpGetText("/v1/debug/traces"));
+  auto debug = HttpExchange(host.endpoint(), "GET", "/v1/debug/traces");
   ASSERT_TRUE(debug.ok()) << debug.status().ToString();
   EXPECT_EQ(debug->status, 200);
   ASSERT_NE(debug->FindHeader("content-type"), nullptr);
@@ -1115,8 +925,7 @@ TEST(HttpTraceTest, TraceHeaderRequestIdAndDebugEndpoint) {
   EXPECT_TRUE(saw_traced);
 
   // The debug surface is GET-only.
-  auto wrong =
-      HttpRoundTrip(host.endpoint(), HttpPostText("/v1/debug/traces", "{}"));
+  auto wrong = HttpExchange(host.endpoint(), "POST", "/v1/debug/traces", "{}");
   ASSERT_TRUE(wrong.ok());
   EXPECT_EQ(wrong->status, 405);
   ASSERT_NE(wrong->FindHeader("allow"), nullptr);
@@ -1140,14 +949,13 @@ TEST(HttpQosTest, RateLimitedTenantGets429WithRetryAfter) {
   host.Start();
 
   const std::string body = SerializeDiscoveryRequest(MakeRequest("bi"));
-  const std::string wire =
-      HttpPostText("/v1/query", body, "X-Api-Key: bronze-key\r\n");
+  const std::string key = "X-Api-Key: bronze-key\r\n";
   for (int i = 0; i < 2; ++i) {
-    auto reply = HttpRoundTrip(host.endpoint(), wire);
+    auto reply = HttpExchange(host.endpoint(), "POST", "/v1/query", body, key);
     ASSERT_TRUE(reply.ok()) << reply.status().ToString();
     EXPECT_EQ(reply->status, 200) << "request " << i;
   }
-  auto limited = HttpRoundTrip(host.endpoint(), wire);
+  auto limited = HttpExchange(host.endpoint(), "POST", "/v1/query", body, key);
   ASSERT_TRUE(limited.ok()) << limited.status().ToString();
   EXPECT_EQ(limited->status, 429);
   ASSERT_NE(limited->FindHeader("retry-after"), nullptr);
@@ -1158,8 +966,8 @@ TEST(HttpQosTest, RateLimitedTenantGets429WithRetryAfter) {
   EXPECT_GT(doc->GetNumber("retry_after_s", 0.0), 0.0);
 
   // An unknown key lands on the unlimited anonymous tenant: still served.
-  auto anonymous = HttpRoundTrip(
-      host.endpoint(), HttpPostText("/v1/query", body, "X-Api-Key: who\r\n"));
+  auto anonymous = HttpExchange(host.endpoint(), "POST", "/v1/query", body,
+                                "X-Api-Key: who\r\n");
   ASSERT_TRUE(anonymous.ok());
   EXPECT_EQ(anonymous->status, 200);
 

@@ -1221,11 +1221,11 @@ TEST(WireTest, TraceFlagAndRequestIdRoundTrip) {
   EXPECT_EQ(parsed->trace_spans[0].attrs[0].second, 2);
 }
 
-TEST(WireTest, TraceVerbServesTheDebugRing) {
+TEST(WireTest, TraceDebugRingIsChromeTraceEventJson) {
   DiscoveryService service(SmallServiceOptions());
   ASSERT_TRUE(service.Answer(MakeRequest("apx")).ok());
   const std::string reply =
-      HandleServiceLine(&service, "{\"verb\":\"trace\"}");
+      SerializeTraceDebug(service.SlowestTraces(), service.RecentTraces());
   auto doc = JsonValue::Parse(reply);
   ASSERT_TRUE(doc.ok()) << reply;
   EXPECT_TRUE(doc->GetBool("ok", false));
@@ -1247,10 +1247,6 @@ TEST(WireTest, TraceVerbServesTheDebugRing) {
   }
   EXPECT_TRUE(meta_seen);
   EXPECT_TRUE(complete_seen);
-
-  const std::string unknown = HandleServiceLine(
-      &service, "{\"verb\":\"frobnicate\",\"task\":\"T2\"}");
-  EXPECT_NE(unknown.find("discover | metrics | trace"), std::string::npos);
 }
 
 TEST(QosTest, HighPriorityJumpsTheAdmissionQueue) {

@@ -1,11 +1,11 @@
 /// Concurrency and fault-injection battery of the serving transport
-/// (src/service/transport.h) and its wire dispatcher: endpoint grammar,
-/// malformed/truncated/oversized/out-of-range requests, mid-request
-/// disconnects, the `"metrics"` verb, TCP-vs-unix answer equivalence,
-/// and the graceful-drain contract (stop mid-stream with in-flight
-/// queries => every accepted request is answered, identically to an
-/// undisturbed run, and no session thread leaks). The `sanitize-thread`
-/// CI job runs this suite under ThreadSanitizer.
+/// (src/service/transport.h): endpoint grammar, malformed and
+/// out-of-range request bodies, a non-HTTP first line, TCP-vs-unix answer
+/// equivalence, and the graceful-drain contract (stop mid-stream with
+/// in-flight queries => every accepted request is answered, identically
+/// to an undisturbed run, and no session thread leaks). HTTP framing
+/// faults are tests/http_test.cc's. The `sanitize-thread` and
+/// `sanitize-address` CI jobs run this suite under the sanitizers.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "service/discovery_service.h"
+#include "service/http.h"
 #include "service/json.h"
 #include "service/metrics.h"
 #include "service/transport.h"
@@ -75,20 +76,19 @@ DiscoveryService::Options SmallServiceOptions() {
   return options;
 }
 
-/// An in-process discovery host behind a real LineServer: the service,
-/// the shared line handler, and a background accept loop. Stop() (or the
+/// An in-process discovery host behind a real HttpServer: the service,
+/// the endpoint router, and a background accept loop. Stop() (or the
 /// destructor) runs the drain and joins.
 class TestHost {
  public:
   explicit TestHost(
-      DiscoveryService::Options service_options = SmallServiceOptions(),
-      LineServer::Options server_options = LineServer::Options())
+      DiscoveryService::Options service_options = SmallServiceOptions())
       : service_(service_options),
         server_(
-            [this](const std::string& line) {
-              return HandleServiceLine(&service_, line);
+            [this](const HttpRequest& request) {
+              return RouteHttpRequest(&service_, request);
             },
-            server_options, service_.metrics()) {}
+            HttpServer::Options(), service_.metrics()) {}
 
   ~TestHost() { Stop(); }
 
@@ -105,16 +105,27 @@ class TestHost {
   }
 
   DiscoveryService& service() { return service_; }
-  LineServer& server() { return server_; }
+  HttpServer& server() { return server_; }
   const Endpoint& endpoint(size_t i = 0) const {
     return server_.endpoints().at(i);
   }
 
  private:
   DiscoveryService service_;
-  LineServer server_;
+  HttpServer server_;
   std::thread serving_;
 };
+
+/// Sends one query on an open keep-alive connection and decodes the
+/// answer body (a non-200 reply decodes into its transported Status).
+Result<DiscoveryResponse> Query(ClientChannel* channel,
+                                const DiscoveryRequest& request) {
+  MODIS_RETURN_IF_ERROR(channel->SendRaw(FormatHttpRequest(
+      "POST", "/v1/query", SerializeDiscoveryRequest(request))));
+  std::string carry;
+  MODIS_ASSIGN_OR_RETURN(HttpReply reply, ReadHttpReply(channel, &carry));
+  return ParseDiscoveryResponse(reply.body);
+}
 
 void ExpectSameSkylines(const DiscoveryResponse& a,
                         const DiscoveryResponse& b) {
@@ -133,9 +144,10 @@ void ExpectSameSkylines(const DiscoveryResponse& a,
   for (size_t i = 0; i < rows_a.size(); ++i) {
     EXPECT_EQ(rows_a[i].signature, rows_b[i].signature);
     ASSERT_EQ(rows_a[i].raw.size(), rows_b[i].raw.size());
+    // Exact: the JSON codec round-trips doubles bit for bit.
     for (size_t j = 0; j < rows_a[i].raw.size(); ++j) {
-      EXPECT_DOUBLE_EQ(rows_a[i].raw[j], rows_b[i].raw[j]);
-      EXPECT_DOUBLE_EQ(rows_a[i].normalized[j], rows_b[i].normalized[j]);
+      EXPECT_EQ(rows_a[i].raw[j], rows_b[i].raw[j]);
+      EXPECT_EQ(rows_a[i].normalized[j], rows_b[i].normalized[j]);
     }
   }
 }
@@ -183,7 +195,7 @@ TEST(EndpointTest, RejectsMalformedSpecs) {
 // -------------------------------------------------------- fault injection
 
 TEST(TransportFaultTest,
-     MalformedAndOutOfRangeLinesGetErrorsOnOneLiveConnection) {
+     MalformedAndOutOfRangeBodiesGetErrorsOnOneLiveConnection) {
   TestHost host;
   ASSERT_TRUE(host.Listen(UnixEndpoint("fault_basic.sock")).ok());
   host.Start();
@@ -191,12 +203,11 @@ TEST(TransportFaultTest,
   auto channel = ClientChannel::Connect(host.endpoint());
   ASSERT_TRUE(channel.ok()) << channel.status().ToString();
 
-  const std::vector<std::string> bad_lines = {
+  const std::vector<std::string> bad_bodies = {
       "this is not json",
       "{\"task\":",                          // Truncated document.
       "[1,2,3]",                             // Not an object.
       "{\"variant\":\"bi\"}",                // Missing task.
-      "{\"verb\":\"frobnicate\"}",           // Unknown verb.
       "{\"task\":\"T2\",\"budget\":1e300}",  // Out-of-range count.
       "{\"task\":\"T2\",\"budget\":-4}",     // Negative count.
       "{\"task\":\"T2\",\"maxl\":2.5}",      // Non-integer count.
@@ -204,151 +215,75 @@ TEST(TransportFaultTest,
       "{\"task\":\"T2\",\"alpha\":7}",       // Out-of-range alpha.
       "{\"task\":\"T2\",\"seed\":1e17}",     // Seed beyond 2^53.
   };
-  for (const std::string& line : bad_lines) {
-    auto reply = channel->RoundTrip(line);
-    ASSERT_TRUE(reply.ok()) << "connection died after: " << line;
-    auto doc = JsonValue::Parse(reply.value());
-    ASSERT_TRUE(doc.ok()) << reply.value();
-    EXPECT_FALSE(doc->GetBool("ok", true)) << line;
-    EXPECT_EQ(doc->GetString("code", ""), "InvalidArgument") << line;
+  std::string carry;
+  for (const std::string& body : bad_bodies) {
+    ASSERT_TRUE(
+        channel->SendRaw(FormatHttpRequest("POST", "/v1/query", body)).ok())
+        << body;
+    auto reply = ReadHttpReply(&*channel, &carry);
+    ASSERT_TRUE(reply.ok()) << "connection died after: " << body;
+    EXPECT_EQ(reply->status, 400) << body;
+    auto doc = JsonValue::Parse(reply->body);
+    ASSERT_TRUE(doc.ok()) << reply->body;
+    EXPECT_FALSE(doc->GetBool("ok", true)) << body;
+    EXPECT_EQ(doc->GetString("code", ""), "InvalidArgument") << body;
   }
 
-  // The connection survived the whole barrage: a valid verb still works.
-  auto metrics = channel->RoundTrip("{\"verb\":\"metrics\"}");
-  ASSERT_TRUE(metrics.ok());
-  auto doc = JsonValue::Parse(metrics.value());
-  ASSERT_TRUE(doc.ok());
-  EXPECT_TRUE(doc->GetBool("ok", false));
+  // The connection survived the whole barrage: a valid request still
+  // works on it.
+  ASSERT_TRUE(channel->SendRaw(FormatHttpRequest("GET", "/healthz")).ok());
+  auto health = ReadHttpReply(&*channel, &carry);
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(health->status, 200);
 
   host.Stop();
   const MetricsSnapshot snapshot = host.service().SnapshotMetrics();
   EXPECT_EQ(snapshot.connections_active, 0u);
-  EXPECT_EQ(snapshot.lines_served, bad_lines.size() + 1);
+  EXPECT_EQ(snapshot.connections_opened, 1u);
+  EXPECT_EQ(snapshot.http_requests, bad_bodies.size() + 1);
+  EXPECT_EQ(snapshot.http_errors, bad_bodies.size());
+  EXPECT_EQ(snapshot.accepted, 0u) << "a bad body reached the service";
 }
 
-TEST(TransportFaultTest, OversizedLineIsAnsweredAndConnectionClosed) {
-  LineServer::Options tiny;
-  tiny.max_line_bytes = 512;
-  TestHost host(SmallServiceOptions(), tiny);
-  ASSERT_TRUE(host.Listen(UnixEndpoint("fault_oversize.sock")).ok());
-  host.Start();
-
-  auto channel = ClientChannel::Connect(host.endpoint());
-  ASSERT_TRUE(channel.ok());
-  auto reply = channel->RoundTrip(std::string(4096, 'a'));
-  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  auto doc = JsonValue::Parse(reply.value());
-  ASSERT_TRUE(doc.ok()) << reply.value();
-  EXPECT_FALSE(doc->GetBool("ok", true));
-  EXPECT_NE(doc->GetString("error", "").find("exceeds"), std::string::npos);
-  // The stream cannot be resynced after an oversized line: closed.
-  EXPECT_FALSE(channel->ReceiveLine().ok());
-
-  // The host is unharmed; a new connection serves normally.
-  auto fresh = ClientChannel::Connect(host.endpoint());
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_TRUE(fresh->RoundTrip("{\"verb\":\"metrics\"}").ok());
-
-  host.Stop();
-  const MetricsSnapshot snapshot = host.service().SnapshotMetrics();
-  EXPECT_EQ(snapshot.oversized_lines, 1u);
-  EXPECT_EQ(snapshot.connections_active, 0u);
-}
-
-TEST(TransportFaultTest, TruncatedFramesAndMidRequestDisconnectsLeakNothing) {
+/// One protocol: a client speaking anything but HTTP/1.x — here a bare
+/// JSON request line — gets one typed 400 and a close, and the host keeps
+/// serving.
+TEST(TransportFaultTest, NonHttpFirstLineGetsTyped400AndClose) {
   TestHost host;
-  ASSERT_TRUE(host.Listen(UnixEndpoint("fault_disconnect.sock")).ok());
+  ASSERT_TRUE(host.Listen(UnixEndpoint("fault_nonhttp.sock")).ok());
   host.Start();
 
   {
-    // Truncated frame: half a request, no terminating newline, then
-    // close. The server answers the fragment with one clean error line
-    // (usually into a closed socket) and moves on.
     auto channel = ClientChannel::Connect(host.endpoint());
     ASSERT_TRUE(channel.ok());
-    ASSERT_TRUE(channel->SendRaw("{\"task\":\"T2\",\"varia").ok());
-    channel->Close();
-  }
-  {
-    // Mid-request disconnect: a full line, but the client vanishes
-    // before reading the response — the server's write fails; never the
-    // host.
-    auto channel = ClientChannel::Connect(host.endpoint());
-    ASSERT_TRUE(channel.ok());
-    ASSERT_TRUE(channel->SendLine("not json at all").ok());
-    channel->Close();
-  }
-  {
-    // Empty connection: open, say nothing, close.
-    auto channel = ClientChannel::Connect(host.endpoint());
-    ASSERT_TRUE(channel.ok());
-    channel->Close();
+    ASSERT_TRUE(channel->SendRaw("{\"task\":\"T2\"}\n").ok());
+    std::string carry;
+    auto reply = ReadHttpReply(&*channel, &carry);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(reply->status, 400);
+    ASSERT_NE(reply->FindHeader("connection"), nullptr);
+    EXPECT_EQ(*reply->FindHeader("connection"), "close");
+    auto doc = JsonValue::Parse(reply->body);
+    ASSERT_TRUE(doc.ok()) << reply->body;
+    EXPECT_FALSE(doc->GetBool("ok", true));
+    EXPECT_EQ(doc->GetNumber("status", 0), 400.0);
+    // Closed after the typed error: the next read is EOF.
+    auto after = channel->ReceiveRaw();
+    ASSERT_TRUE(after.ok());
+    EXPECT_TRUE(after->empty()) << "connection still open";
   }
 
-  // The host still serves after all three abuse patterns.
-  auto probe = ClientChannel::Connect(host.endpoint());
-  ASSERT_TRUE(probe.ok());
-  auto reply = probe->RoundTrip("{\"verb\":\"metrics\"}");
-  ASSERT_TRUE(reply.ok());
-  auto doc = JsonValue::Parse(reply.value());
-  ASSERT_TRUE(doc.ok());
-  EXPECT_TRUE(doc->GetBool("ok", false));
+  // The next connection is served normally.
+  auto probe = HttpExchange(host.endpoint(), "GET", "/healthz");
+  ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+  EXPECT_EQ(probe->status, 200);
 
-  // No session thread leaks: the drain returns and every connection is
-  // accounted for.
   host.Stop();
   const MetricsSnapshot snapshot = host.service().SnapshotMetrics();
   EXPECT_EQ(snapshot.connections_active, 0u);
-  EXPECT_EQ(snapshot.connections_opened, 4u);
-}
-
-// ------------------------------------------------------------ metrics verb
-
-TEST(TransportTest, MetricsVerbExportsCountersAndHistograms) {
-  DiscoveryService::Options options = SmallServiceOptions();
-  options.default_cache_path = TempPath("metrics_verb.rlog");
-  TestHost host(options);
-  ASSERT_TRUE(host.Listen(UnixEndpoint("metrics_verb.sock")).ok());
-  host.Start();
-
-  auto channel = ClientChannel::Connect(host.endpoint());
-  ASSERT_TRUE(channel.ok());
-  auto served =
-      channel->RoundTrip(SerializeDiscoveryRequest(MakeRequest("bi")));
-  ASSERT_TRUE(served.ok());
-  auto response = ParseDiscoveryResponse(served.value());
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-
-  auto reply = channel->RoundTrip("{\"verb\":\"metrics\"}");
-  ASSERT_TRUE(reply.ok());
-  auto doc = JsonValue::Parse(reply.value());
-  ASSERT_TRUE(doc.ok()) << reply.value();
-  EXPECT_TRUE(doc->GetBool("ok", false));
-  const JsonValue* metrics = doc->Get("metrics");
-  ASSERT_NE(metrics, nullptr);
-  EXPECT_EQ(metrics->GetNumber("accepted", -1), 1.0);
-  EXPECT_EQ(metrics->GetNumber("served", -1), 1.0);
-  EXPECT_EQ(metrics->GetNumber("rejected", -1), 0.0);
-  EXPECT_EQ(metrics->GetNumber("failed", -1), 0.0);
-  EXPECT_EQ(metrics->GetNumber("queue_depth", -1), 0.0);
-  EXPECT_EQ(metrics->GetNumber("live_contexts", -1), 1.0);
-  EXPECT_EQ(metrics->GetNumber("context_builds", -1), 1.0);
-  EXPECT_EQ(metrics->GetNumber("cache_files", -1), 1.0);
-  EXPECT_GT(metrics->GetNumber("cache_appends", -1), 0.0);
-  EXPECT_GT(metrics->GetNumber("cache_bytes", -1), 0.0);
-  EXPECT_EQ(metrics->GetNumber("connections_active", -1), 1.0);
-  // lines_served counts lines already answered when the snapshot was
-  // taken: the discovery query, not the metrics line being served.
-  EXPECT_EQ(metrics->GetNumber("lines_served", -1), 1.0);
-  EXPECT_FALSE(metrics->GetBool("draining", true));
-  const JsonValue* run_ms = metrics->Get("run_ms");
-  ASSERT_NE(run_ms, nullptr);
-  EXPECT_EQ(run_ms->GetNumber("count", -1), 1.0);
-  EXPECT_GT(run_ms->GetNumber("sum_ms", -1), 0.0);
-  EXPECT_GE(run_ms->GetNumber("p99_ms", -1),
-            run_ms->GetNumber("p50_ms", -1));
-
-  host.Stop();
+  EXPECT_EQ(snapshot.connections_opened, 2u);
+  EXPECT_EQ(snapshot.http_errors, 1u);
+  EXPECT_EQ(snapshot.accepted, 0u);
 }
 
 // ----------------------------------------------------- TCP == unix answers
@@ -363,27 +298,29 @@ TEST(TransportTest, TcpAndUnixTransportsServeIdenticalWarmAnswers) {
   EXPECT_NE(host.endpoint(1).port, 0) << "ephemeral port not resolved";
   host.Start();
 
-  const std::string request = SerializeDiscoveryRequest(MakeRequest("bi"));
+  const DiscoveryRequest request = MakeRequest("bi");
 
   // Cold over unix: trains and records.
   auto unix_channel = ClientChannel::Connect(host.endpoint(0));
   ASSERT_TRUE(unix_channel.ok());
-  auto cold_reply = unix_channel->RoundTrip(request);
-  ASSERT_TRUE(cold_reply.ok());
-  auto cold = ParseDiscoveryResponse(cold_reply.value());
+  auto cold = Query(&*unix_channel, request);
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   EXPECT_GT(cold->exact_evals, 0u);
 
-  // Warm over TCP: replays everything, answers identically.
+  // Warm over unix (same keep-alive connection) and over TCP: both
+  // replay everything and answer byte-identically.
+  auto warm_unix = Query(&*unix_channel, request);
+  ASSERT_TRUE(warm_unix.ok()) << warm_unix.status().ToString();
   auto tcp_channel = ClientChannel::Connect(host.endpoint(1));
   ASSERT_TRUE(tcp_channel.ok()) << tcp_channel.status().ToString();
-  auto warm_reply = tcp_channel->RoundTrip(request);
-  ASSERT_TRUE(warm_reply.ok());
-  auto warm = ParseDiscoveryResponse(warm_reply.value());
-  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-  EXPECT_EQ(warm->exact_evals, 0u);
-  EXPECT_EQ(warm->persistent_hits, cold->exact_evals);
-  ExpectSameSkylines(*cold, *warm);
+  auto warm_tcp = Query(&*tcp_channel, request);
+  ASSERT_TRUE(warm_tcp.ok()) << warm_tcp.status().ToString();
+  for (const DiscoveryResponse* warm : {&*warm_unix, &*warm_tcp}) {
+    EXPECT_EQ(warm->exact_evals, 0u);
+    EXPECT_EQ(warm->persistent_hits, cold->exact_evals);
+    ExpectSameSkylines(*cold, *warm);
+  }
+  ExpectSameSkylines(*warm_unix, *warm_tcp);
 
   host.Stop();
 }
@@ -419,8 +356,8 @@ TEST(TransportDrainTest, StopMidStreamCompletesAllAcceptedWork) {
   ASSERT_TRUE(host.service().Preload("T2").ok());
 
   // 4 clients send their requests, then block on the response.
-  std::vector<Result<std::string>> replies(
-      variants.size(), Result<std::string>(Status::Internal("unset")));
+  std::vector<Result<HttpReply>> replies(
+      variants.size(), Result<HttpReply>(Status::Internal("unset")));
   std::vector<std::thread> clients;
   std::atomic<size_t> sent{0};
   for (size_t i = 0; i < variants.size(); ++i) {
@@ -431,14 +368,16 @@ TEST(TransportDrainTest, StopMidStreamCompletesAllAcceptedWork) {
         sent.fetch_add(1);
         return;
       }
-      const Status submitted = channel->SendLine(
-          SerializeDiscoveryRequest(MakeRequest(variants[i])));
+      const Status submitted = channel->SendRaw(FormatHttpRequest(
+          "POST", "/v1/query",
+          SerializeDiscoveryRequest(MakeRequest(variants[i]))));
       sent.fetch_add(1);
       if (!submitted.ok()) {
         replies[i] = submitted;
         return;
       }
-      replies[i] = channel->ReceiveLine();
+      std::string carry;
+      replies[i] = ReadHttpReply(&*channel, &carry);
     });
   }
 
@@ -464,7 +403,8 @@ TEST(TransportDrainTest, StopMidStreamCompletesAllAcceptedWork) {
   for (size_t i = 0; i < variants.size(); ++i) {
     ASSERT_TRUE(replies[i].ok())
         << variants[i] << ": " << replies[i].status().ToString();
-    auto response = ParseDiscoveryResponse(replies[i].value());
+    EXPECT_EQ(replies[i]->status, 200) << variants[i];
+    auto response = ParseDiscoveryResponse(replies[i]->body);
     ASSERT_TRUE(response.ok())
         << variants[i] << ": " << response.status().ToString();
     ExpectSameSkylines(reference[i], *response);
