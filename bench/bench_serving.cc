@@ -12,31 +12,23 @@
 ///      bench asserts 0 exact trainings during the measured phase).
 ///   3. The warm phase repeats with 1, 2, and 4 concurrent clients
 ///      sharing the one locked cache file.
-///   4. `warm_pool`: the same warm mix through a multi-process worker
-///      pool (`--workers N`, default 2; 0 skips the phase) — worker
-///      processes draining the shared-memory job ring on the shared
-///      warm cache, the crash-isolated host of docs/MULTIPROCESS.md.
-///      Quantifies what process isolation costs versus `warm_service`
-///      (ring hop + cross-process cache snapshot vs a function call).
-///   5. `qos_overload`: an open-loop flood at ~2x the measured capacity
+///   4. `qos_overload`: an open-loop flood at ~2x the measured capacity
 ///      against a QoS-enabled service (gold priority 10, bronze priority
 ///      0, small admission queue). Gates: every shed is 429-class, some
 ///      bronze work is shed, and gold's contended p99 stays within 3x
 ///      its uncontended p99 (docs/SERVING.md §7).
 ///
 /// Usage: bench_serving [--json] [--queries N] [--task T1] [--scale S]
-///                      [--threads N] [--workers N]
+///                      [--threads N]
 ///
-/// The same warm phases through a running modis_server over HTTP are
-/// bench/e2e's job (bench/e2e/README.md).
+/// The same warm phases through a running modis_server over HTTP, in
+/// process and through the multi-process worker pool (`pool_read_write`),
+/// are bench/e2e's job (bench/e2e/README.md).
 ///
 /// --json emits one serving-metrics record per (mode, clients) pair:
 ///   {"bench":"serving","mode":..,"clients":..,"queries":..,"qps":..,
 ///    "p50_ms":..,"p99_ms":..,"exact_evals":..,"persistent_hits":..,
-///    "speedup_p50_vs_cold":..[,"transport":..]
-///    [,"tenant":..,"offered":..,"shed":..]}
-
-#include <unistd.h>
+///    "speedup_p50_vs_cold":..[,"tenant":..,"offered":..,"shed":..]}
 
 #include <algorithm>
 #include <atomic>
@@ -44,7 +36,6 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <mutex>
@@ -56,7 +47,6 @@
 #include "service/http.h"
 #include "service/qos.h"
 #include "service/wire.h"
-#include "service/worker.h"
 
 using namespace modis;
 
@@ -68,11 +58,7 @@ struct Args {
   std::string task = "T1";
   double scale = 0.4;
   size_t threads = 0;
-  size_t workers = 2;    // warm_pool worker processes; 0 skips the phase.
 };
-
-/// Absolute path of this binary, for re-exec'ing pool worker children.
-std::string g_self_exe;
 
 Args ParseArgs(int argc, char** argv) {
   Args args;
@@ -95,12 +81,10 @@ Args ParseArgs(int argc, char** argv) {
       args.scale = std::stod(value());
     } else if (arg == "--threads") {
       args.threads = std::stoul(value());
-    } else if (arg == "--workers") {
-      args.workers = std::stoul(value());
     } else {
       std::fprintf(stderr,
                    "unknown argument %s (supported: --json, --queries N, "
-                   "--task T, --scale S, --threads N, --workers N)\n",
+                   "--task T, --scale S, --threads N)\n",
                    arg.c_str());
       std::exit(2);
     }
@@ -140,7 +124,6 @@ double Percentile(std::vector<double> sorted_ms, double p) {
 
 struct PhaseResult {
   std::string mode;
-  std::string transport;  // "shm_ring" in the warm_pool phases; else empty.
   std::string tenant;     // QoS overload phases only; else empty.
   size_t clients = 1;
   size_t queries = 0;
@@ -188,9 +171,6 @@ void PrintJson(const std::vector<PhaseResult>& phases, double cold_p50) {
             ? 1.0
             : cold_p50 / std::max(p50, 1e-9);
     std::string extra;
-    if (!r.transport.empty()) {
-      extra += ", \"transport\": \"" + r.transport + "\"";
-    }
     if (!r.tenant.empty()) {
       extra += ", \"tenant\": \"" + r.tenant + "\", \"offered\": " +
                std::to_string(r.offered) + ", \"shed\": " +
@@ -209,74 +189,9 @@ void PrintJson(const std::vector<PhaseResult>& phases, double cold_p50) {
   std::printf("]\n");
 }
 
-// ------------------------------------------------- warm_pool helpers
-
-/// Entry point of a spawned pool worker (`--worker-role`): a
-/// shared-cache DiscoveryService draining the coordinator's ring, same
-/// shape as a `modis_server --worker-attach` child.
-int RunWorkerRole(const std::string& ring, uint32_t index,
-                  const std::string& cache, double scale, size_t threads) {
-  DiscoveryService::Options options;
-  options.sessions = 1;
-  options.valuation_threads = threads;
-  options.task_row_scale = scale;
-  options.default_cache_path = cache;
-  options.shared_cache = true;
-  options.request_id_prefix = "q-w" + std::to_string(index) + "-";
-  DiscoveryService service(options);
-  WorkerOptions worker_options;
-  worker_options.ring_path = ring;
-  worker_options.worker_index = index;
-  worker_options.poll_ms = 50;
-  return RunWorkerLoop(&service, worker_options).ok() ? 0 : 1;
-}
-
-pid_t SpawnBenchWorker(const Args& args, const std::string& cache_path,
-                       const std::string& ring_path, uint32_t worker) {
-  std::vector<std::string> storage = {
-      g_self_exe,
-      "--worker-role",
-      "--ring", ring_path,
-      "--index", std::to_string(worker),
-      "--cache", cache_path,
-      "--scale", std::to_string(args.scale),
-      "--threads", std::to_string(args.threads),
-  };
-  std::vector<char*> argv;
-  argv.reserve(storage.size() + 1);
-  for (std::string& arg : storage) argv.push_back(arg.data());
-  argv.push_back(nullptr);
-  const pid_t pid = ::fork();
-  if (pid == 0) {
-    ::execv(g_self_exe.c_str(), argv.data());
-    _exit(127);
-  }
-  return pid;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Pool worker children re-exec this binary with --worker-role; peel
-  // that mode off before normal argument parsing.
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--worker-role") == 0) {
-      std::string ring, cache;
-      uint32_t index = 0;
-      double scale = 0.4;
-      size_t threads = 0;
-      for (int j = 1; j + 1 < argc; ++j) {
-        const std::string flag = argv[j];
-        if (flag == "--ring") ring = argv[j + 1];
-        if (flag == "--index") index = std::stoul(argv[j + 1]);
-        if (flag == "--cache") cache = argv[j + 1];
-        if (flag == "--scale") scale = std::stod(argv[j + 1]);
-        if (flag == "--threads") threads = std::stoul(argv[j + 1]);
-      }
-      return RunWorkerRole(ring, index, cache, scale, threads);
-    }
-  }
-  g_self_exe = argv[0];
   const Args args = ParseArgs(argc, argv);
   const std::vector<DiscoveryRequest> mix = QueryMix(args.task);
   namespace fs = std::filesystem;
@@ -452,98 +367,6 @@ int main(int argc, char** argv) {
     }
   }
   }  // Warm service drains; the cache writer lock releases.
-
-  // ---- Phase 4b: the same warm mix through the multi-process worker
-  // pool of docs/MULTIPROCESS.md — worker processes re-exec'ed from
-  // this binary, draining the shared-memory job ring on the (now
-  // flushed) warm cache. Against warm_service, the delta is the cost
-  // of crash isolation: one ring hop plus the cross-process shared
-  // cache instead of an in-process function call.
-  if (args.workers > 0) {
-    const std::string ring_path = cache_path + ".ring";
-    WorkerPool::Options pool_options;
-    pool_options.workers = static_cast<uint32_t>(args.workers);
-    pool_options.ring_path = ring_path;
-    pool_options.ring.slots = 16;
-    pool_options.spawn = [&](uint32_t worker) {
-      return SpawnBenchWorker(args, cache_path, ring_path, worker);
-    };
-    std::unique_ptr<WorkerPool> pool;
-    if (Status started = WorkerPool::Start(pool_options, &pool);
-        !started.ok()) {
-      std::fprintf(stderr, "worker pool failed to start: %s\n",
-                   started.ToString().c_str());
-      return 1;
-    }
-    auto pool_query = [&](const DiscoveryRequest& request)
-        -> Result<DiscoveryResponse> {
-      std::string response_line;
-      const Status submitted =
-          pool->Submit(SerializeDiscoveryRequest(request), &response_line);
-      if (!submitted.ok()) return submitted;
-      return ParseDiscoveryResponse(response_line);
-    };
-    // Warm-up: enough passes that every worker has built its task
-    // context and replayed the mix once (claims are not targeted, so
-    // one pass per worker makes a cold context in the measured phase
-    // overwhelmingly unlikely).
-    for (size_t pass = 0; pass < args.workers; ++pass) {
-      for (const DiscoveryRequest& request : mix) {
-        auto response = pool_query(request);
-        if (!response.ok()) {
-          std::fprintf(stderr, "pool warm-up query failed: %s\n",
-                       response.status().ToString().c_str());
-          return 1;
-        }
-      }
-    }
-    for (size_t clients : {size_t{1}, size_t{2}, size_t{4}}) {
-      PhaseResult warm;
-      warm.mode = "warm_pool";
-      warm.transport = "shm_ring";
-      warm.clients = clients;
-      warm.queries = args.queries;
-      std::mutex mu;
-      std::atomic<size_t> next{0};
-      std::vector<std::thread> submitters;
-      WallTimer wall;
-      for (size_t c = 0; c < clients; ++c) {
-        submitters.emplace_back([&] {
-          for (;;) {
-            const size_t q = next.fetch_add(1);
-            if (q >= warm.queries) return;
-            WallTimer latency;
-            auto response = pool_query(mix[q % mix.size()]);
-            const double ms = latency.Millis();
-            std::lock_guard<std::mutex> lock(mu);
-            if (response.ok()) {
-              warm.latencies_ms.push_back(ms);
-              warm.exact_evals += response->exact_evals;
-              warm.persistent_hits += response->persistent_hits;
-              warm.fused_hits += response->fused_hits;
-            }
-          }
-        });
-      }
-      for (std::thread& s : submitters) s.join();
-      warm.wall_seconds = wall.Seconds();
-      if (warm.latencies_ms.size() != warm.queries) {
-        std::fprintf(stderr, "warm_pool phase dropped queries (%zu of %zu)\n",
-                     warm.latencies_ms.size(), warm.queries);
-        return 1;
-      }
-      if (warm.exact_evals != 0) {
-        std::fprintf(stderr,
-                     "FAIL: warm_pool phase (clients=%zu) performed %zu "
-                     "exact trainings\n",
-                     warm.clients, warm.exact_evals);
-        return 1;
-      }
-      phases.push_back(std::move(warm));
-    }
-    pool->Stop();
-    std::filesystem::remove(ring_path);
-  }
 
   // ---- Phase 5: open-loop overload against a QoS-enabled service on
   // the warm cache. A gold (priority 10) and a bronze (priority 0)

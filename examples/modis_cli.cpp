@@ -46,10 +46,10 @@
 #include <map>
 #include <string>
 
+#include "common/flags.h"
 #include "core/algorithms.h"
 #include "datagen/data_lake.h"
 #include "estimator/supervised_evaluator.h"
-#include "flags.h"
 #include "ml/gradient_boosting.h"
 #include "ml/random_forest.h"
 #include "ops/operators.h"

@@ -11,7 +11,9 @@
 ///   modis_server --listen 127.0.0.1:7077     # TCP listener (port 0 = any)
 ///   modis_server --batch '<request json>'    # one-shot reference run
 ///             [--tasks T1,T2]    preload task contexts before serving
-///             [--sessions N]     concurrent query executors (default 2)
+///                                (in the workers, in pool mode)
+///             [--sessions N]     concurrent query executors (default 2;
+///                                = --workers in pool mode)
 ///             [--queue N]        admission-queue capacity (default 8)
 ///             [--threads N]      shared valuation pool (0 = hardware)
 ///             [--cache PATH]     default record-cache file
@@ -28,19 +30,24 @@
 ///             [--log-json]       one JSON object per log line
 ///             [--slow-query-ms N]  WARN queries slower than N ms (0 = off)
 ///             [--trace-ring N]   retained recent AND slow traces (def. 16)
-///             [--workers N]      worker *processes* draining a shared-
-///                                memory job ring (0 = in-process mode,
-///                                the default; docs/MULTIPROCESS.md)
-///             [--job-ring N]     job slots in the ring (default 16)
+///             [--workers N]      worker *processes* executing the
+///                                admitted queries over a shared-memory
+///                                job ring of 2N slots (0 = in-process
+///                                mode, the default; docs/MULTIPROCESS.md)
 ///             [--worker-respawn-ms N]  respawn backoff base (def. 200)
 ///             [--ring-path P]    ring segment file (default: a /tmp
 ///                                path derived from the pid)
 ///
 /// --socket and --listen may be combined; both transports answer from the
-/// same service. A numeric flag whose value is not a number within its
-/// range is reported and the binary exits 2. SIGTERM/SIGINT drain
-/// gracefully: stop accepting, half-close every connection, finish all
-/// accepted work, flush the caches, dump a final metrics line, exit 0.
+/// same service. In either execution mode this process admits, traces,
+/// and counts every query; with --workers the admitted queries execute in
+/// worker processes (this binary re-executed with --worker-attach, which
+/// main() hands to RunWorkerMain), and those hold the task contexts and
+/// open the cache file shared. A numeric flag whose value is not a number
+/// within its range is reported and the binary exits 2. SIGTERM/SIGINT
+/// drain gracefully: stop accepting, half-close every connection, finish
+/// all accepted work, flush the caches, dump a final metrics line, stop
+/// the workers, exit 0.
 ///
 /// The host owns its cache files: a writable open holds the flock writer
 /// lock for the process lifetime, so a second host on the same file fails
@@ -52,12 +59,13 @@
 
 #include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/logging.h"
-#include "flags.h"
 #include "service/discovery_service.h"
 #include "service/http.h"
 #include "service/qos.h"
@@ -90,13 +98,8 @@ struct Args {
   size_t trace_ring = 16;
   // Multi-process mode (docs/MULTIPROCESS.md).
   uint32_t workers = 0;
-  uint32_t job_ring = 16;
   int worker_respawn_ms = 200;
   std::string ring_path;
-  // Hidden: set when this process IS a worker (spawned by the
-  // coordinator via fork+exec of its own binary).
-  std::string worker_attach;
-  uint32_t worker_index = 0;
   // Hidden, test only (--test-hold-at SPAN): the first query to open
   // SPAN parks there until SIGUSR1 (ArmTestHold) — in the in-process
   // host, or in each worker's first incarnation.
@@ -159,16 +162,10 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       ok = number(size_t{0}, kMaxCount, &args->trace_ring);
     } else if (flag == "--workers") {
       ok = number(uint32_t{0}, ShmRing::kMaxWorkers, &args->workers);
-    } else if (flag == "--job-ring") {
-      ok = number(uint32_t{1}, uint32_t{4096}, &args->job_ring);
     } else if (flag == "--worker-respawn-ms") {
       ok = number(1, 3'600'000, &args->worker_respawn_ms);
     } else if (flag == "--ring-path") {
       ok = next(&args->ring_path);
-    } else if (flag == "--worker-attach") {
-      ok = next(&args->worker_attach);
-    } else if (flag == "--worker-index") {
-      ok = number(uint32_t{0}, ShmRing::kMaxWorkers - 1, &args->worker_index);
     } else if (flag == "--test-hold-at") {
       ok = next(&args->test_hold_at);
     } else if (flag == "--tenant") {
@@ -187,85 +184,13 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     if (!ok) return false;
   }
   if (args->socket_path.empty() && args->listen.empty() &&
-      args->batch_request.empty() && args->worker_attach.empty()) {
+      args->batch_request.empty()) {
     std::fprintf(stderr,
                  "one of --socket PATH, --listen HOST:PORT, or --batch JSON "
                  "is required\n");
     return false;
   }
   return true;
-}
-
-/// fork+execs this very binary (/proc/self/exe) in worker mode,
-/// mirroring every engine-relevant flag of the coordinator's command
-/// line so workers open the same cache file with the same settings.
-pid_t SpawnWorker(const Args& args, const std::string& ring_path,
-                  uint32_t worker, bool first_incarnation) {
-  std::vector<std::string> storage;
-  storage.push_back("modis_server");
-  auto add = [&storage](const char* flag, const std::string& value) {
-    storage.push_back(flag);
-    storage.push_back(value);
-  };
-  add("--worker-attach", ring_path);
-  add("--worker-index", std::to_string(worker));
-  if (!args.cache.empty()) add("--cache", args.cache);
-  add("--cache-mode", args.cache_mode);
-  add("--cache-max-bytes", std::to_string(args.cache_max_bytes));
-  add("--max-task-contexts", std::to_string(args.max_task_contexts));
-  add("--context-ttl", std::to_string(args.context_ttl));
-  add("--row-scale", std::to_string(args.row_scale));
-  add("--threads", std::to_string(args.threads));
-  add("--sessions", "1");  // A worker drains one job at a time.
-  add("--slow-query-ms", std::to_string(args.slow_query_ms));
-  add("--trace-ring", std::to_string(args.trace_ring));
-  add("--log-level", args.log_level);
-  if (args.log_json) storage.push_back("--log-json");
-  // A respawned worker is disarmed, like a crash that does not recur.
-  if (first_incarnation && !args.test_hold_at.empty()) {
-    add("--test-hold-at", args.test_hold_at);
-  }
-  std::vector<char*> argv;
-  argv.reserve(storage.size() + 1);
-  for (std::string& arg : storage) argv.push_back(arg.data());
-  argv.push_back(nullptr);
-  const pid_t pid = ::fork();
-  if (pid == 0) {
-    ::execv("/proc/self/exe", argv.data());
-    _exit(127);  // exec failed; the supervisor respawns with backoff.
-  }
-  if (pid > 0) {
-    MODIS_LOG(INFO, "server")
-        .Tag("worker", uint64_t(worker))
-        .Tag("pid", int64_t(pid))
-        << "worker spawned";
-  }
-  return pid;
-}
-
-/// Worker-process entry: attach to the coordinator's ring and drain it
-/// until the coordinator stops the ring or kills us. The cache opens in
-/// shared mode — short-lived lock windows instead of a lifetime writer
-/// lock — so N workers and the coordinator coexist on one file.
-int RunWorker(const Args& args, DiscoveryService::Options options) {
-  options.shared_cache = true;
-  options.request_id_prefix =
-      "q-w" + std::to_string(args.worker_index) + "-";
-  DiscoveryService service(options);
-  WorkerOptions worker_options;
-  worker_options.ring_path = args.worker_attach;
-  worker_options.worker_index = args.worker_index;
-  worker_options.hold_at = args.test_hold_at;
-  MODIS_LOG(INFO, "worker")
-      .Tag("worker", uint64_t(args.worker_index))
-      .Tag("ring", args.worker_attach)
-      << "attached; draining";
-  const Status ran = RunWorkerLoop(&service, worker_options);
-  if (!ran.ok()) {
-    MODIS_LOG(ERROR, "worker") << ran.ToString();
-    return 1;
-  }
-  return 0;
 }
 
 int RunBatch(const Args& args) {
@@ -284,27 +209,6 @@ int RunBatch(const Args& args) {
   return 0;
 }
 
-void Preload(DiscoveryService* service, const std::string& tasks) {
-  size_t start = 0;
-  while (start <= tasks.size()) {
-    const size_t comma = tasks.find(',', start);
-    const std::string task = tasks.substr(
-        start, comma == std::string::npos ? std::string::npos
-                                          : comma - start);
-    if (!task.empty()) {
-      const Status preloaded = service->Preload(task);
-      if (preloaded.ok()) {
-        MODIS_LOG(INFO, "server").Tag("task", task) << "preloaded";
-      } else {
-        MODIS_LOG(WARN, "server").Tag("task", task)
-            << "preload failed: " << preloaded.ToString();
-      }
-    }
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-}
-
 /// The drain trigger: SIGTERM/SIGINT handlers may only touch the
 /// async-signal-safe RequestStop() (one write(2) to the server's pipe).
 HttpServer* g_server = nullptr;
@@ -316,6 +220,9 @@ void OnShutdownSignal(int) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (argc > 1 && std::strcmp(argv[1], "--worker-attach") == 0) {
+    return RunWorkerMain(argc, argv);
+  }
   Args args;
   if (!ParseArgs(argc, argv, &args)) return 2;
 
@@ -356,19 +263,51 @@ int main(int argc, char** argv) {
   }
   options.default_cache_mode = mode.value();
 
-  if (!args.worker_attach.empty()) return RunWorker(args, options);
-
-  // Coordinator of the multi-process host: queries execute in worker
-  // processes over the shared cache file, so its own service opens the
-  // cache in shared mode too (metrics and traces stay local).
-  if (args.workers > 0) options.shared_cache = true;
   // In-process host: the hold parks this process's first query at the
   // span (a pool host forwards the flag to its workers instead).
   if (args.workers == 0 && !args.test_hold_at.empty()) {
     ArmTestHold(args.test_hold_at);
   }
 
-  DiscoveryService service(options);
+  // Pool host: the workers execute with this host's execution settings
+  // and preload its tasks; this process builds no task context.
+  std::unique_ptr<WorkerPool> pool;
+  if (args.workers > 0) {
+    WorkerOptions worker;
+    worker.ring_path = args.ring_path.empty()
+                           ? "/tmp/modis-ring-" + std::to_string(::getpid()) +
+                                 ".shm"
+                           : args.ring_path;
+    worker.service = options;
+    worker.tasks = args.tasks;
+    WorkerPool::Options pool_options;
+    pool_options.workers = args.workers;
+    pool_options.ring_path = worker.ring_path;
+    pool_options.respawn_ms = args.worker_respawn_ms;
+    // Shared by the copies WorkerPool keeps of this function.
+    auto spawned = std::make_shared<std::vector<bool>>(args.workers, false);
+    pool_options.spawn = [worker, hold = args.test_hold_at,
+                          spawned](uint32_t index) {
+      WorkerOptions options = worker;
+      options.worker_index = index;
+      // A respawned worker is disarmed, like a crash that does not recur.
+      if (!(*spawned)[index]) options.hold_at = hold;
+      (*spawned)[index] = true;
+      return SpawnWorkerProcess(options);
+    };
+    if (Status started = WorkerPool::Start(pool_options, &pool);
+        !started.ok()) {
+      MODIS_LOG(ERROR, "server") << started.ToString();
+      return 1;
+    }
+    MODIS_LOG(INFO, "server")
+        .Tag("workers", uint64_t(args.workers))
+        .Tag("ring", worker.ring_path)
+        .Tag("slots", uint64_t(pool->ring()->slot_count()))
+        << "worker pool started";
+  }
+
+  DiscoveryService service(options, std::move(pool));
   if (!args.cache.empty() && options.default_cache_mode != CacheMode::kOff) {
     if (options.cache_max_bytes > 0) {
       MODIS_LOG(INFO, "server")
@@ -380,39 +319,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::unique_ptr<WorkerPool> pool;
-  std::string ring_path = args.ring_path;
-  if (args.workers > 0) {
-    if (ring_path.empty()) {
-      ring_path = "/tmp/modis-ring-" + std::to_string(::getpid()) + ".shm";
-    }
-    WorkerPool::Options pool_options;
-    pool_options.workers = args.workers;
-    pool_options.ring_path = ring_path;
-    pool_options.ring.slots = args.job_ring;
-    pool_options.respawn_ms = args.worker_respawn_ms;
-    // Shared by the copies WorkerPool keeps of this function.
-    auto spawned = std::make_shared<std::vector<bool>>(args.workers, false);
-    pool_options.spawn = [&args, ring_path, spawned](uint32_t worker) {
-      const bool first = !(*spawned)[worker];
-      (*spawned)[worker] = true;
-      return SpawnWorker(args, ring_path, worker, first);
-    };
-    if (Status started = WorkerPool::Start(pool_options, &pool);
-        !started.ok()) {
-      MODIS_LOG(ERROR, "server") << started.ToString();
-      return 1;
-    }
-    MODIS_LOG(INFO, "server")
-        .Tag("workers", uint64_t(args.workers))
-        .Tag("ring", ring_path)
-        .Tag("slots", uint64_t(args.job_ring))
-        << "worker pool started";
-  }
-
   HttpServer server(
-      [&service, &pool](const HttpRequest& request) {
-        return RouteHttpRequest(&service, pool.get(), request);
+      [&service](const HttpRequest& request) {
+        return RouteHttpRequest(&service, request);
       },
       HttpServer::Options(), service.metrics());
 
@@ -463,18 +372,14 @@ int main(int argc, char** argv) {
   std::signal(SIGTERM, OnShutdownSignal);
   std::signal(SIGINT, OnShutdownSignal);
 
-  Preload(&service, args.tasks);
+  if (args.workers == 0) (void)service.Preload(args.tasks);
 
   // Blocks until SIGTERM/SIGINT; returns with every accepted request
   // answered and every connection closed. The service dtor (end of main)
-  // then drains its own queue — already empty — and flushes every cache.
+  // then drains its own queue — already empty —, flushes every cache, and
+  // stops the worker pool.
   server.Serve();
   g_server = nullptr;
-
-  if (pool) {
-    pool->Stop();
-    ::unlink(ring_path.c_str());
-  }
 
   MODIS_LOG(INFO, "server")
       << "drained; final "

@@ -3,7 +3,8 @@
 # client speaks HTTP/1.1, the host's one protocol:
 #
 #   0. numeric flags: a bad value (not a number, out of range, too wide
-#      for its type) makes modis_server / modis_cli exit 2 naming the flag
+#      for its type) makes modis_server / modis_cli exit 2 naming the flag,
+#      and a removed flag (--job-ring) exits 2 as unknown
 #   1. start modis_server on a unix socket AND a TCP port (one accept
 #      loop, shared cache file); cold query through modis_cli --connect
 #      over the unix socket, a warm one (0 exact trainings) over unix and
@@ -30,6 +31,8 @@
 #      at its train span — the query is requeued to a respawned worker, the
 #      client still gets the full (identical) skyline, and the HTTP
 #      /metrics exposition shows modis_worker_restarts_total incremented
+#      next to the coordinator's own admission counters and phase
+#      histograms (one admission path in both modes)
 #
 # Waits are on conditions (a socket, a log line), never on elapsed time.
 #
@@ -93,22 +96,29 @@ wait_for_log() {  # wait_for_log LOG PATTERN WHAT
 
 # ---- Phase 0: numeric flags never abort (uncaught std::stoul) or wrap
 # (a narrowing cast): a bad value exits 2 with a message naming the flag.
-expect_flag_error() {  # expect_flag_error FLAG COMMAND...
-  local flag=$1
+expect_exit_2() {  # expect_exit_2 STDERR_PATTERN COMMAND...
+  local want=$1
   shift
   local rc=0
   "$@" > "$WORK/flag.out" 2> "$WORK/flag.err" || rc=$?
-  if [ "$rc" -ne 2 ] || ! grep -q -- "^$flag: " "$WORK/flag.err"; then
-    echo "serving_smoke: '$*' exited $rc; want 2 naming $flag:" >&2
+  if [ "$rc" -ne 2 ] || ! grep -q -- "$want" "$WORK/flag.err"; then
+    echo "serving_smoke: '$*' exited $rc; want 2 and '$want':" >&2
     cat "$WORK/flag.err" >&2
     exit 1
   fi
+}
+expect_flag_error() {  # expect_flag_error FLAG COMMAND...
+  local flag=$1
+  shift
+  expect_exit_2 "^$flag: " "$@"
 }
 BAD_SOCK="$WORK/never.sock"
 expect_flag_error --sessions "$SERVER" --socket "$BAD_SOCK" --sessions abc
 expect_flag_error --workers "$SERVER" --socket "$BAD_SOCK" \
   --workers 4294967298
-expect_flag_error --job-ring "$SERVER" --socket "$BAD_SOCK" --job-ring -1
+# The ring size is derived (2 slots per worker): --job-ring is gone.
+expect_exit_2 "unknown flag --job-ring" "$SERVER" --socket "$BAD_SOCK" \
+  --job-ring 16
 expect_flag_error --worker-index "$SERVER" --worker-attach "$BAD_SOCK" \
   --worker-index 4294967296
 expect_flag_error --row-scale "$SERVER" --socket "$BAD_SOCK" \
@@ -599,6 +609,13 @@ assert match and int(match.group(1)) >= 1, (
 assert re.search(r"(?m)^modis_ring_poisoned_total 0$", exposition), (
     "a job was poisoned during the crash smoke"
 )
+# The coordinator admitted, served, and traced the query itself: its
+# counters and the grafted worker spans' phase histogram are non-zero.
+for series in ("modis_accepted_total", "modis_served_total",
+               "modis_phase_train_ms_count"):
+    match = re.search(rf"(?m)^{series} ([0-9.e+]+)$", exposition)
+    assert match, f"{series} missing from the pool host's /metrics"
+    assert float(match.group(1)) >= 1, f"{series} is 0 on the pool host"
 
 print(
     "serving smoke OK: SIGKILL of both pool workers mid-query lost "

@@ -1,10 +1,11 @@
-#ifndef MODIS_EXAMPLES_FLAGS_H_
-#define MODIS_EXAMPLES_FLAGS_H_
+#ifndef MODIS_COMMON_FLAGS_H_
+#define MODIS_COMMON_FLAGS_H_
 
-/// The numeric-flag parser of the modis_server and modis_cli command
-/// lines. Every numeric value goes through ParseNumericFlag, so a bad
-/// value is reported with its flag and the binary exits 2: it never
-/// throws out of main, and it never narrows into a wrapped value.
+/// The numeric-flag parser of the modis_server, modis_cli, and worker
+/// process command lines. Every numeric value goes through
+/// ParseNumericFlag, so a bad value is reported with its flag and the
+/// binary exits 2: it never throws out of main, and it never narrows
+/// into a wrapped value.
 
 #include <cstdint>
 #include <cstdio>
@@ -49,4 +50,4 @@ bool ParseNumericFlag(const std::string& flag, const std::string& text,
 
 }  // namespace modis
 
-#endif  // MODIS_EXAMPLES_FLAGS_H_
+#endif  // MODIS_COMMON_FLAGS_H_

@@ -66,6 +66,18 @@ std::vector<TraceSpan> TraceRecorder::Snapshot() const {
   return spans_;
 }
 
+void TraceRecorder::Graft(const std::vector<TraceSpan>& spans, SpanId parent,
+                          double offset_ms) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const SpanId offset = static_cast<SpanId>(spans_.size());
+  for (TraceSpan span : spans) {
+    span.id += offset;
+    span.parent = span.parent == kNoSpan ? parent : span.parent + offset;
+    span.start_ms += offset_ms;
+    spans_.push_back(std::move(span));
+  }
+}
+
 double SumSpanMs(const std::vector<TraceSpan>& spans,
                  const std::string& name) {
   double total = 0.0;
@@ -75,6 +87,36 @@ double SumSpanMs(const std::vector<TraceSpan>& spans,
     }
   }
   return total;
+}
+
+std::vector<TraceSpan> DropLeafSpans(const std::vector<TraceSpan>& spans,
+                                     const std::string& name) {
+  std::vector<bool> has_child(spans.size(), false);
+  for (const TraceSpan& span : spans) {
+    if (span.parent != kNoSpan) has_child[size_t(span.parent)] = true;
+  }
+  std::vector<SpanId> renumbered(spans.size(), kNoSpan);
+  std::vector<int64_t> dropped(spans.size(), 0);
+  std::vector<TraceSpan> kept;
+  for (size_t i = 0; i < spans.size(); ++i) {
+    const SpanId parent = spans[i].parent;
+    if (spans[i].name == name && !has_child[i]) {
+      if (parent != kNoSpan) ++dropped[size_t(parent)];
+      continue;
+    }
+    renumbered[i] = static_cast<SpanId>(kept.size());
+    kept.push_back(spans[i]);
+    kept.back().id = renumbered[i];
+    kept.back().parent =
+        parent == kNoSpan ? kNoSpan : renumbered[size_t(parent)];
+  }
+  for (size_t i = 0; i < spans.size(); ++i) {
+    if (dropped[i] > 0) {
+      kept[size_t(renumbered[i])].attrs.emplace_back(name + "_dropped",
+                                                     dropped[i]);
+    }
+  }
+  return kept;
 }
 
 TraceRing::TraceRing(size_t recent_capacity, size_t slow_capacity)

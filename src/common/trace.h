@@ -68,6 +68,14 @@ class TraceRecorder {
   /// order; parent links always point at earlier entries.
   std::vector<TraceSpan> Snapshot() const;
 
+  /// Appends another recorder's snapshot (dense ids, parents earlier)
+  /// under `parent`: ids and parent links are offset past this
+  /// recorder's spans, the other recorder's roots hang off `parent`, and
+  /// start times shift by `offset_ms` onto this recorder's clock. This is
+  /// how a worker process's span subtree joins the coordinator's trace.
+  void Graft(const std::vector<TraceSpan>& spans, SpanId parent,
+             double offset_ms);
+
  private:
   mutable std::mutex mu_;
   std::chrono::steady_clock::time_point epoch_;
@@ -90,6 +98,13 @@ struct Trace {
 
 /// Sums the durations of all spans named `name`. Unended spans count 0.
 double SumSpanMs(const std::vector<TraceSpan>& spans, const std::string& name);
+
+/// A snapshot (dense ids) without its leaf spans named `name`; each
+/// parent that lost some gains a "<name>_dropped" attribute with the
+/// count. Ids are renumbered densely, so the result can still be
+/// grafted (TraceRecorder::Graft).
+std::vector<TraceSpan> DropLeafSpans(const std::vector<TraceSpan>& spans,
+                                     const std::string& name);
 
 /// Process-global span-start observer, fired by every TraceRecorder as a
 /// span opens (after it is recorded, outside the recorder mutex). The

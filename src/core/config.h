@@ -28,6 +28,12 @@ inline Result<CacheMode> ParseCacheMode(const std::string& mode) {
                                  "' (off | read | read_write)");
 }
 
+/// The spelling ParseCacheMode accepts for `mode`.
+inline const char* CacheModeName(CacheMode mode) {
+  if (mode == CacheMode::kOff) return "off";
+  return mode == CacheMode::kRead ? "read" : "read_write";
+}
+
 /// Knobs of one MODis running. The three published algorithms are feature
 /// combinations of the same engine:
 ///   ApxMODis   — reduce-from-universal only;

@@ -6,10 +6,12 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/strings.h"
 #include "core/algorithms.h"
 #include "estimator/oracle.h"
 #include "estimator/supervised_evaluator.h"
 #include "service/wire.h"
+#include "service/worker.h"
 
 namespace modis {
 
@@ -141,8 +143,14 @@ ModisConfig ConfigFromRequest(const DiscoveryRequest& request) {
 }  // namespace
 
 DiscoveryService::DiscoveryService(Options options)
+    : DiscoveryService(std::move(options), nullptr) {}
+
+DiscoveryService::DiscoveryService(Options options,
+                                   std::unique_ptr<WorkerPool> workers)
     : options_(options),
-      pool_(options.valuation_threads),
+      // In pool mode the valuation fan-out runs in the workers.
+      pool_(workers != nullptr ? 1 : options.valuation_threads),
+      workers_(std::move(workers)),
       trace_ring_(options.trace_recent_capacity,
                   options.trace_slow_capacity) {
   qos_enabled_ = !options_.tenants.empty();
@@ -173,9 +181,11 @@ DiscoveryService::DiscoveryService(Options options)
       tenants_.push_back(std::move(anonymous));
     }
   }
-  const size_t sessions = options_.sessions == 0 ? 1 : options_.sessions;
-  sessions_.reserve(sessions);
-  for (size_t i = 0; i < sessions; ++i) {
+  // Each pool session holds one ring job at a time, and each worker
+  // process executes one job at a time.
+  if (workers_ != nullptr) options_.sessions = workers_->workers();
+  sessions_.reserve(options_.sessions);
+  for (size_t i = 0; i < options_.sessions; ++i) {
     sessions_.emplace_back([this] { SessionLoop(); });
   }
 }
@@ -195,8 +205,20 @@ DiscoveryService::~DiscoveryService() {
   }
 }
 
-Status DiscoveryService::Preload(const std::string& task) {
-  return GetContext(task).status();
+Status DiscoveryService::Preload(const std::string& tasks) {
+  Status first = Status::OK();
+  for (const std::string& task : StrSplit(tasks, ',')) {
+    if (task.empty()) continue;
+    const Status preloaded = GetContext(task).status();
+    if (preloaded.ok()) {
+      MODIS_LOG(INFO, "service").Tag("task", task) << "preloaded";
+    } else {
+      MODIS_LOG(WARN, "service").Tag("task", task)
+          << "preload failed: " << preloaded.ToString();
+      if (first.ok()) first = preloaded;
+    }
+  }
+  return first;
 }
 
 void DiscoveryService::EvictContextsLocked(const std::string& keep,
@@ -295,12 +317,12 @@ Result<PersistentRecordCache*> DiscoveryService::GetCache(
   // The host opens every shared cache read-write (it owns the file and
   // the writer lock); per-query kRead is enforced as a no-append view at
   // attach time (EngineRuntime + ModisConfig::cache_mode). A worker
-  // process instead takes a lock-free shared attachment so the whole
-  // pool can serve the one file (docs/MULTIPROCESS.md).
+  // process (no sessions) instead takes a lock-free shared attachment so
+  // the whole pool can serve the one file (docs/MULTIPROCESS.md).
   PersistentRecordCache::Options cache_options;
   cache_options.max_bytes = options_.cache_max_bytes;
   auto opened =
-      options_.shared_cache
+      options_.sessions == 0
           ? PersistentRecordCache::OpenShared(path, /*fingerprint=*/0,
                                               cache_options)
           : PersistentRecordCache::Open(path, CacheMode::kReadWrite,
@@ -353,12 +375,6 @@ Result<DiscoveryResponse> DiscoveryService::Execute(
   auto response = RunQuery(request, context->bench.name, context->universe,
                            &evaluator, config, runtime);
   if (trace != nullptr) trace->End(run_span);
-  if (response.ok()) {
-    const DiscoveryResponse& resp = response.value();
-    metrics_.trainings_shared.fetch_add(resp.fused_hits);
-    metrics_.mask_fast_path_hits.fetch_add(resp.mask_fast_path_hits);
-    if (resp.fused_hits > 0) metrics_.queries_fused.fetch_add(1);
-  }
   return response;
 }
 
@@ -507,6 +523,10 @@ Status DiscoveryService::Submit(DiscoveryRequest request, Callback done) {
     if (stopping_) {
       return Status::FailedPrecondition("discovery service is shutting down");
     }
+    if (sessions_.empty()) {
+      return Status::FailedPrecondition(
+          "execution-only discovery service (no sessions) admits nothing");
+    }
     size_t tenant_index;
     int priority;
     bool warm;
@@ -527,7 +547,7 @@ Status DiscoveryService::Submit(DiscoveryRequest request, Callback done) {
     char suffix[16];
     std::snprintf(suffix, sizeof(suffix), "%06llu",
                   static_cast<unsigned long long>(job.sequence));
-    job.request_id = options_.request_id_prefix + suffix;
+    job.request_id = std::string("q-") + suffix;
     job.recorder = std::make_shared<TraceRecorder>();
     job.root_span = job.recorder->Begin("query", kNoSpan);
     job.admission_span = job.recorder->Begin("admission", job.root_span);
@@ -591,6 +611,7 @@ MetricsSnapshot DiscoveryService::SnapshotMetrics() const {
     std::lock_guard<std::mutex> lock(context_mu_);
     snapshot.live_contexts = contexts_.size();
   }
+  if (workers_ != nullptr) workers_->FillMetrics(&snapshot);
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
     snapshot.cache_files = caches_.size();
@@ -633,7 +654,9 @@ void DiscoveryService::SessionLoop() {
     trace->End(job.admission_span);
     const double queue_ms = job.queued.Millis();
     Result<DiscoveryResponse> response =
-        Execute(job.request, trace, job.root_span);
+        workers_ != nullptr
+            ? workers_->Execute(job.request, trace, job.root_span)
+            : Execute(job.request, trace, job.root_span);
     metrics_.queue_ms.Record(queue_ms);
 
     // Response assembly (request id, phase-histogram feeding, debug-ring
@@ -647,6 +670,10 @@ void DiscoveryService::SessionLoop() {
       response.value().total_ms = job.queued.Millis();
       metrics_.run_ms.Record(response.value().run_ms);
       metrics_.total_ms.Record(response.value().total_ms);
+      metrics_.trainings_shared.fetch_add(response.value().fused_hits);
+      metrics_.mask_fast_path_hits.fetch_add(
+          response.value().mask_fast_path_hits);
+      if (response.value().fused_hits > 0) metrics_.queries_fused.fetch_add(1);
       metrics_.served.fetch_add(1);
     } else {
       metrics_.failed.fetch_add(1);

@@ -29,6 +29,8 @@
 
 namespace modis {
 
+class WorkerPool;
+
 /// One discovery query against the long-lived service: which task, which
 /// MODis variant, which slice of the task's measure set, and the knobs of
 /// the (N, ε)-approximation. The wire codec (service/wire.h) maps this
@@ -121,7 +123,15 @@ struct DiscoveryResponse {
 /// fan-out and one PersistentRecordCache per cache file, and answers
 /// discovery queries concurrently through a bounded admission queue.
 ///
-/// Concurrency contract: `sessions` worker threads drain the queue; each
+/// One admission path, two executors: the service always owns admission
+/// (QoS, request ids, the query/admission/respond spans, the queue, the
+/// trace ring, and every counter and histogram). A session executes each
+/// dequeued query either in this process (Execute) or, when the service
+/// owns a WorkerPool, in a worker process over the shared-memory job
+/// ring (WorkerPool::Execute), whose span subtree is grafted under the
+/// query root (docs/MULTIPROCESS.md).
+///
+/// Concurrency contract: `sessions` threads drain the queue; each
 /// query gets its own evaluator + oracle + ModisEngine over the shared
 /// universe/pool/cache (EngineRuntime). Because every recorded evaluation
 /// replays exactly what the deterministic training that produced it
@@ -140,6 +150,14 @@ class DiscoveryService {
     static constexpr uint64_t kDefaultCacheMaxBytes = 256ull << 20;
 
     /// Concurrent query executors (each runs one engine at a time).
+    /// Derived when the service owns a WorkerPool: one session per
+    /// worker process. 0 starts none: the execution-only service of a
+    /// worker process, whose Submit() fails and which opens every cache
+    /// file as a *shared* attachment (PersistentRecordCache::OpenShared)
+    /// instead of holding the lifetime writer lock, so sibling workers
+    /// serve the same file (docs/MULTIPROCESS.md). The attachment
+    /// re-reads the file before each query that touches it, making a
+    /// sibling's published trainings warm hits here.
     size_t sessions = 2;
     /// Bounded admission: Submit() rejects beyond this many queued
     /// requests (requests being executed do not count).
@@ -182,16 +200,6 @@ class DiscoveryService {
     /// traces, served by GET /v1/debug/traces.
     size_t trace_recent_capacity = 16;
     size_t trace_slow_capacity = 16;
-    /// Multi-process mode: open every cache file as a *shared*
-    /// attachment (PersistentRecordCache::OpenShared) instead of
-    /// holding the lifetime writer lock, so sibling worker processes
-    /// can serve the same file (docs/MULTIPROCESS.md). The attachment
-    /// re-reads the file before each query that touches it, making a
-    /// sibling's published trainings warm hits here.
-    bool shared_cache = false;
-    /// Prefix of minted request ids ("q-" → "q-000001"). A worker
-    /// process sets "q-w<N>-" so ids stay unique across the pool.
-    std::string request_id_prefix = "q-";
   };
 
   struct Stats {
@@ -204,16 +212,20 @@ class DiscoveryService {
   using Callback = std::function<void(Result<DiscoveryResponse>)>;
 
   explicit DiscoveryService(Options options);
-  /// Drains the queue (accepted work is finished, not dropped), then
-  /// joins the sessions and flushes every shared cache.
+  /// With a started `workers` pool, queries execute in its worker
+  /// processes and this process builds no task context or cache.
+  DiscoveryService(Options options, std::unique_ptr<WorkerPool> workers);
+  /// Drains the queue (accepted work is finished, not dropped), joins
+  /// the sessions, flushes every shared cache, then stops the pool.
   ~DiscoveryService();
 
   DiscoveryService(const DiscoveryService&) = delete;
   DiscoveryService& operator=(const DiscoveryService&) = delete;
 
-  /// Builds a task's context (lake, universal table, universe) eagerly so
-  /// the first query doesn't pay for it.
-  Status Preload(const std::string& task);
+  /// Builds the contexts (lake, universal table, universe) of a
+  /// comma-separated task list eagerly so the first queries don't pay
+  /// for them. Logs each task; returns the first failure.
+  Status Preload(const std::string& tasks);
 
   /// Asynchronous submission: `done` runs exactly once for every
   /// admitted request. Fails fast without invoking `done`:
@@ -230,6 +242,14 @@ class DiscoveryService {
 
   /// Synchronous convenience over Submit: blocks until the response.
   Result<DiscoveryResponse> Answer(const DiscoveryRequest& request);
+
+  /// The execution half, without admission: runs one query end to end on
+  /// the calling thread. `trace` (with its root span) records the
+  /// context/run phases; both may be null/kNoSpan for an untraced
+  /// execution. In-process sessions call it for every dequeued query; a
+  /// worker process calls it for every ring job.
+  Result<DiscoveryResponse> Execute(const DiscoveryRequest& request,
+                                    TraceRecorder* trace, SpanId root);
 
   /// One-shot, service-free execution of a request: fresh lake, fresh
   /// universe, own pool, self-opened cache (if the request names one).
@@ -321,12 +341,6 @@ class DiscoveryService {
   Result<PersistentRecordCache*> GetCache(const DiscoveryRequest& request,
                                           CacheMode* effective_mode);
 
-  /// Runs one query end to end on the calling (session) thread. `trace`
-  /// (with its root span) records the context/run phases; both may be
-  /// null/kNoSpan for an untraced execution.
-  Result<DiscoveryResponse> Execute(const DiscoveryRequest& request,
-                                    TraceRecorder* trace, SpanId root);
-
   void SessionLoop();
 
   /// Tenant of `api_key` (falling back to the default/anonymous tenant).
@@ -348,6 +362,9 @@ class DiscoveryService {
   /// measures, and model identity ever share a training. Declared before
   /// the session threads so it outlives every engine they run.
   TrainingFuser fuser_;
+  /// The out-of-process executor; null in process. Stopped only after
+  /// every session has been joined.
+  std::unique_ptr<WorkerPool> workers_;
 
   mutable std::mutex context_mu_;
   /// Keyed by canonical task name; values are shared_ptrs so an eviction

@@ -12,7 +12,6 @@
 #include "service/qos.h"
 #include "service/transport.h"
 #include "service/wire.h"
-#include "service/worker.h"
 
 namespace modis {
 
@@ -567,7 +566,7 @@ HttpResponse MethodNotAllowed(const char* allow) {
   return response;
 }
 
-HttpResponse QueryEndpoint(DiscoveryService* service, WorkerPool* pool,
+HttpResponse QueryEndpoint(DiscoveryService* service,
                            const HttpRequest& request) {
   auto parsed = ParseDiscoveryRequest(request.body);
   if (!parsed.ok()) return ResponseFromStatus(parsed.status());
@@ -581,34 +580,6 @@ HttpResponse QueryEndpoint(DiscoveryService* service, WorkerPool* pool,
     if (const std::string* flag = request.FindHeader("x-modis-trace")) {
       query.trace = *flag == "1" || ToLower(*flag) == "true";
     }
-  }
-  if (pool != nullptr) {
-    // Multi-process mode: the query runs on a worker via the job ring.
-    // Re-serialize (not the raw body) so the header-derived members
-    // (api_key, trace) travel with the ring job.
-    std::string line;
-    const Status submitted =
-        pool->Submit(SerializeDiscoveryRequest(query), &line);
-    if (!submitted.ok()) return ResponseFromStatus(submitted);
-    auto answered = JsonValue::Parse(line);
-    if (answered.ok() && answered->is_object() &&
-        !answered->GetBool("ok", false)) {
-      // Re-type the worker's error document so the HTTP status mapping
-      // (429 for QoS, 400 for bad requests, ...) matches in-process
-      // mode.
-      return ResponseFromStatus(
-          Status(StatusCodeFromName(answered->GetString("code", "Internal")),
-                 answered->GetString("error", "worker error")));
-    }
-    HttpResponse response;
-    if (answered.ok() && answered->is_object()) {
-      const std::string id = answered->GetString("request_id", "");
-      if (!id.empty()) {
-        response.headers.emplace_back("X-Modis-Request-Id", id);
-      }
-    }
-    response.body = line + "\n";
-    return response;
   }
   auto answer = service->Answer(query);
   if (!answer.ok()) return ResponseFromStatus(answer.status());
@@ -625,23 +596,16 @@ HttpResponse QueryEndpoint(DiscoveryService* service, WorkerPool* pool,
 
 HttpResponse RouteHttpRequest(DiscoveryService* service,
                               const HttpRequest& request) {
-  return RouteHttpRequest(service, /*pool=*/nullptr, request);
-}
-
-HttpResponse RouteHttpRequest(DiscoveryService* service, WorkerPool* pool,
-                              const HttpRequest& request) {
   const std::string path = request.target.substr(0, request.target.find('?'));
   if (path == "/v1/query") {
     if (request.method != "POST") return MethodNotAllowed("POST");
-    return QueryEndpoint(service, pool, request);
+    return QueryEndpoint(service, request);
   }
   if (path == "/metrics") {
     if (request.method != "GET") return MethodNotAllowed("GET");
     HttpResponse response;
     response.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    MetricsSnapshot snapshot = service->SnapshotMetrics();
-    if (pool != nullptr) pool->FillMetrics(&snapshot);
-    response.body = PrometheusExposition(snapshot);
+    response.body = PrometheusExposition(service->SnapshotMetrics());
     return response;
   }
   if (path == "/v1/debug/traces") {

@@ -150,19 +150,10 @@ HttpResponse MakeHttpError(int status, const std::string& message);
 /// (the JSON request document of service/wire.h as the body, X-Api-Key
 /// honored when the body names no api_key), GET /metrics (Prometheus
 /// exposition), GET /v1/debug/traces, GET /healthz. Unknown paths → 404,
-/// wrong methods → 405 with Allow. Runs on the connection's thread;
-/// thread-safe.
+/// wrong methods → 405 with Allow. The same in both execution modes: a
+/// service that owns a WorkerPool admits, traces, and counts exactly like
+/// an in-process one. Runs on the connection's thread; thread-safe.
 HttpResponse RouteHttpRequest(DiscoveryService* service,
-                              const HttpRequest& request);
-
-class WorkerPool;
-
-/// Pool-aware router of the multi-process host (docs/MULTIPROCESS.md):
-/// POST /v1/query runs on a worker process via the shared-memory job
-/// ring (typed ring errors keep their HTTP mapping — a full ring is
-/// still a 429), GET /metrics overlays the pool + ring series. A null
-/// `pool` is exactly the in-process router above.
-HttpResponse RouteHttpRequest(DiscoveryService* service, WorkerPool* pool,
                               const HttpRequest& request);
 
 // ------------------------------------------------------------ client side

@@ -357,9 +357,9 @@ Result<DiscoveryResponse> ParseDiscoveryResponse(const std::string& text) {
     return Status::InvalidArgument("response must be a JSON object");
   }
   if (!doc.GetBool("ok", false)) {
-    return Status(StatusCode::kInternal,
-                  "server error [" + doc.GetString("code", "?") + "]: " +
-                      doc.GetString("error", "malformed error response"));
+    StatusCode code = StatusCodeFromName(doc.GetString("code", "Internal"));
+    if (code == StatusCode::kOk) code = StatusCode::kInternal;
+    return Status(code, doc.GetString("error", "malformed error response"));
   }
   DiscoveryResponse response;
   response.request_id = doc.GetString("request_id", "");

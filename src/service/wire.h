@@ -12,7 +12,7 @@ namespace modis {
 
 /// The JSON codec of the discovery protocol (docs/SERVING.md): one
 /// request document in, one response document out. HTTP bodies (POST
-/// /v1/query) and shm job-ring slots both carry these documents, and
+/// /v1/query) and shm job ring slots both carry these documents, and
 /// these codecs are the single source of truth for the field names.
 
 /// Decodes one request document. Unknown members are ignored; absent

@@ -8,10 +8,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <thread>
 
+#include "common/flags.h"
 #include "common/logging.h"
 #include "common/trace.h"
+#include "core/config.h"
 #include "service/wire.h"
 
 namespace modis {
@@ -47,36 +50,42 @@ void OnSpan(const char* name) {
 
 void SelfKill() { ::kill(::getpid(), SIGKILL); }
 
-/// One ring job: parse -> Answer -> serialize. Never throws and always
+/// NextJob poll granularity. RequestStop() wakes waiting workers, so
+/// this only bounds how long a missed wake-up can delay a stop.
+constexpr int kPollMs = 200;
+
+/// One ring job: parse -> Execute under a fresh recorder -> serialize
+/// with the span tree, fitted to `limit` bytes. Never throws and always
 /// yields a document — a malformed request or a failed query becomes its
 /// typed error document, which is an answered job, not a failed one.
-std::string AnswerJob(DiscoveryService* service, const std::string& job) {
+std::string ExecuteJob(DiscoveryService* service, const std::string& job,
+                       size_t limit) {
   auto request = ParseDiscoveryRequest(job);
   if (!request.ok()) return SerializeDiscoveryError(request.status());
-  auto response = service->Answer(request.value());
+  TraceRecorder trace;
+  auto response = service->Execute(request.value(), &trace, kNoSpan);
   if (!response.ok()) return SerializeDiscoveryError(response.status());
+  response->trace_spans = trace.Snapshot();
+  std::string document = SerializeDiscoveryResponse(response.value());
+  if (document.size() <= limit) return document;
+  response->trace_spans = DropLeafSpans(response->trace_spans, "exact");
+  document = SerializeDiscoveryResponse(response.value());
+  if (document.size() <= limit) return document;
+  response->trace_spans.clear();
   return SerializeDiscoveryResponse(response.value());
 }
 
-}  // namespace
-
-void ArmTestHold(const std::string& span) {
-  static std::string hold_span;  // Outlives every observer call.
-  hold_span = span;
-  g_hold_span = hold_span.c_str();
-  g_hold_armed = true;
-  struct sigaction release = {};
-  release.sa_handler = &ReleaseHold;
-  ::sigaction(SIGUSR1, &release, nullptr);
-  SetGlobalSpanObserver(&OnSpan);
+/// Round-trip spelling of a double flag value.
+std::string DoubleFlag(double value) {
+  char text[32];
+  std::snprintf(text, sizeof(text), "%.17g", value);
+  return text;
 }
 
+/// The drain loop of RunWorkerMain. Returns OK on a clean stop.
 Status RunWorkerLoop(DiscoveryService* service, const WorkerOptions& options) {
   std::unique_ptr<ShmRing> ring;
   MODIS_RETURN_IF_ERROR(ShmRing::Attach(options.ring_path, &ring));
-  if (options.worker_index >= ShmRing::kMaxWorkers) {
-    return Status::InvalidArgument("worker index out of range");
-  }
   if (options.crash_at == "mid_train") {
     g_crash_span = "train";
     SetGlobalSpanObserver(&OnSpan);
@@ -94,8 +103,7 @@ Status RunWorkerLoop(DiscoveryService* service, const WorkerOptions& options) {
                             << " draining ring " << options.ring_path;
   for (;;) {
     ShmRing::Job job;
-    const Status next =
-        ring->NextJob(options.worker_index, options.poll_ms, &job);
+    const Status next = ring->NextJob(options.worker_index, kPollMs, &job);
     if (next.code() == StatusCode::kNotFound) continue;  // Poll tick.
     if (!next.ok()) {
       // Stop was requested (FailedPrecondition) or the ring is gone.
@@ -103,8 +111,9 @@ Status RunWorkerLoop(DiscoveryService* service, const WorkerOptions& options) {
                                                             : next;
     }
     if (options.crash_at == "claimed") SelfKill();
-    const Status completed =
-        ring->Complete(job, Status::OK(), AnswerJob(service, job.request));
+    const Status completed = ring->Complete(
+        job, Status::OK(),
+        ExecuteJob(service, job.request, ring->buffer_bytes()));
     if (!completed.ok() &&
         completed.code() != StatusCode::kFailedPrecondition) {
       MODIS_LOG(WARN, "worker")
@@ -113,6 +122,131 @@ Status RunWorkerLoop(DiscoveryService* service, const WorkerOptions& options) {
           << completed.ToString();
     }
   }
+}
+
+}  // namespace
+
+void ArmTestHold(const std::string& span) {
+  static std::string hold_span;  // Outlives every observer call.
+  hold_span = span;
+  g_hold_span = hold_span.c_str();
+  g_hold_armed = true;
+  struct sigaction release = {};
+  release.sa_handler = &ReleaseHold;
+  ::sigaction(SIGUSR1, &release, nullptr);
+  SetGlobalSpanObserver(&OnSpan);
+}
+
+int RunWorkerMain(int argc, char** argv) {
+  WorkerOptions options;
+  DiscoveryService::Options& service = options.service;
+  std::string cache_mode = "read_write";
+  std::string log_level = "info";
+  std::string log_json = "0";
+  if (argc % 2 == 0) {
+    std::fprintf(stderr, "%s needs a value\n", argv[argc - 1]);
+    return 2;
+  }
+  for (int i = 1; i + 1 < argc; i += 2) {
+    const std::string flag = argv[i];
+    const std::string value = argv[i + 1];
+    const auto number = [&](auto min, auto max, auto* out) {
+      return ParseNumericFlag(flag, value, min, max, out);
+    };
+    bool ok = true;
+    if (flag == "--worker-attach") {
+      options.ring_path = value;
+    } else if (flag == "--worker-index") {
+      ok = number(uint32_t{0}, ShmRing::kMaxWorkers - 1,
+                  &options.worker_index);
+    } else if (flag == "--crash-at") {
+      options.crash_at = value;
+    } else if (flag == "--hold-at") {
+      options.hold_at = value;
+    } else if (flag == "--tasks") {
+      options.tasks = value;
+    } else if (flag == "--cache") {
+      service.default_cache_path = value;
+    } else if (flag == "--cache-mode") {
+      cache_mode = value;
+    } else if (flag == "--cache-max-bytes") {
+      ok = number(uint64_t{0}, uint64_t{INT64_MAX}, &service.cache_max_bytes);
+    } else if (flag == "--max-task-contexts") {
+      ok = number(size_t{0}, size_t{1} << 20, &service.max_task_contexts);
+    } else if (flag == "--context-ttl") {
+      ok = number(0.0, 1e9, &service.context_idle_ttl_s);
+    } else if (flag == "--row-scale") {
+      ok = number(1e-6, 1e3, &service.task_row_scale);
+    } else if (flag == "--threads") {
+      ok = number(size_t{0}, size_t{1024}, &service.valuation_threads);
+    } else if (flag == "--log-level") {
+      log_level = value;
+    } else if (flag == "--log-json") {
+      log_json = value;
+    } else {
+      std::fprintf(stderr, "unknown worker flag %s\n", flag.c_str());
+      return 2;
+    }
+    if (!ok) return 2;
+  }
+  auto mode = ParseCacheMode(cache_mode);
+  LogLevel level = LogLevel::kInfo;
+  if (!mode.ok() || !ParseLogLevel(log_level, &level)) {
+    std::fprintf(stderr, "bad --cache-mode or --log-level\n");
+    return 2;
+  }
+  service.default_cache_mode = mode.value();
+  SetLogLevel(level);
+  SetLogJson(log_json == "1");
+
+  // Execution only: no sessions, so caches open as shared attachments.
+  service.sessions = 0;
+  DiscoveryService executor(service);
+  (void)executor.Preload(options.tasks);
+  const Status ran = RunWorkerLoop(&executor, options);
+  if (!ran.ok()) {
+    MODIS_LOG(ERROR, "worker") << ran.ToString();
+    return 1;
+  }
+  return 0;
+}
+
+pid_t SpawnWorkerProcess(const WorkerOptions& options) {
+  const DiscoveryService::Options& service = options.service;
+  // --worker-attach first: it is how main() recognizes the role.
+  std::vector<std::string> storage = {
+      "modis_worker",
+      "--worker-attach", options.ring_path,
+      "--worker-index", std::to_string(options.worker_index),
+      "--crash-at", options.crash_at,
+      "--hold-at", options.hold_at,
+      "--tasks", options.tasks,
+      "--cache", service.default_cache_path,
+      "--cache-mode", CacheModeName(service.default_cache_mode),
+      "--cache-max-bytes", std::to_string(service.cache_max_bytes),
+      "--max-task-contexts", std::to_string(service.max_task_contexts),
+      "--context-ttl", DoubleFlag(service.context_idle_ttl_s),
+      "--row-scale", DoubleFlag(service.task_row_scale),
+      "--threads", std::to_string(service.valuation_threads),
+      "--log-level", LogLevelName(GetLogLevel()),
+      "--log-json", GetLogJson() ? "1" : "0",
+  };
+  std::vector<char*> argv;
+  argv.reserve(storage.size() + 1);
+  for (std::string& arg : storage) argv.push_back(arg.data());
+  argv.push_back(nullptr);
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::execv("/proc/self/exe", argv.data());
+    _exit(127);  // exec failed; the supervisor respawns with backoff.
+  }
+  if (pid > 0) {
+    MODIS_LOG(INFO, "worker")
+        .Tag("worker", uint64_t(options.worker_index))
+        .Tag("pid", int64_t(pid))
+        << "worker spawned";
+  }
+  return pid;
 }
 
 Status WorkerPool::Start(const Options& options,
@@ -125,8 +259,11 @@ Status WorkerPool::Start(const Options& options,
   }
   auto pool = std::unique_ptr<WorkerPool>(new WorkerPool());
   pool->options_ = options;
+  ShmRing::Options ring;
+  ring.slots = 2 * options.workers;
+  ring.buffer_bytes = options.buffer_bytes;
   MODIS_RETURN_IF_ERROR(
-      ShmRing::Create(options.ring_path, options.ring, &pool->ring_));
+      ShmRing::Create(options.ring_path, ring, &pool->ring_));
   pool->slots_.resize(options.workers);
   const auto now = std::chrono::steady_clock::now();
   for (uint32_t i = 0; i < options.workers; ++i) {
@@ -201,7 +338,7 @@ void WorkerPool::Stop() {
   }
   if (ring_ != nullptr) ring_->RequestStop();
   if (supervisor_.joinable()) supervisor_.join();
-  // Grace period: workers poll the stop flag at poll_ms granularity and
+  // Grace period: workers poll the stop flag at kPollMs granularity and
   // exit on their own; SIGTERM hurries stragglers, SIGKILL ends them.
   std::lock_guard<std::mutex> lock(mu_);
   for (Slot& slot : slots_) {
@@ -225,33 +362,25 @@ void WorkerPool::Stop() {
     }
     slot.alive = false;
   }
+  ::unlink(options_.ring_path.c_str());
 }
 
-Status WorkerPool::Submit(const std::string& request_line,
-                          std::string* response_line) {
+Result<DiscoveryResponse> WorkerPool::Execute(const DiscoveryRequest& request,
+                                              TraceRecorder* trace,
+                                              SpanId root) {
+  // The worker's clock starts about when the job is installed.
+  const double installed_ms = trace != nullptr ? trace->ElapsedMs() : 0.0;
   uint64_t ticket = 0;
-  MODIS_RETURN_IF_ERROR(ring_->Install(request_line, &ticket));
-  return ring_->Await(ticket, options_.job_timeout_ms, response_line);
-}
-
-std::vector<WorkerPool::WorkerState> WorkerPool::SnapshotWorkers() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<WorkerState> out;
-  out.reserve(slots_.size());
-  for (uint32_t i = 0; i < slots_.size(); ++i) {
-    WorkerState state;
-    state.index = i;
-    state.pid = slots_[i].pid;
-    state.alive = slots_[i].alive;
-    state.restarts = slots_[i].restarts;
-    out.push_back(state);
-  }
-  return out;
-}
-
-uint64_t WorkerPool::restarts_total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return restarts_total_;
+  MODIS_RETURN_IF_ERROR(
+      ring_->Install(SerializeDiscoveryRequest(request), &ticket));
+  std::string document;
+  MODIS_RETURN_IF_ERROR(
+      ring_->Await(ticket, options_.job_timeout_ms, &document));
+  MODIS_ASSIGN_OR_RETURN(DiscoveryResponse response,
+                         ParseDiscoveryResponse(document));
+  if (trace != nullptr) trace->Graft(response.trace_spans, root, installed_ms);
+  response.trace_spans.clear();
+  return response;
 }
 
 void WorkerPool::FillMetrics(MetricsSnapshot* snapshot) const {

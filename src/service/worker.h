@@ -13,20 +13,21 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/trace.h"
 #include "service/discovery_service.h"
 #include "service/metrics.h"
 #include "service/shm_ring.h"
 
 namespace modis {
 
-/// Options of one worker process's drain loop (docs/MULTIPROCESS.md).
+/// Options of one worker process (docs/MULTIPROCESS.md). A worker only
+/// executes: admission, request ids, QoS, and traces are the
+/// coordinator's.
 struct WorkerOptions {
   /// Segment file of the coordinator's job ring.
   std::string ring_path;
   /// This worker's slot in the pool (< ShmRing::kMaxWorkers).
   uint32_t worker_index = 0;
-  /// NextJob poll granularity; bounds shutdown latency.
-  int poll_ms = 200;
   /// Kill-injection point for the crash battery: "" (never), "claimed"
   /// (right after NextJob), "mid_train" / "pre_commit" (when the engine
   /// opens its "train" / "commit" span, via the global span observer),
@@ -36,6 +37,13 @@ struct WorkerOptions {
   /// Test-only hold point: "" (never), or a span name armed through
   /// ArmTestHold().
   std::string hold_at;
+  /// Execution settings of the worker's session-less DiscoveryService:
+  /// default cache file, mode, and byte budget, context caps, row scale,
+  /// valuation threads. The admission settings (sessions, queue,
+  /// tenants, trace retention) stay with the coordinator.
+  DiscoveryService::Options service;
+  /// Comma-separated tasks whose contexts are built before draining.
+  std::string tasks;
 };
 
 /// Test-only hold point of a host process, in-process and worker mode
@@ -47,32 +55,49 @@ struct WorkerOptions {
 /// process-global span observer; call once, before serving.
 void ArmTestHold(const std::string& span);
 
-/// Drains the ring until stop is requested: claim a job, answer it
-/// (parse -> DiscoveryService::Answer -> serialize; a bad request or a
-/// failed query is answered with its typed error document), publish the
-/// response. Runs in a worker process whose DiscoveryService
-/// was built with Options::shared_cache so the pool shares one cache
-/// file. Returns OK on a clean stop.
-Status RunWorkerLoop(DiscoveryService* service, const WorkerOptions& options);
+/// The worker-role entry of every binary that spawns workers: when
+/// argv[1] is `--worker-attach`, main() returns RunWorkerMain(argc,
+/// argv). Parses the command line SpawnWorkerProcess() builds, applies
+/// the forwarded log settings, builds an execution-only DiscoveryService
+/// (no sessions; caches opened shared, so the pool serves one file),
+/// preloads the tasks, and drains the ring until stop is requested:
+/// claim a job, run DiscoveryService::Execute under a fresh
+/// TraceRecorder, and publish the response with its span tree (a bad
+/// request or a failed query is published as its typed error document).
+/// A span tree never fails an answer: when the document would overflow
+/// the slot buffer, the per-training "exact" spans are dropped first
+/// (counted on their parent as "exact_dropped"), then the whole tree;
+/// the skyline and stats always travel. Returns the process exit code:
+/// 0 on a clean stop, 1 on a ring error, 2 on a bad flag (reported
+/// naming the flag).
+int RunWorkerMain(int argc, char** argv);
+
+/// fork + exec of this very binary (/proc/self/exe) in the worker role
+/// for `options`, forwarding this process's log level and format. Never
+/// a bare fork: the coordinator is multi-threaded by the time a respawn
+/// happens. Returns the child's pid, or -1.
+pid_t SpawnWorkerProcess(const WorkerOptions& options);
 
 /// Coordinator-side supervisor of N worker processes over one job ring:
 /// creates the segment, spawns the workers through a caller-provided
-/// exec function, reaps them (waitpid), respawns with backoff, and on
-/// every death advances the dead worker's liveness generation and
-/// reclaims its orphaned jobs (requeue or poison — see ShmRing).
+/// function, reaps them (waitpid), respawns with backoff, and on every
+/// death advances the dead worker's liveness generation and reclaims its
+/// orphaned jobs (requeue or poison — see ShmRing). The ring has 2 ×
+/// workers slots: one live job per coordinator session (one session per
+/// worker) plus one cancelled-but-still-claimed straggler per worker.
 class WorkerPool {
  public:
   /// Spawns the worker process for slot `worker`; returns its pid, or
   /// -1 on failure (retried after the respawn backoff). Implementations
-  /// fork+exec the current binary with `--worker-attach` flags — never
-  /// a bare fork: the coordinator is multi-threaded by the time a
-  /// respawn happens.
+  /// call SpawnWorkerProcess().
   using SpawnFn = std::function<pid_t(uint32_t worker)>;
 
   struct Options {
     uint32_t workers = 1;
     std::string ring_path;
-    ShmRing::Options ring;
+    /// Bytes per ring transfer buffer (ShmRing::Options::buffer_bytes):
+    /// bounds one request and one response document.
+    uint32_t buffer_bytes = 1u << 20;
     /// Respawn backoff: base delay, doubled while a worker keeps dying
     /// within `stable_ms` of its spawn, capped at `respawn_max_ms`.
     int respawn_ms = 200;
@@ -84,31 +109,28 @@ class WorkerPool {
     SpawnFn spawn;
   };
 
-  struct WorkerState {
-    uint32_t index = 0;
-    pid_t pid = -1;
-    bool alive = false;
-    uint64_t restarts = 0;
-  };
-
   static Status Start(const Options& options, std::unique_ptr<WorkerPool>* out);
   ~WorkerPool();
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
-  /// Installs one request line and blocks for its response line. The
-  /// typed ring errors pass through: ResourceExhausted when the ring is
-  /// full, OutOfRange for an oversized line, Internal for a poisoned
-  /// job.
-  Status Submit(const std::string& request_line, std::string* response_line);
+  /// The out-of-process executor: serializes `request`, installs it into
+  /// the ring, awaits the worker's response, and grafts the worker's
+  /// span subtree under `root` of `trace` (skipped when `trace` is
+  /// null). The typed ring errors pass through: ResourceExhausted when
+  /// the ring is full, OutOfRange for an oversized document, Internal
+  /// for a poisoned or timed-out job; a worker's error document decodes
+  /// into its typed Status.
+  Result<DiscoveryResponse> Execute(const DiscoveryRequest& request,
+                                    TraceRecorder* trace, SpanId root);
 
   /// Stops the ring, terminates the workers (SIGTERM, then SIGKILL
-  /// after a grace period), joins the supervisor. Idempotent.
+  /// after a grace period), joins the supervisor, and removes the
+  /// segment file. Idempotent.
   void Stop();
 
+  uint32_t workers() const { return options_.workers; }
   ShmRing* ring() { return ring_.get(); }
-  std::vector<WorkerState> SnapshotWorkers() const;
-  uint64_t restarts_total() const;
 
   /// Overlays the pool + ring series onto a service metrics snapshot
   /// (worker_*, ring_*, and the per-worker `workers` array).

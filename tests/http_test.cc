@@ -7,8 +7,12 @@
 /// over real sockets (the host survives, answers what it can with typed
 /// errors, and leaks no session thread), the endpoint router, Prometheus
 /// exposition parity with the JSON shutdown dump, and tenant rate
-/// limiting surfacing as 429 + Retry-After. The `sanitize-thread` and
-/// `sanitize-address` CI jobs run this suite under the sanitizers.
+/// limiting surfacing as 429 + Retry-After. The parity, tracing, and QoS
+/// tests run over both executors — session threads and worker processes
+/// (this binary re-exec'ed in the worker role, which is why the suite
+/// owns main()) — since one admission path serves both. The
+/// `sanitize-thread` and `sanitize-address` CI jobs run this suite under
+/// the sanitizers.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +20,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -29,6 +34,7 @@
 #include "service/qos.h"
 #include "service/transport.h"
 #include "service/wire.h"
+#include "service/worker.h"
 
 namespace modis {
 namespace {
@@ -72,14 +78,49 @@ DiscoveryService::Options SmallServiceOptions() {
   return options;
 }
 
-/// An in-process discovery host: the HTTP router behind a real
-/// HttpServer on every endpoint.
+/// Where a host's admitted queries execute.
+enum class Executor { kThreads, kProcesses };
+
+std::string ExecutorName(
+    const ::testing::TestParamInfo<Executor>& info) {
+  return info.param == Executor::kThreads ? "threads" : "processes";
+}
+
+/// The out-of-process executor of a host: two worker processes (this
+/// binary in the worker role) with the host's execution settings, over a
+/// ring of `buffer_bytes` transfer buffers. Null for Executor::kThreads.
+std::unique_ptr<WorkerPool> StartWorkers(
+    Executor executor, const std::string& tag,
+    const DiscoveryService::Options& options,
+    uint32_t buffer_bytes = WorkerPool::Options().buffer_bytes) {
+  if (executor == Executor::kThreads) return nullptr;
+  WorkerOptions worker;
+  worker.ring_path = TempPath("http_ring_" + tag + ".shm");
+  worker.service = options;
+  WorkerPool::Options pool_options;
+  pool_options.workers = 2;
+  pool_options.ring_path = worker.ring_path;
+  pool_options.buffer_bytes = buffer_bytes;
+  pool_options.spawn = [worker](uint32_t index) {
+    WorkerOptions spawned = worker;
+    spawned.worker_index = index;
+    return SpawnWorkerProcess(spawned);
+  };
+  std::unique_ptr<WorkerPool> pool;
+  const Status started = WorkerPool::Start(pool_options, &pool);
+  EXPECT_TRUE(started.ok()) << started.ToString();
+  return pool;
+}
+
+/// A discovery host: the HTTP router behind a real HttpServer on every
+/// endpoint, executing in process or on `workers`.
 class HttpHost {
  public:
   explicit HttpHost(
       DiscoveryService::Options service_options = SmallServiceOptions(),
-      HttpServer::Options server_options = HttpServer::Options())
-      : service_(service_options),
+      HttpServer::Options server_options = HttpServer::Options(),
+      std::unique_ptr<WorkerPool> workers = nullptr)
+      : service_(service_options, std::move(workers)),
         server_(
             [this](const HttpRequest& request) {
               return RouteHttpRequest(&service_, request);
@@ -744,10 +785,12 @@ void ExpectValidExposition(const std::string& text) {
   EXPECT_GT(samples, 0u);
 }
 
+class ExpositionParityTest : public ::testing::TestWithParam<Executor> {};
+
 /// The parity contract: GET /metrics and the JSON shutdown dump
 /// (SerializeServiceMetrics) agree value-for-value over the SAME quiesced
-/// snapshot.
-TEST(ExpositionParityTest, PrometheusAgreesWithJsonDumpValueForValue) {
+/// snapshot — in either execution mode.
+TEST_P(ExpositionParityTest, PrometheusAgreesWithJsonDumpValueForValue) {
   DiscoveryService::Options options = SmallServiceOptions();
   TenantSpec gold;
   gold.name = "gold";
@@ -761,7 +804,8 @@ TEST(ExpositionParityTest, PrometheusAgreesWithJsonDumpValueForValue) {
   bronze.rate_per_s = 0.0;
   bronze.burst = 2.0;
   options.tenants = {gold, bronze};
-  DiscoveryService service(options);
+  DiscoveryService service(options,
+                           StartWorkers(GetParam(), "parity", options));
 
   DiscoveryRequest request = MakeRequest("bi");
   request.api_key = "gold-key";
@@ -853,20 +897,45 @@ TEST(ExpositionParityTest, PrometheusAgreesWithJsonDumpValueForValue) {
       PromValue(exposition,
                 "modis_tenant_rate_limited_total{tenant=\"bronze\"}", &found),
       1.0);
+  EXPECT_EQ(PromValue(exposition, "modis_served_total", &found), 3.0);
+  EXPECT_EQ(PromValue(exposition, "modis_worker_processes", &found),
+            GetParam() == Executor::kProcesses ? 2.0 : 0.0);
 }
 
+INSTANTIATE_TEST_SUITE_P(Executors, ExpositionParityTest,
+                         ::testing::Values(Executor::kThreads,
+                                           Executor::kProcesses),
+                         ExecutorName);
+
 // ------------------------------------------------------ tracing over HTTP
+
+/// True when `span` is `root` or one of its descendants.
+bool DescendsFrom(const std::vector<TraceSpan>& spans, const TraceSpan& span,
+                  SpanId root) {
+  for (SpanId id = span.id; id != kNoSpan;) {
+    if (id == root) return true;
+    if (id < 0 || size_t(id) >= spans.size()) return false;
+    id = spans[size_t(id)].parent;
+  }
+  return false;
+}
+
+class HttpTraceTest : public ::testing::TestWithParam<Executor> {};
 
 /// The HTTP face of the tracing tentpole: `X-Modis-Request-Id` on every
 /// answered query (matching the body's `request_id`), `X-Modis-Trace: 1`
 /// switching on the inline span tree, and `GET /v1/debug/traces` serving
 /// the ring as Chrome trace_event JSON that names BOTH queries — the
-/// recorder is always on; the header only gates the inline echo.
-TEST(HttpTraceTest, TraceHeaderRequestIdAndDebugEndpoint) {
+/// recorder is always on; the header only gates the inline echo. The
+/// host mints the ids and roots the tree in either execution mode: a
+/// worker's context/run/train spans sit under the host's query root.
+TEST_P(HttpTraceTest, TraceHeaderRequestIdAndDebugEndpoint) {
+  const std::string tag = ExecutorName({GetParam(), 0});
   DiscoveryService::Options options = SmallServiceOptions();
-  options.default_cache_path = TempPath("http_trace.rlog");
-  HttpHost host(options);
-  ASSERT_TRUE(host.Listen(UnixEndpoint("http_trace.sock")).ok());
+  options.default_cache_path = TempPath("http_trace_" + tag + ".rlog");
+  HttpHost host(options, HttpServer::Options(),
+                StartWorkers(GetParam(), "trace_" + tag, options));
+  ASSERT_TRUE(host.Listen(UnixEndpoint("http_trace_" + tag + ".sock")).ok());
   host.Start();
 
   const std::string body = SerializeDiscoveryRequest(MakeRequest("bi"));
@@ -878,6 +947,7 @@ TEST(HttpTraceTest, TraceHeaderRequestIdAndDebugEndpoint) {
   ASSERT_EQ(plain->status, 200);
   const std::string* plain_id = plain->FindHeader("x-modis-request-id");
   ASSERT_NE(plain_id, nullptr);
+  EXPECT_EQ(*plain_id, "q-000001");
   auto plain_parsed = ParseDiscoveryResponse(plain->body);
   ASSERT_TRUE(plain_parsed.ok()) << plain_parsed.status().ToString();
   EXPECT_EQ(plain_parsed->request_id, *plain_id);
@@ -895,8 +965,17 @@ TEST(HttpTraceTest, TraceHeaderRequestIdAndDebugEndpoint) {
   auto traced_parsed = ParseDiscoveryResponse(traced->body);
   ASSERT_TRUE(traced_parsed.ok()) << traced_parsed.status().ToString();
   EXPECT_EQ(traced_parsed->request_id, *traced_id);
-  ASSERT_FALSE(traced_parsed->trace_spans.empty());
-  EXPECT_EQ(traced_parsed->trace_spans[0].name, "query");
+  const std::vector<TraceSpan>& spans = traced_parsed->trace_spans;
+  ASSERT_FALSE(spans.empty());
+  EXPECT_EQ(spans[0].name, "query");
+  for (const char* phase : {"admission", "context", "run", "train",
+                            "respond"}) {
+    const auto it = std::find_if(
+        spans.begin(), spans.end(),
+        [phase](const TraceSpan& span) { return span.name == phase; });
+    ASSERT_NE(it, spans.end()) << phase;
+    EXPECT_TRUE(DescendsFrom(spans, *it, spans[0].id)) << phase;
+  }
 
   // GET /v1/debug/traces serves Chrome trace_event JSON whose process
   // metadata names both request ids.
@@ -934,9 +1013,72 @@ TEST(HttpTraceTest, TraceHeaderRequestIdAndDebugEndpoint) {
   host.Stop();
 }
 
+INSTANTIATE_TEST_SUITE_P(Executors, HttpTraceTest,
+                         ::testing::Values(Executor::kThreads,
+                                           Executor::kProcesses),
+                         ExecutorName);
+
+/// The skyline part of an answer, serialized canonically.
+std::string SkylineBytes(const DiscoveryResponse& response) {
+  DiscoveryResponse skyline;
+  skyline.measure_names = response.measure_names;
+  skyline.skyline = response.skyline;
+  return SerializeDiscoveryResponse(skyline);
+}
+
+/// A span tree never fails an answer: a worker whose traced response
+/// would overflow the ring's slot buffer drops the per-training "exact"
+/// leaves (counted on their "train" parent) rather than the answer. The
+/// buffer is sized from an in-process execution of the same cold query:
+/// above the document without those leaves, below the full one.
+TEST(HttpTraceTest, OversizedSpanTreeNeverFailsTheAnswer) {
+  const DiscoveryRequest request = MakeRequest("bi");
+  const DiscoveryService::Options options = SmallServiceOptions();
+  DiscoveryService reference(options);
+  TraceRecorder trace;
+  auto expected = reference.Execute(request, &trace, kNoSpan);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  DiscoveryResponse document = expected.value();
+  document.trace_spans = trace.Snapshot();
+  const int64_t exact_spans = std::count_if(
+      document.trace_spans.begin(), document.trace_spans.end(),
+      [](const TraceSpan& span) { return span.name == "exact"; });
+  const size_t full = SerializeDiscoveryResponse(document).size();
+  document.trace_spans = DropLeafSpans(document.trace_spans, "exact");
+  const size_t pruned = SerializeDiscoveryResponse(document).size();
+  ASSERT_LT(pruned + 1024, full) << "too few exact spans to size a buffer";
+  const uint32_t buffer_bytes = uint32_t((pruned + full) / 2);
+
+  HttpHost host(options, HttpServer::Options(),
+                StartWorkers(Executor::kProcesses, "oversized", options,
+                             buffer_bytes));
+  ASSERT_TRUE(host.Listen(UnixEndpoint("http_oversized.sock")).ok());
+  host.Start();
+  auto reply = HttpExchange(host.endpoint(), "POST", "/v1/query",
+                            SerializeDiscoveryRequest(request),
+                            "X-Modis-Trace: 1\r\n");
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_EQ(reply->status, 200) << reply->body;
+  auto answer = ParseDiscoveryResponse(reply->body);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_EQ(SkylineBytes(answer.value()), SkylineBytes(expected.value()));
+  int64_t dropped = 0;
+  for (const TraceSpan& span : answer->trace_spans) {
+    EXPECT_NE(span.name, "exact");
+    for (const auto& [key, value] : span.attrs) {
+      if (key == "exact_dropped") dropped += value;
+    }
+  }
+  EXPECT_EQ(dropped, exact_spans);
+  host.Stop();
+}
+
 // --------------------------------------------------------- QoS over HTTP
 
-TEST(HttpQosTest, RateLimitedTenantGets429WithRetryAfter) {
+class HttpQosTest : public ::testing::TestWithParam<Executor> {};
+
+TEST_P(HttpQosTest, RateLimitedTenantGets429WithRetryAfter) {
+  const std::string tag = ExecutorName({GetParam(), 0});
   DiscoveryService::Options options = SmallServiceOptions();
   TenantSpec bronze;
   bronze.name = "bronze";
@@ -944,8 +1086,9 @@ TEST(HttpQosTest, RateLimitedTenantGets429WithRetryAfter) {
   bronze.rate_per_s = 0.0;  // Never refills: deterministic burst-then-429.
   bronze.burst = 2.0;
   options.tenants = {bronze};
-  HttpHost host(options);
-  ASSERT_TRUE(host.Listen(UnixEndpoint("http_qos.sock")).ok());
+  HttpHost host(options, HttpServer::Options(),
+                StartWorkers(GetParam(), "qos_" + tag, options));
+  ASSERT_TRUE(host.Listen(UnixEndpoint("http_qos_" + tag + ".sock")).ok());
   host.Start();
 
   const std::string body = SerializeDiscoveryRequest(MakeRequest("bi"));
@@ -982,7 +1125,23 @@ TEST(HttpQosTest, RateLimitedTenantGets429WithRetryAfter) {
   EXPECT_EQ(snapshot.tenants[0].in_flight, 0u);
   EXPECT_EQ(snapshot.tenants[1].name, "anonymous");
   EXPECT_EQ(snapshot.tenants[1].admitted, 1u);
+  EXPECT_EQ(snapshot.accepted, 3u);
+  EXPECT_EQ(snapshot.served, 3u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Executors, HttpQosTest,
+                         ::testing::Values(Executor::kThreads,
+                                           Executor::kProcesses),
+                         ExecutorName);
 
 }  // namespace
 }  // namespace modis
+
+int main(int argc, char** argv) {
+  // Worker children re-exec this binary in the worker role.
+  if (argc > 1 && std::strcmp(argv[1], "--worker-attach") == 0) {
+    return modis::RunWorkerMain(argc, argv);
+  }
+  ::testing::InitGoogleTest(&argc, argv);
+  return RUN_ALL_TESTS();
+}

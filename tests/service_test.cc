@@ -154,9 +154,10 @@ TEST(WireTest, ErrorResponsesDecodeIntoStatus) {
       SerializeDiscoveryError(Status::InvalidArgument("bad task"));
   auto decoded = ParseDiscoveryResponse(line);
   ASSERT_FALSE(decoded.ok());
-  EXPECT_NE(decoded.status().message().find("bad task"), std::string::npos);
-  EXPECT_NE(decoded.status().message().find("InvalidArgument"),
-            std::string::npos);
+  EXPECT_EQ(decoded.status().message(), "bad task");
+  // The transported code survives: a worker's typed error keeps its HTTP
+  // mapping once the coordinator decodes it.
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
 }
 
 // -------------------------------------------------------------- service
@@ -1015,6 +1016,73 @@ TEST(TraceRecorderTest, UnendedAndInvalidSpansAreHarmless) {
   EXPECT_GE(first, 0.0);
   recorder.End(open);  // Double End keeps the first duration.
   EXPECT_DOUBLE_EQ(recorder.Snapshot()[0].duration_ms, first);
+}
+
+/// A worker's subtree joins the coordinator's trace: ids and parents
+/// offset past the host's spans, the worker's roots under the graft
+/// point, start times shifted onto the host's clock.
+TEST(TraceRecorderTest, GraftOffsetsIdsParentsAndStartTimes) {
+  TraceRecorder worker;
+  const SpanId run = worker.Begin("run", kNoSpan);
+  const SpanId train = worker.Begin("train", run);
+  worker.AddAttr(train, "exact", 2);
+  worker.End(train);
+  worker.End(run);
+  const SpanId context = worker.Begin("context", kNoSpan);
+  worker.End(context);
+  const std::vector<TraceSpan> subtree = worker.Snapshot();
+
+  TraceRecorder host;
+  const SpanId root = host.Begin("query", kNoSpan);
+  host.Begin("admission", root);
+  host.Graft(subtree, root, /*offset_ms=*/100.0);
+  const SpanId respond = host.Begin("respond", root);
+  EXPECT_EQ(respond, SpanId(5));  // Begin continues past the graft.
+
+  const std::vector<TraceSpan> spans = host.Snapshot();
+  ASSERT_EQ(spans.size(), 6u);
+  for (size_t i = 0; i < spans.size(); ++i) EXPECT_EQ(spans[i].id, SpanId(i));
+  EXPECT_EQ(spans[2].name, "run");
+  EXPECT_EQ(spans[2].parent, root);
+  EXPECT_EQ(spans[3].name, "train");
+  EXPECT_EQ(spans[3].parent, SpanId(2));
+  EXPECT_EQ(spans[4].name, "context");
+  EXPECT_EQ(spans[4].parent, root);
+  ASSERT_EQ(spans[3].attrs.size(), 1u);
+  EXPECT_EQ(spans[3].attrs[0].second, 2);
+  for (size_t i = 0; i < subtree.size(); ++i) {
+    EXPECT_DOUBLE_EQ(spans[i + 2].start_ms, subtree[i].start_ms + 100.0);
+    EXPECT_DOUBLE_EQ(spans[i + 2].duration_ms, subtree[i].duration_ms);
+  }
+  host.Graft({}, root, 0.0);  // An empty subtree is a no-op.
+  EXPECT_EQ(host.Snapshot().size(), 6u);
+}
+
+/// Dropping leaves keeps ids dense (graftable) and counts the loss on
+/// each parent; a span with children is never dropped.
+TEST(TraceRecorderTest, DropLeafSpansCountsOnTheParent) {
+  TraceRecorder recorder;
+  const SpanId run = recorder.Begin("run", kNoSpan);
+  const SpanId train = recorder.Begin("train", run);
+  recorder.Begin("exact", train);
+  recorder.Begin("exact", train);
+  recorder.Begin("commit", run);
+  const SpanId nested = recorder.Begin("exact", run);  // Has a child.
+  recorder.Begin("plan", nested);
+  const std::vector<TraceSpan> kept =
+      DropLeafSpans(recorder.Snapshot(), "exact");
+  ASSERT_EQ(kept.size(), 5u);
+  for (size_t i = 0; i < kept.size(); ++i) EXPECT_EQ(kept[i].id, SpanId(i));
+  EXPECT_EQ(kept[1].name, "train");
+  ASSERT_EQ(kept[1].attrs.size(), 1u);
+  EXPECT_EQ(kept[1].attrs[0].first, "exact_dropped");
+  EXPECT_EQ(kept[1].attrs[0].second, 2);
+  EXPECT_EQ(kept[2].name, "commit");
+  EXPECT_EQ(kept[2].parent, run);
+  EXPECT_EQ(kept[3].name, "exact");
+  EXPECT_EQ(kept[4].name, "plan");
+  EXPECT_EQ(kept[4].parent, SpanId(3));
+  EXPECT_TRUE(kept[0].attrs.empty());
 }
 
 TEST(TraceRingTest, BoundsAndEvictionOrder) {

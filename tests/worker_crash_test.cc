@@ -7,16 +7,17 @@
 /// robust-mutex owner-death case). After every kill the battery
 /// asserts the crash-isolation contract:
 ///
-///   * no accepted query is lost — every Submit() resolves;
+///   * no accepted query is lost — every Execute() resolves;
 ///   * no query is answered twice — ring completions match submissions;
 ///   * the skyline is byte-identical to an undisturbed in-process run;
 ///   * the cache file reloads clean after the kill;
 ///   * the ring never wedges (every wait here is bounded).
 ///
-/// Worker processes are this very binary re-exec'ed with --worker-role (which is why this suite owns main()); the kill
-/// points are armed through WorkerOptions::crash_at on the FIRST
-/// incarnation of worker 0 only — its respawn runs disarmed, exactly
-/// like a real crash that does not reproduce.
+/// Worker processes are this very binary re-exec'ed in the worker role
+/// (SpawnWorkerProcess → RunWorkerMain, which is why this suite owns
+/// main()); the kill points are armed through WorkerOptions::crash_at on
+/// the FIRST incarnation of worker 0 only — its respawn runs disarmed,
+/// exactly like a real crash that does not reproduce.
 
 #include <gtest/gtest.h>
 
@@ -48,9 +49,6 @@ namespace fs = std::filesystem;
 
 constexpr double kRowScale = 0.4;
 
-/// Absolute path of this test binary, for re-exec'ing worker children.
-std::string g_self_exe;
-
 std::string TempPath(const std::string& name) {
   const fs::path path = fs::path(::testing::TempDir()) / name;
   fs::remove(path);
@@ -71,43 +69,15 @@ DiscoveryRequest MakeRequest() {
   return request;
 }
 
+/// The execution settings of every worker (and of the in-process
+/// reference).
 DiscoveryService::Options WorkerServiceOptions(const std::string& cache) {
   DiscoveryService::Options options;
   options.sessions = 1;
-  options.queue_capacity = 4;
   options.valuation_threads = 2;
   options.task_row_scale = kRowScale;
   options.default_cache_path = cache;
   return options;
-}
-
-// ------------------------------------------------------- worker role
-
-struct WorkerRoleArgs {
-  std::string ring;
-  uint32_t index = 0;
-  std::string cache;
-  std::string crash_at;
-  std::string hold_at;
-};
-
-/// Entry point of a spawned worker child (`--worker-role`): build a
-/// shared-cache DiscoveryService and drain the ring, with the crash
-/// point armed. Runs until the coordinator stops the ring or the armed
-/// SIGKILL fires.
-int RunWorkerRole(const WorkerRoleArgs& args) {
-  DiscoveryService::Options options = WorkerServiceOptions(args.cache);
-  options.shared_cache = true;
-  options.request_id_prefix = "q-w" + std::to_string(args.index) + "-";
-  DiscoveryService service(options);
-  WorkerOptions worker_options;
-  worker_options.ring_path = args.ring;
-  worker_options.worker_index = args.index;
-  worker_options.poll_ms = 50;
-  worker_options.crash_at = args.crash_at;
-  worker_options.hold_at = args.hold_at;
-  const Status ran = RunWorkerLoop(&service, worker_options);
-  return ran.ok() ? 0 : 1;
 }
 
 // ---------------------------------------------------------- harness
@@ -123,27 +93,21 @@ class PoolHarness {
     cache_path_ = TempPath("crash_cache_" + tag + ".bin");
     crash_at_ = crash_at;
     hold_at_ = hold_at;
-    spawn_counts_.assign(workers, 0);
+    pids_.assign(workers, 0);
 
     WorkerPool::Options options;
     options.workers = workers;
     options.ring_path = ring_path_;
-    options.ring.slots = 8;
     options.respawn_ms = 50;  // Keep the battery fast.
     options.stable_ms = 0;    // A kill-injected death is not "unstable".
     options.spawn = [this](uint32_t worker) { return Spawn(worker); };
     return WorkerPool::Start(options, &pool_);
   }
 
-  /// Serializes `request`, runs it through the ring, and returns the
-  /// parsed response. Every wait is bounded: a wedged ring fails the
-  /// test instead of hanging it.
+  /// Runs `request` through the ring. Every wait is bounded: a wedged
+  /// ring fails the test instead of hanging it.
   Result<DiscoveryResponse> Query(const DiscoveryRequest& request) {
-    std::string response_line;
-    const Status submitted =
-        pool_->Submit(SerializeDiscoveryRequest(request), &response_line);
-    if (!submitted.ok()) return submitted;
-    return ParseDiscoveryResponse(response_line);
+    return pool_->Execute(request, /*trace=*/nullptr, kNoSpan);
   }
 
   WorkerPool* pool() { return pool_.get(); }
@@ -169,7 +133,15 @@ class PoolHarness {
 
   /// Releases `worker` from its hold point.
   void Release(uint32_t worker) {
-    ::kill(pool_->SnapshotWorkers()[worker].pid, SIGUSR1);
+    std::lock_guard<std::mutex> lock(mu_);
+    ::kill(pids_[worker], SIGUSR1);
+  }
+
+  /// Supervisor respawns so far, as GET /metrics reports them.
+  uint64_t Restarts() const {
+    MetricsSnapshot snapshot;
+    pool_->FillMetrics(&snapshot);
+    return snapshot.worker_restarts;
   }
 
   void Stop() {
@@ -180,41 +152,21 @@ class PoolHarness {
 
  private:
   pid_t Spawn(uint32_t worker) {
-    std::string crash;
-    std::string hold;
+    WorkerOptions options;
+    options.ring_path = ring_path_;
+    options.worker_index = worker;
+    options.service = WorkerServiceOptions(cache_path_);
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (worker == 1 && defer_worker1_) return -1;
-      if (worker == 0 && spawn_counts_[worker] == 0) {
-        crash = crash_at_;
-        hold = hold_at_;
+      if (worker == 0 && pids_[worker] == 0) {
+        options.crash_at = crash_at_;
+        options.hold_at = hold_at_;
       }
-      ++spawn_counts_[worker];
     }
-    std::vector<std::string> storage = {
-        g_self_exe,
-        "--worker-role",
-        "--ring", ring_path_,
-        "--index", std::to_string(worker),
-        "--cache", cache_path_,
-    };
-    if (!crash.empty()) {
-      storage.push_back("--crash-at");
-      storage.push_back(crash);
-    }
-    if (!hold.empty()) {
-      storage.push_back("--hold-at");
-      storage.push_back(hold);
-    }
-    std::vector<char*> argv;
-    argv.reserve(storage.size() + 1);
-    for (std::string& arg : storage) argv.push_back(arg.data());
-    argv.push_back(nullptr);
-    const pid_t pid = ::fork();
-    if (pid == 0) {
-      ::execv(g_self_exe.c_str(), argv.data());
-      _exit(127);
-    }
+    const pid_t pid = SpawnWorkerProcess(options);
+    std::lock_guard<std::mutex> lock(mu_);
+    pids_[worker] = pid;
     return pid;
   }
 
@@ -225,7 +177,7 @@ class PoolHarness {
   std::string hold_at_;
   std::mutex mu_;
   bool defer_worker1_ = false;
-  std::vector<int> spawn_counts_;
+  std::vector<pid_t> pids_;  // Latest incarnation; 0 = never spawned.
 };
 
 // -------------------------------------------------------- assertions
@@ -294,7 +246,7 @@ TEST_P(WorkerCrashTest, KilledWorkerNeverLosesOrForksAQuery) {
   // query, crashes at the injected stage, and is respawned disarmed.
   ASSERT_TRUE(harness.Start(crash.stage, /*workers=*/1, crash.stage).ok());
 
-  // The crash victim. Submit() resolves even though the first claim
+  // The crash victim. Execute() resolves even though the first claim
   // dies: the supervisor requeues the job and the respawned worker
   // answers it. "No accepted query lost."
   auto crashed = harness.Query(MakeRequest());
@@ -307,7 +259,7 @@ TEST_P(WorkerCrashTest, KilledWorkerNeverLosesOrForksAQuery) {
   ExpectSameSkylines(warm.value(), ReferenceResponse());
 
   // The kill really happened and was really recovered.
-  EXPECT_GE(harness.pool()->restarts_total(), 1u);
+  EXPECT_GE(harness.Restarts(), 1u);
   const ShmRing::Stats stats = harness.pool()->ring()->SnapshotStats();
   EXPECT_EQ(stats.installed, 2u);
   EXPECT_EQ(stats.completed, 2u);  // Exactly one completion per query.
@@ -347,7 +299,7 @@ TEST(WorkerPoolTest, UndisturbedPoolMatchesInProcessAnswers) {
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   ExpectSameSkylines(warm.value(), ReferenceResponse());
 
-  EXPECT_EQ(harness.pool()->restarts_total(), 0u);
+  EXPECT_EQ(harness.Restarts(), 0u);
   const ShmRing::Stats stats = harness.pool()->ring()->SnapshotStats();
   EXPECT_EQ(stats.installed, 2u);
   EXPECT_EQ(stats.completed, 2u);
@@ -361,7 +313,8 @@ TEST(WorkerPoolTest, UndisturbedPoolMatchesInProcessAnswers) {
 /// different worker process answers it than the one that trained.
 /// Placement is pinned, not hoped for: worker 0 alone claims the first
 /// query and parks before it touches the cache; worker 1 then answers
-/// the same query cold; released, worker 0 must serve it warm.
+/// the same query cold; released, worker 0 must serve it warm. The
+/// ring's per-worker completion counts prove who answered which.
 TEST(WorkerPoolTest, SecondQueryThroughLivePoolIsWarm) {
   PoolHarness harness;
   harness.DeferWorker1(true);
@@ -377,18 +330,17 @@ TEST(WorkerPoolTest, SecondQueryThroughLivePoolIsWarm) {
   // Worker 0 holds its claim, so only worker 1 can answer this one.
   auto cold = harness.Query(MakeRequest());
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  EXPECT_EQ(cold.value().request_id.rfind("q-w1-", 0), 0u)
-      << cold.value().request_id;
+  EXPECT_EQ(harness.pool()->ring()->SnapshotStats().completed_by[1], 1u);
+  EXPECT_EQ(harness.pool()->ring()->SnapshotStats().completed_by[0], 0u);
   EXPECT_GT(cold.value().exact_evals, 0u);
   ExpectSameSkylines(cold.value(), ReferenceResponse());
 
   harness.Release(0);
   auto warm = held.get();
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-  EXPECT_EQ(warm.value().request_id.rfind("q-w0-", 0), 0u)
-      << warm.value().request_id;
+  EXPECT_EQ(harness.pool()->ring()->SnapshotStats().completed_by[0], 1u);
   EXPECT_EQ(warm.value().exact_evals, 0u)
-      << "cross-process reader was cold: " << warm.value().request_id;
+      << "cross-process reader was cold";
   ExpectSameSkylines(warm.value(), ReferenceResponse());
   harness.Stop();
 }
@@ -397,24 +349,10 @@ TEST(WorkerPoolTest, SecondQueryThroughLivePoolIsWarm) {
 }  // namespace modis
 
 int main(int argc, char** argv) {
-  // Worker children re-exec this binary with --worker-role; peel that
-  // mode off before gtest sees the flags.
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--worker-role") == 0) {
-      modis::WorkerRoleArgs args;
-      for (int j = 1; j + 1 < argc; ++j) {
-        const std::string flag = argv[j];
-        if (flag == "--ring") args.ring = argv[j + 1];
-        if (flag == "--index")
-          args.index = static_cast<uint32_t>(std::stoul(argv[j + 1]));
-        if (flag == "--cache") args.cache = argv[j + 1];
-        if (flag == "--crash-at") args.crash_at = argv[j + 1];
-        if (flag == "--hold-at") args.hold_at = argv[j + 1];
-      }
-      return modis::RunWorkerRole(args);
-    }
+  // Worker children re-exec this binary in the worker role.
+  if (argc > 1 && std::strcmp(argv[1], "--worker-attach") == 0) {
+    return modis::RunWorkerMain(argc, argv);
   }
-  modis::g_self_exe = argv[0];
   ::testing::InitGoogleTest(&argc, argv);
   return RUN_ALL_TESTS();
 }
