@@ -1,7 +1,5 @@
 #include "storage/persistent_record_cache.h"
 
-#include <sys/stat.h>
-
 #include <algorithm>
 #include <chrono>
 #include <thread>
@@ -26,6 +24,7 @@ Result<std::unique_ptr<PersistentRecordCache>> PersistentRecordCache::Open(
   auto cache = std::unique_ptr<PersistentRecordCache>(
       new PersistentRecordCache(std::move(log), mode, fingerprint, options));
   cache->stats_.loaded_records = records.size();
+  cache->stats_.decoded_records = records.size();
   cache->stats_.discarded_tail_bytes = cache->log_.discarded_tail_bytes();
 
   // Last record wins per (fingerprint, key): replay order equals the order
@@ -78,41 +77,51 @@ Result<std::unique_ptr<PersistentRecordCache>> PersistentRecordCache::OpenShared
   return cache;
 }
 
-PersistentRecordCache::FileStamp PersistentRecordCache::StampOf(
-    const std::string& path) {
-  FileStamp stamp;
-  struct stat st;
-  if (::stat(path.c_str(), &st) == 0) {
-    stamp.size = static_cast<int64_t>(st.st_size);
-    stamp.mtime_ns = static_cast<int64_t>(st.st_mtim.tv_sec) * 1000000000 +
-                     st.st_mtim.tv_nsec;
-    stamp.inode = static_cast<uint64_t>(st.st_ino);
+void PersistentRecordCache::CatchUpLocked(std::vector<StoredRecord>* records,
+                                          bool tail, size_t valid_end,
+                                          const FileStamp& stamp) {
+  if (!tail) {
+    index_.clear();
+    stats_.loaded_records = 0;
   }
-  return stamp;
-}
-
-void PersistentRecordCache::IndexSnapshotRecordsLocked(
-    std::vector<StoredRecord>* records) {
   stats_.loaded_records += records->size();
+  stats_.decoded_records += records->size();
   for (StoredRecord& r : *records) {
     Bucket& bucket = index_[r.fingerprint];
     const uint64_t tick = ++tick_;
     // Last write wins over the file, as at every load. A key this process
     // still holds in pending_ now serves the file's copy, which is
-    // identical by content addressing.
+    // identical by content addressing, and is no longer published.
     Entry& entry = bucket.entries[r.key];
     entry.record = std::move(r);
     entry.last_hit = tick;
+    entry.pending = false;
     bucket.last_hit = tick;
+  }
+  if (!tail) {
+    // This process's unpublished inserts stay visible where the file
+    // lacks them.
+    for (const StoredRecord& r : pending_) {
+      Bucket& bucket = index_[r.fingerprint];
+      auto [it, inserted] = bucket.entries.try_emplace(r.key);
+      if (!inserted) continue;
+      it->second.record = r;
+      it->second.last_hit = ++tick_;
+      it->second.pending = true;
+      bucket.last_hit = it->second.last_hit;
+    }
   }
   auto it = index_.find(fingerprint_);
   stats_.task_records = it == index_.end() ? 0 : it->second.entries.size();
+  snapshot_stamp_ = stamp;
+  snapshot_valid_end_ = valid_end;
+  stats_.log_bytes = stamp.size < 0 ? 0 : static_cast<size_t>(stamp.size);
 }
 
 Status PersistentRecordCache::LoadSharedSnapshotLocked() {
   // Stamped before the read: a publish racing the read changes the file
   // after the stamp, so the next refresh looks again.
-  const FileStamp stamp = StampOf(path_);
+  const FileStamp stamp = FileStamp::Of(path_);
   std::vector<StoredRecord> records;
   size_t valid_end = 0;
   // A missing file means nothing was published yet: an empty snapshot is
@@ -122,59 +131,26 @@ Status PersistentRecordCache::LoadSharedSnapshotLocked() {
     if (!opened.ok()) return opened.status();
     valid_end = opened->size_bytes();
   }  // The read lock is released as `opened` dies.
-  index_.clear();
-  stats_.loaded_records = 0;
-  IndexSnapshotRecordsLocked(&records);
-  // This process's unpublished inserts stay visible (first write wins:
-  // a record a sibling published meanwhile is identical by content
-  // addressing, so whichever copy the index holds is the same answer).
-  for (const StoredRecord& r : pending_) {
-    Bucket& bucket = index_[r.fingerprint];
-    auto [it, inserted] = bucket.entries.try_emplace(r.key);
-    if (!inserted) continue;
-    it->second.record = r;
-    it->second.last_hit = ++tick_;
-    bucket.last_hit = it->second.last_hit;
-  }
-  {
-    auto it = index_.find(fingerprint_);
-    stats_.task_records =
-        it == index_.end() ? 0 : it->second.entries.size();
-  }
-  snapshot_stamp_ = stamp;
-  snapshot_valid_end_ = valid_end;
-  stats_.log_bytes = stamp.size < 0 ? 0 : static_cast<size_t>(stamp.size);
-  return Status::OK();
-}
-
-Status PersistentRecordCache::ReadSharedTailLocked(const FileStamp& stamp) {
-  std::vector<StoredRecord> records;
-  size_t valid_end = 0;
-  MODIS_RETURN_IF_ERROR(RecordLog::ReadFrom(path_, snapshot_stamp_.inode,
-                                            snapshot_valid_end_, &records,
-                                            &valid_end));
-  // Appending the tail to the snapshot in file order is what a full
-  // reload would index; pending_ entries are already in the index.
-  IndexSnapshotRecordsLocked(&records);
-  snapshot_stamp_ = stamp;
-  snapshot_valid_end_ = valid_end;
-  stats_.log_bytes = static_cast<size_t>(stamp.size);
+  CatchUpLocked(&records, /*tail=*/false, valid_end, stamp);
   return Status::OK();
 }
 
 Status PersistentRecordCache::RefreshIfChanged() {
   std::lock_guard<std::mutex> lock(mu_);
   if (!shared_) return Status::OK();
-  const FileStamp now = StampOf(path_);
+  const FileStamp now = FileStamp::Of(path_);
   if (now == snapshot_stamp_) return Status::OK();
-  // Same file, not shorter than the scanned prefix: only frames appended
-  // since can be new. A replaced file (Rewrite, compaction) or a shrunken
-  // one is reloaded whole.
-  const bool tail = snapshot_valid_end_ >= RecordLog::kHeaderSize &&
-                    now.inode == snapshot_stamp_.inode &&
-                    now.size >= static_cast<int64_t>(snapshot_valid_end_);
-  Status refreshed = tail ? ReadSharedTailLocked(now) : Status::OK();
-  if (!tail || refreshed.code() == StatusCode::kOutOfRange) {
+  // Only frames appended after the snapshot's valid end can be new. A
+  // replaced file (Rewrite, compaction), a shrunken one or a tail that
+  // does not scan cleanly is reloaded whole (ReadFrom says OutOfRange).
+  std::vector<StoredRecord> records;
+  size_t valid_end = 0;
+  Status refreshed = RecordLog::ReadFrom(path_, snapshot_stamp_.inode,
+                                         snapshot_valid_end_, &records,
+                                         &valid_end);
+  if (refreshed.ok()) {
+    CatchUpLocked(&records, /*tail=*/true, valid_end, now);
+  } else if (refreshed.code() == StatusCode::kOutOfRange) {
     refreshed = LoadSharedSnapshotLocked();
   }
   if (refreshed.code() == StatusCode::kFailedPrecondition) {
@@ -187,31 +163,61 @@ Status PersistentRecordCache::RefreshIfChanged() {
 
 Status PersistentRecordCache::PublishPendingLocked() {
   if (pending_.empty()) return Status::OK();
-  // Publish through the existing exclusive-writer path: a short-lived
-  // kReadWrite open is a flock EX window, and every durability contract
-  // (torn-tail truncation, byte-bound eviction)
-  // rides along unchanged. Contention with a sibling's window is brief,
-  // so retry with a small backoff before giving up.
-  Status last;
+  // Contention with a sibling's window is brief, so retry with a small
+  // backoff before giving up.
   for (int attempt = 0; attempt < 100; ++attempt) {
-    auto inner = Open(path_, CacheMode::kReadWrite, fingerprint_, options_);
-    if (inner.ok()) {
-      for (const StoredRecord& r : pending_) {
-        inner.value()->Insert(r.fingerprint, r.key, r.features, r.eval);
-      }
-      MODIS_RETURN_IF_ERROR(inner.value()->Flush());
-      stats_.appended += pending_.size();
-      pending_.clear();
-      return Status::OK();
+    std::vector<StoredRecord> scanned;
+    auto opened = RecordLog::OpenFrom(path_, snapshot_stamp_.inode,
+                                      snapshot_valid_end_, &scanned);
+    if (opened.ok()) {
+      log_ = std::move(opened).value();
+      const Status published = AppendPendingLocked(&scanned);
+      log_ = RecordLog();  // Closing the handle releases the lock.
+      return published;
     }
-    last = inner.status();
-    if (last.code() != StatusCode::kFailedPrecondition) return last;
+    if (opened.status().code() != StatusCode::kFailedPrecondition) {
+      return opened.status();
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   // The lock stayed contended for the whole retry budget. Keep the
   // buffer for the next Flush() instead of failing the query — the
   // cache is an accelerator, never the answer.
   return Status::OK();
+}
+
+Status PersistentRecordCache::AppendPendingLocked(
+    std::vector<StoredRecord>* scanned) {
+  // Catch up on what siblings appended (a torn tail is already cut); a
+  // pending key the file now holds is no longer pending.
+  CatchUpLocked(scanned, log_.resumed(), log_.size_bytes(), log_.stamp());
+  // Every pending record is indexed: only the byte bound evicts, and it
+  // runs after pending_ is drained.
+  auto entry_of = [this](const StoredRecord& r) -> Entry& {
+    return index_.find(r.fingerprint)->second.entries.find(r.key)->second;
+  };
+  size_t written = 0;
+  for (const StoredRecord& r : pending_) {
+    if (!entry_of(r).pending) continue;  // First write wins across processes.
+    MODIS_RETURN_IF_ERROR(log_.Append(r));
+    ++written;
+  }
+  // On failure pending_ stays whole: the next publish's catch-up indexes
+  // whatever frames did land, and appends the rest.
+  MODIS_RETURN_IF_ERROR(log_.Flush());
+  for (const StoredRecord& r : pending_) entry_of(r).pending = false;
+  pending_.clear();
+  stats_.appended += written;
+  // Under the lock the index is the file's live set, so the byte bound
+  // evicts over it and Rewrite carries the lock to the compacted file.
+  const Status bounded = EnforceByteBoundLocked();
+  stats_.reclaimed_bytes += log_.reclaimed_bytes();
+  // Restamp from the open handle: the file now holds this attachment's
+  // own frames, and the next refresh must not read them back.
+  snapshot_stamp_ = log_.stamp();
+  snapshot_valid_end_ = log_.size_bytes();
+  stats_.log_bytes = log_.size_bytes();
+  return bounded;
 }
 
 bool PersistentRecordCache::Contains(uint64_t fingerprint,
@@ -279,6 +285,7 @@ void PersistentRecordCache::Insert(uint64_t fingerprint,
   it->second.last_hit = tick;
   bucket.last_hit = tick;
   if (shared_) {
+    it->second.pending = true;
     pending_.push_back(record);
     return;
   }

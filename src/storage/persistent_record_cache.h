@@ -71,7 +71,13 @@ class PersistentRecordCache {
   };
 
   struct Stats {
-    size_t loaded_records = 0;   // All valid records in the file at open.
+    /// All valid records in the file at open. Shared mode: records
+    /// indexed from the file since the last whole-file load (its own
+    /// publishes are never read back).
+    size_t loaded_records = 0;
+    /// Frames decoded from the file this session: the open's scan plus,
+    /// in shared mode, every refresh and publish catch-up.
+    size_t decoded_records = 0;
     size_t task_records = 0;     // Subset matching the default fingerprint.
     size_t served = 0;           // Find()/Get() hits.
     size_t appended = 0;         // Insert()s written this session.
@@ -99,27 +105,35 @@ class PersistentRecordCache {
   /// cache file under the unchanged single-writer flock contract.
   ///
   /// Reads serve from an in-memory snapshot (loaded via a short-lived
-  /// read-only open; RefreshIfChanged() reloads it when the file grew
+  /// read-only open; RefreshIfChanged() catches it up when the file grew
   /// under a sibling's publish). Insert() buffers records in memory;
-  /// Flush() publishes the buffer through a short-lived exclusive
-  /// kReadWrite open — the existing writer path, lock window and all —
-  /// retrying briefly when a sibling holds the window. First-write-wins
-  /// semantics make re-publishing after a crash idempotent. Never fails
-  /// a query on lock contention: an unpublishable buffer is kept for
-  /// the next Flush(), and a snapshot that cannot be refreshed serves
-  /// the previous view (degrading to cold, exactly like the in-process
-  /// host does when its open loses the lock race).
+  /// Flush() publishes the buffer by append, in one short exclusive
+  /// window (RecordLog::OpenFrom at the snapshot's valid end): decode only
+  /// the frames siblings appended since the snapshot, truncate a torn
+  /// tail, append the buffered records the file does not already hold
+  /// (first write wins across processes, so re-publishing after a crash
+  /// is idempotent), enforce Options::max_bytes over this attachment's
+  /// index — under the lock it is the file's live set — and restamp the
+  /// snapshot before the lock is released, so the attachment never reads
+  /// its own publish back. A publish costs what it and its siblings
+  /// appended, not the file size. Retries briefly when a sibling holds
+  /// the window; never fails a query on lock contention: an
+  /// unpublishable buffer is kept for the next Flush(), and a snapshot
+  /// that cannot be refreshed serves the previous view (degrading to
+  /// cold, exactly like the in-process host does when its open loses the
+  /// lock race).
   static Result<std::unique_ptr<PersistentRecordCache>> OpenShared(
       const std::string& path, uint64_t fingerprint,
       Options options = Options());
 
   /// Shared mode only (no-op otherwise): brings the snapshot up to date
-  /// when the file changed on disk since it was last read. A log that
-  /// only grew is tail-read: just the frames appended after the last
-  /// scan's valid end (RecordLog::ReadFrom). A replaced file (a Rewrite
-  /// rename or byte-bound compaction) or a shrunken one is reloaded
-  /// whole. A conflicting live writer is not an error — the current
-  /// snapshot is kept.
+  /// when the file changed on disk since it was last read or published.
+  /// A log that only grew is tail-read: just the frames appended after
+  /// the snapshot's valid end (RecordLog::ReadFrom). A replaced file (a
+  /// Rewrite rename or byte-bound compaction), a shrunken one, or one
+  /// whose tail does not scan cleanly to the end is reloaded whole. A
+  /// conflicting live writer is not an error — the current snapshot is
+  /// kept.
   Status RefreshIfChanged();
 
   bool shared() const { return shared_; }
@@ -181,6 +195,8 @@ class PersistentRecordCache {
   struct Entry {
     StoredRecord record;
     uint64_t last_hit = 0;
+    /// Shared mode: inserted here and not yet in the file.
+    bool pending = false;
   };
   struct Bucket {
     std::unordered_map<std::string, Entry> entries;
@@ -204,31 +220,24 @@ class PersistentRecordCache {
         path_(std::move(path)),
         shared_(true) {}
 
-  /// Identity and change signal of the file at a path: (size, mtime) say
-  /// whether it changed, the inode whether it is still the same file.
-  struct FileStamp {
-    int64_t size = -1;  // -1: missing.
-    int64_t mtime_ns = -1;
-    uint64_t inode = 0;
-    bool operator==(const FileStamp& o) const {
-      return size == o.size && mtime_ns == o.mtime_ns && inode == o.inode;
-    }
-  };
-  static FileStamp StampOf(const std::string& path);
-
   /// Shared mode: replaces the snapshot from the file (read-only short
-  /// open), then re-overlays pending_. Caller holds mu_.
+  /// open). Caller holds mu_.
   Status LoadSharedSnapshotLocked();
-  /// Shared mode: indexes the frames appended since the last
-  /// scan. OutOfRange when the file was replaced or truncated meanwhile.
+  /// Shared mode, the one catch-up of refresh, load and publish: indexes
+  /// `records` — scanned from the file `stamp` describes, up to
+  /// `valid_end` — in file order (last write wins). A `tail` scan resumed
+  /// at the snapshot's valid end adds to the index; a whole-file scan
+  /// replaces it and re-overlays pending_. Then restamps the snapshot.
   /// Caller holds mu_.
-  Status ReadSharedTailLocked(const FileStamp& stamp);
-  /// Indexes snapshot records in file order (last write wins) and
-  /// updates the load stats. Caller holds mu_.
-  void IndexSnapshotRecordsLocked(std::vector<StoredRecord>* records);
-  /// Shared mode: publishes pending_ via a short exclusive window.
-  /// Caller holds mu_.
+  void CatchUpLocked(std::vector<StoredRecord>* records, bool tail,
+                     size_t valid_end, const FileStamp& stamp);
+  /// Shared mode: publishes pending_ by append in one short exclusive
+  /// window (see OpenShared), retrying while a sibling holds it. Caller
+  /// holds mu_.
   Status PublishPendingLocked();
+  /// The body of that window: log_ holds the exclusive lock and `scanned`
+  /// the frames its open decoded. Caller holds mu_.
+  Status AppendPendingLocked(std::vector<StoredRecord>* scanned);
 
   /// Rewrites the log from the live index. Caller holds mu_.
   Status CompactLocked();
@@ -237,6 +246,7 @@ class PersistentRecordCache {
   Status EnforceByteBoundLocked();
 
   mutable std::mutex mu_;
+  /// The open log; in shared mode open only inside a publish window.
   RecordLog log_;
   CacheMode mode_;
   uint64_t fingerprint_;
@@ -252,10 +262,10 @@ class PersistentRecordCache {
   std::unordered_map<uint64_t, Bucket> index_;
 
   /// Shared mode state. pending_ holds inserts not yet published to the
-  /// file; the stamp is the file as last read, the change signal
-  /// RefreshIfChanged() compares against; the valid end is where that
-  /// read's last valid frame ended (0: no tail reads — missing or
-  /// headerless file).
+  /// file; the stamp is the file as last read or written, the change
+  /// signal RefreshIfChanged() compares against; the valid end is where
+  /// that file's last valid frame ended, where the next refresh or
+  /// publish resumes (0: none — missing or headerless file).
   bool shared_ = false;
   std::vector<StoredRecord> pending_;
   FileStamp snapshot_stamp_;

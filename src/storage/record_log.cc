@@ -1,12 +1,13 @@
 #include "storage/record_log.h"
 
+#include <sys/stat.h>
+
 #include <cstring>
 #include <utility>
 
 #if !defined(_WIN32)
 #include <fcntl.h>
 #include <sys/file.h>
-#include <sys/stat.h>
 #include <unistd.h>
 #endif
 
@@ -277,6 +278,7 @@ RecordLog& RecordLog::operator=(RecordLog&& other) noexcept {
   path_ = std::move(other.path_);
   file_ = other.file_;
   read_only_ = other.read_only_;
+  resumed_ = other.resumed_;
   discarded_tail_bytes_ = other.discarded_tail_bytes_;
   size_bytes_ = other.size_bytes_;
   reclaimed_bytes_ = other.reclaimed_bytes_;
@@ -284,47 +286,107 @@ RecordLog& RecordLog::operator=(RecordLog&& other) noexcept {
   return *this;
 }
 
-#if !defined(_WIN32)
-
 Result<RecordLog> RecordLog::Open(const std::string& path, bool read_only,
                                   std::vector<StoredRecord>* out) {
+  if (read_only) return OpenReadOnly(path, out);
+  return OpenFrom(path, /*inode=*/0, /*offset=*/0, out);
+}
+
+#if !defined(_WIN32)
+
+namespace {
+
+/// Resumes a scan of the locked stream `f` at `offset`, the valid end of
+/// an earlier scan of inode `inode`. Returns false, with `*out` as it was,
+/// when that prefix no longer describes the file: another inode, shorter
+/// than `offset`, or bytes left past the last valid frame read from there
+/// (a torn frame, or misaligned frames when a recycled inode number names
+/// a different file) — only a whole-file scan is trusted to judge those.
+bool ResumeScan(std::FILE* f, uint64_t inode, size_t offset,
+                std::vector<StoredRecord>* out, size_t* valid_end) {
+  struct stat st;
+  if (offset < RecordLog::kHeaderSize || ::fstat(::fileno(f), &st) != 0 ||
+      static_cast<uint64_t>(st.st_ino) != inode ||
+      static_cast<uint64_t>(st.st_size) < offset ||
+      std::fseek(f, static_cast<long>(offset), SEEK_SET) != 0) {
+    return false;
+  }
+  const size_t kept = out != nullptr ? out->size() : 0;
+  const size_t end = ScanRecords(f, offset, out);
+  if (TailBytes(f, end) > 0) {
+    if (out != nullptr) out->resize(kept);
+    return false;
+  }
+  *valid_end = end;
+  return true;
+}
+
+FileStamp StampOf(const struct stat& st) {
+  FileStamp stamp;
+  stamp.size = static_cast<int64_t>(st.st_size);
+  stamp.mtime_ns = static_cast<int64_t>(st.st_mtim.tv_sec) * 1000000000 +
+                   st.st_mtim.tv_nsec;
+  stamp.inode = static_cast<uint64_t>(st.st_ino);
+  return stamp;
+}
+
+}  // namespace
+
+FileStamp FileStamp::Of(const std::string& path) {
+  struct stat st;
+  return ::stat(path.c_str(), &st) == 0 ? StampOf(st) : FileStamp();
+}
+
+FileStamp RecordLog::stamp() const {
+  struct stat st;
+  if (file_ == nullptr || ::fstat(::fileno(file_), &st) != 0) {
+    return FileStamp::Of(path_);
+  }
+  return StampOf(st);
+}
+
+Result<RecordLog> RecordLog::OpenReadOnly(const std::string& path,
+                                          std::vector<StoredRecord>* out) {
   RecordLog log;
   log.path_ = path;
-  log.read_only_ = read_only;
-
-  if (read_only) {
-    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0) {
-      return Status::NotFound("record log not found: " + path);
-    }
-    // Readers share; a live writer excludes them (the process hosting the
-    // file answers queries instead — callers degrade to a cold run).
-    if (::flock(fd, LOCK_SH | LOCK_NB) != 0) {
-      ::close(fd);
-      return Status::FailedPrecondition(
-          "record log is write-locked by a live host: " + path);
-    }
-    std::FILE* f = ::fdopen(fd, "rb");
-    if (f == nullptr) {
-      ::close(fd);
-      return Status::IoError("cannot open record log: " + path);
-    }
-    auto header = CheckHeader(f, path, /*read_only=*/true);
-    if (!header.ok()) {
-      std::fclose(f);
-      return header.status();
-    }
-    if (header.value() == HeaderState::kValid) {
-      const size_t valid_bytes = ScanRecords(f, kHeaderSize, out);
-      log.discarded_tail_bytes_ = TailBytes(f, valid_bytes);
-      log.size_bytes_ = valid_bytes;
-    }
-    std::fclose(f);  // Releases the shared lock.
-    return log;
+  log.read_only_ = true;
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::NotFound("record log not found: " + path);
   }
+  // Readers share; a live writer excludes them (the process hosting the
+  // file answers queries instead — callers degrade to a cold run).
+  if (::flock(fd, LOCK_SH | LOCK_NB) != 0) {
+    ::close(fd);
+    return Status::FailedPrecondition(
+        "record log is write-locked by a live host: " + path);
+  }
+  std::FILE* f = ::fdopen(fd, "rb");
+  if (f == nullptr) {
+    ::close(fd);
+    return Status::IoError("cannot open record log: " + path);
+  }
+  auto header = CheckHeader(f, path, /*read_only=*/true);
+  if (!header.ok()) {
+    std::fclose(f);
+    return header.status();
+  }
+  if (header.value() == HeaderState::kValid) {
+    const size_t valid_bytes = ScanRecords(f, kHeaderSize, out);
+    log.discarded_tail_bytes_ = TailBytes(f, valid_bytes);
+    log.size_bytes_ = valid_bytes;
+  }
+  std::fclose(f);  // Releases the shared lock.
+  return log;
+}
 
-  // Writable: take the exclusive lock BEFORE scanning, so no other writer
-  // can append between our scan and our truncate/append — the scan result
+Result<RecordLog> RecordLog::OpenFrom(const std::string& path, uint64_t inode,
+                                      size_t offset,
+                                      std::vector<StoredRecord>* out) {
+  RecordLog log;
+  log.path_ = path;
+  // Take the exclusive lock BEFORE scanning, so no other writer can
+  // append between our scan and our truncate/append — the scan result
   // stays authoritative for the log's whole open lifetime.
   const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
   if (fd < 0) {
@@ -337,29 +399,42 @@ Result<RecordLog> RecordLog::Open(const std::string& path, bool read_only,
         "contract): " +
         path);
   }
+  // A Rewrite may have renamed a new file over `path` between our open
+  // and our lock; appending to the unlinked inode would lose the frames.
+  struct stat locked, named;
+  if (::fstat(fd, &locked) != 0 || ::stat(path.c_str(), &named) != 0 ||
+      locked.st_ino != named.st_ino) {
+    ::close(fd);
+    return Status::FailedPrecondition(
+        "record log was replaced while locking: " + path);
+  }
   std::FILE* f = ::fdopen(fd, "r+b");
   if (f == nullptr) {
     ::close(fd);
     return Status::IoError("cannot open record log: " + path);
   }
-  auto header = CheckHeader(f, path, /*read_only=*/false);
-  if (!header.ok()) {
-    std::fclose(f);
-    return header.status();
-  }
   size_t valid_bytes = kHeaderSize;
-  if (header.value() == HeaderState::kValid) {
-    valid_bytes = ScanRecords(f, kHeaderSize, out);
-    log.discarded_tail_bytes_ = TailBytes(f, valid_bytes);
-  } else {
-    // Empty or torn-header file: (re)write the header, drop the rest.
-    uint8_t fresh[kHeaderSize];
-    FillHeader(fresh);
-    if (std::fseek(f, 0, SEEK_SET) != 0 ||
-        std::fwrite(fresh, 1, kHeaderSize, f) != kHeaderSize ||
-        std::fflush(f) != 0) {
+  log.resumed_ = ResumeScan(f, inode, offset, out, &valid_bytes);
+  if (!log.resumed_) {
+    std::rewind(f);
+    auto header = CheckHeader(f, path, /*read_only=*/false);
+    if (!header.ok()) {
       std::fclose(f);
-      return Status::IoError("cannot write record log header: " + path);
+      return header.status();
+    }
+    if (header.value() == HeaderState::kValid) {
+      valid_bytes = ScanRecords(f, kHeaderSize, out);
+      log.discarded_tail_bytes_ = TailBytes(f, valid_bytes);
+    } else {
+      // Empty or torn-header file: (re)write the header, drop the rest.
+      uint8_t fresh[kHeaderSize];
+      FillHeader(fresh);
+      if (std::fseek(f, 0, SEEK_SET) != 0 ||
+          std::fwrite(fresh, 1, kHeaderSize, f) != kHeaderSize ||
+          std::fflush(f) != 0) {
+        std::fclose(f);
+        return Status::IoError("cannot write record log header: " + path);
+      }
     }
   }
   // Cut the torn tail (or the torn header's residue) through the POSIX
@@ -389,48 +464,73 @@ Status RecordLog::ReadFrom(const std::string& path, uint64_t inode,
     return Status::FailedPrecondition(
         "record log is write-locked by a live host: " + path);
   }
-  // Checked under the lock: a rename over `path` (compaction) or a
-  // truncation below `offset` means the earlier scan no longer describes
-  // this file's prefix.
-  struct stat st;
-  if (::fstat(fd, &st) != 0 || static_cast<uint64_t>(st.st_ino) != inode ||
-      static_cast<uint64_t>(st.st_size) < offset) {
-    ::close(fd);
-    return Status::OutOfRange("record log was replaced or truncated: " +
-                              path);
-  }
   std::FILE* f = ::fdopen(fd, "rb");
   if (f == nullptr) {
     ::close(fd);
     return Status::IoError("cannot open record log: " + path);
   }
-  if (std::fseek(f, static_cast<long>(offset), SEEK_SET) != 0) {
-    std::fclose(f);
-    return Status::IoError("cannot seek record log: " + path);
-  }
-  *valid_end = ScanRecords(f, offset, out);
+  // Checked under the lock: a rename over `path` (compaction) or a
+  // truncation below `offset` means the earlier scan no longer describes
+  // this file's prefix.
+  const bool resumed = ResumeScan(f, inode, offset, out, valid_end);
   std::fclose(f);  // Releases the shared lock.
+  if (!resumed) {
+    return Status::OutOfRange("record log was replaced or truncated: " +
+                              path);
+  }
   return Status::OK();
 }
 
 #else  // _WIN32: no advisory locking; sharing a file is sequential-only.
 
-Result<RecordLog> RecordLog::Open(const std::string& path, bool read_only,
-                                  std::vector<StoredRecord>* out) {
+FileStamp FileStamp::Of(const std::string& path) {
+  FileStamp stamp;
+  struct stat st;
+  if (::stat(path.c_str(), &st) == 0) {
+    stamp.size = static_cast<int64_t>(st.st_size);
+    stamp.mtime_ns = static_cast<int64_t>(st.st_mtime) * 1000000000;
+  }
+  return stamp;
+}
+
+FileStamp RecordLog::stamp() const { return FileStamp::Of(path_); }
+
+Result<RecordLog> RecordLog::OpenReadOnly(const std::string& path,
+                                          std::vector<StoredRecord>* out) {
   RecordLog log;
   log.path_ = path;
-  log.read_only_ = read_only;
+  log.read_only_ = true;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    return Status::NotFound("record log not found: " + path);
+  }
+  auto header = CheckHeader(f, path, /*read_only=*/true);
+  if (!header.ok()) {
+    std::fclose(f);
+    return header.status();
+  }
+  if (header.value() == HeaderState::kValid) {
+    const size_t valid_bytes = ScanRecords(f, kHeaderSize, out);
+    log.discarded_tail_bytes_ = TailBytes(f, valid_bytes);
+    log.size_bytes_ = valid_bytes;
+  }
+  std::fclose(f);
+  return log;
+}
+
+Result<RecordLog> RecordLog::OpenFrom(const std::string& path,
+                                      uint64_t /*inode*/, size_t /*offset*/,
+                                      std::vector<StoredRecord>* out) {
+  // No inode identity to tell a compacted file from a grown one: always
+  // the whole-file scan.
+  RecordLog log;
+  log.path_ = path;
 
   std::FILE* f = std::fopen(path.c_str(), "rb");
   size_t valid_bytes = kHeaderSize;
-  bool fresh = false;
-  if (f == nullptr) {
-    if (read_only) {
-      return Status::NotFound("record log not found: " + path);
-    }
-    fresh = true;
-  } else {
-    auto header = CheckHeader(f, path, read_only);
+  bool fresh = f == nullptr;
+  if (f != nullptr) {
+    auto header = CheckHeader(f, path, /*read_only=*/false);
     if (!header.ok()) {
       std::fclose(f);
       return header.status();
@@ -442,11 +542,6 @@ Result<RecordLog> RecordLog::Open(const std::string& path, bool read_only,
       fresh = true;
     }
     std::fclose(f);
-  }
-
-  if (read_only) {
-    log.size_bytes_ = fresh ? 0 : valid_bytes;
-    return log;
   }
 
   if (fresh) {

@@ -43,6 +43,20 @@ class FingerprintBuilder {
   uint64_t hash_ = 1469598103934665603ull;  // FNV-1a offset basis.
 };
 
+/// Identity and change signal of a log file: (size, mtime) say whether it
+/// changed, the inode whether it is still the same file (0 where the
+/// platform has no inode identity).
+struct FileStamp {
+  int64_t size = -1;  // -1: missing.
+  int64_t mtime_ns = -1;
+  uint64_t inode = 0;
+  bool operator==(const FileStamp& o) const {
+    return size == o.size && mtime_ns == o.mtime_ns && inode == o.inode;
+  }
+  /// stat(2) of `path`; the default (missing) stamp when it does not exist.
+  static FileStamp Of(const std::string& path);
+};
+
 /// A versioned, append-only binary log of StoredRecords.
 ///
 /// Layout: an 16-byte header (magic "MODISRLG", u32 format version, u32
@@ -64,9 +78,10 @@ class FingerprintBuilder {
 /// Locking (POSIX): a log file has a single-writer / many-reader advisory
 /// contract enforced with flock(2). A writable Open acquires LOCK_EX
 /// (non-blocking) *before* scanning and holds it for the log's lifetime,
-/// so two writers can never interleave scan-truncate-append sequences; a
-/// read-only Open holds LOCK_SH only for the duration of its scan (the
-/// returned log keeps no file handle). A second writer — another process,
+/// so two writers can never interleave scan-truncate-append sequences
+/// (a lock won on a file a Rewrite has just renamed away also fails, as
+/// a conflict to retry); a read-only Open holds LOCK_SH only for the
+/// duration of its scan (the returned log keeps no file handle). A second writer — another process,
 /// or another open in the same process — fails fast with
 /// FailedPrecondition instead of corrupting the tail. Readers that arrive
 /// while a writer is live also fail fast (the host owning the file is the
@@ -95,21 +110,39 @@ class RecordLog {
   /// Opens (creating if absent unless `read_only`) and scans the log.
   /// Valid records are appended to `*out`. In writable mode the file is
   /// truncated to the valid prefix, positioned for appending, and held
-  /// under an exclusive advisory lock. A lock conflict (live writer, or —
-  /// for writable opens — a live reader mid-scan) fails with
+  /// under an exclusive advisory lock (a writable Open is OpenFrom with
+  /// nothing scanned yet). A lock conflict (live writer, or — for
+  /// writable opens — a live reader mid-scan) fails with
   /// FailedPrecondition.
   static Result<RecordLog> Open(const std::string& path, bool read_only,
                                 std::vector<StoredRecord>* out);
+
+  /// The writable open, resuming an earlier scan: takes the exclusive
+  /// lock, then scans only the frames from byte `offset` on when `path`
+  /// is still inode `inode` and at least `offset` bytes long — `offset`
+  /// being the valid end of an earlier scan of the same file, so a writer
+  /// that already holds the prefix decodes only what others appended
+  /// since (resumed() is true). Otherwise — `offset` inside the header, a
+  /// replaced or shrunken file, a resumed scan that stops short of the end
+  /// (see ReadFrom), or no inode identity on this platform — it scans the
+  /// whole file, exactly as a writable Open. Either way a torn tail is
+  /// truncated and the log is positioned for appending under the lock.
+  static Result<RecordLog> OpenFrom(const std::string& path, uint64_t inode,
+                                    size_t offset,
+                                    std::vector<StoredRecord>* out);
 
   /// Read-only scan of the frames from byte `offset` on: the valid end of
   /// an earlier scan of the same file, so a reader that already holds the
   /// prefix reads only what was appended since. Same LOCK_SH contract as a
   /// read-only Open (FailedPrecondition while a writer holds the file).
   /// Valid records are appended to `*out` and `*valid_end` is set just
-  /// past the last valid frame; a torn or half-written frame is left for a
-  /// later call. Fails with OutOfRange when `path` is no longer inode
-  /// `inode` (a Rewrite renamed a new file over it) or is shorter than
-  /// `offset`: the caller must rescan from the start.
+  /// past the last valid frame. Fails with OutOfRange when `path` is no
+  /// longer inode `inode` (a Rewrite renamed a new file over it), is
+  /// shorter than `offset`, or holds bytes past the last valid frame read
+  /// from `offset`: a torn frame, or an offset that no longer falls on a
+  /// frame boundary because a recycled inode number names another file.
+  /// Only a whole-file scan can tell those apart; the caller rescans from
+  /// the start.
   static Status ReadFrom(const std::string& path, uint64_t inode,
                          size_t offset, std::vector<StoredRecord>* out,
                          size_t* valid_end);
@@ -128,6 +161,12 @@ class RecordLog {
 
   const std::string& path() const { return path_; }
   bool read_only() const { return read_only_; }
+  /// True when the open's scan resumed at OpenFrom's offset; false when
+  /// it read the whole file.
+  bool resumed() const { return resumed_; }
+  /// The file as it stands now, from the open handle (fstat) while the
+  /// log holds one — a writer restamps under its own lock.
+  FileStamp stamp() const;
   /// Bytes of corrupt/torn tail discarded by Open (0 for a clean log).
   size_t discarded_tail_bytes() const { return discarded_tail_bytes_; }
   /// Valid bytes currently in the log: header + every frame scanned at
@@ -149,11 +188,17 @@ class RecordLog {
   static size_t FrameBytes(const StoredRecord& record);
 
  private:
+  /// The read-only half of Open: scan under a shared lock, keep no
+  /// handle.
+  static Result<RecordLog> OpenReadOnly(const std::string& path,
+                                        std::vector<StoredRecord>* out);
+
   Status WriteFrame(std::FILE* f, const StoredRecord& record);
 
   std::string path_;
   std::FILE* file_ = nullptr;  // Null for read-only logs.
   bool read_only_ = false;
+  bool resumed_ = false;
   size_t discarded_tail_bytes_ = 0;
   size_t size_bytes_ = 0;
   size_t reclaimed_bytes_ = 0;

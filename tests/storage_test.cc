@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <string>
@@ -941,6 +942,66 @@ void AppendRaw(const std::string& path, const std::vector<uint8_t>& bytes) {
   std::fclose(f);
 }
 
+TEST(RecordLogLockTest, OpenFromResumesOnlyWhereThePrefixStillHolds) {
+  const std::string path = TempLogPath("open_from.rlog");
+  uint64_t inode = 0;
+  size_t valid_end = 0;
+  {
+    auto writer = RecordLog::Open(path, /*read_only=*/false, nullptr);
+    ASSERT_TRUE(writer.ok());
+    MODIS_CHECK_OK(writer->Append(MakeRecord(1, "a", 1.0)));
+    MODIS_CHECK_OK(writer->Append(MakeRecord(1, "b", 2.0)));
+    MODIS_CHECK_OK(writer->Flush());
+    inode = writer->stamp().inode;
+    valid_end = writer->size_bytes();
+    EXPECT_EQ(writer->stamp().size, static_cast<int64_t>(valid_end));
+  }
+  AppendRaw(path, FrameOf(MakeRecord(1, "c", 3.0)));
+  // Same file, grown: only the appended frame is decoded, under the
+  // writer lock, and the log appends after it.
+  {
+    std::vector<StoredRecord> scanned;
+    auto resumed = RecordLog::OpenFrom(path, inode, valid_end, &scanned);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    EXPECT_TRUE(resumed->resumed());
+    ASSERT_EQ(scanned.size(), 1u);
+    ExpectRecordEq(scanned[0], MakeRecord(1, "c", 3.0));
+    EXPECT_FALSE(RecordLog::Open(path, /*read_only=*/true, nullptr).ok());
+    MODIS_CHECK_OK(resumed->Append(MakeRecord(1, "d", 4.0)));
+    MODIS_CHECK_OK(resumed->Flush());
+    EXPECT_EQ(resumed->stamp().size,
+              static_cast<int64_t>(resumed->size_bytes()));
+  }
+  // Another inode, or an offset inside the header: the whole file.
+  for (const auto& [id, offset] :
+       {std::pair<uint64_t, size_t>{inode + 1, valid_end},
+        std::pair<uint64_t, size_t>{inode, 0}}) {
+    std::vector<StoredRecord> scanned;
+    auto whole = RecordLog::OpenFrom(path, id, offset, &scanned);
+    ASSERT_TRUE(whole.ok());
+    EXPECT_FALSE(whole->resumed());
+    EXPECT_EQ(scanned.size(), 4u);
+  }
+  // The same inode rewritten in place with other, longer frames (what a
+  // recycled inode number looks like): the old offset falls mid-frame.
+  // The resumed scan stops short of the end, so the open rescans whole
+  // instead of truncating the file's records there.
+  fs::resize_file(path, RecordLog::kHeaderSize);
+  for (int i = 0; i < 4; ++i) {
+    AppendRaw(path, FrameOf(MakeRecord(2, "longer-key-" + std::to_string(i),
+                                       i)));
+  }
+  const uintmax_t rewritten = fs::file_size(path);
+  ASSERT_GT(rewritten, valid_end);
+  std::vector<StoredRecord> scanned;
+  auto misaligned = RecordLog::OpenFrom(path, inode, valid_end, &scanned);
+  ASSERT_TRUE(misaligned.ok());
+  EXPECT_FALSE(misaligned->resumed());
+  EXPECT_EQ(scanned.size(), 4u);
+  EXPECT_EQ(misaligned->discarded_tail_bytes(), 0u);
+  EXPECT_EQ(fs::file_size(path), rewritten);
+}
+
 /// What a full reload of `path` with `pending` overlaid serves: last write
 /// wins over the file, pending fills only the keys the file lacks.
 std::map<std::pair<uint64_t, std::string>, StoredRecord> FullReloadView(
@@ -1100,6 +1161,181 @@ TEST(SharedRefreshTest, LockedFileKeepsTheOldSnapshot) {
   ASSERT_TRUE((*reader)->RefreshIfChanged().ok());
   EXPECT_TRUE((*reader)->Get(7, "a", &got));
   EXPECT_TRUE((*reader)->Get(7, "b", &got));
+}
+
+// ------------------------------------------------- shared publish by append
+
+/// How many frames the file holds per (fingerprint, key).
+std::map<std::pair<uint64_t, std::string>, int> FrameCounts(
+    const std::string& path) {
+  std::map<std::pair<uint64_t, std::string>, int> counts;
+  std::vector<StoredRecord> records;
+  auto log = RecordLog::Open(path, /*read_only=*/true, &records);
+  EXPECT_TRUE(log.ok()) << log.status().ToString();
+  if (log.ok()) {
+    EXPECT_EQ(log->discarded_tail_bytes(), 0u);
+  }
+  for (const StoredRecord& r : records) ++counts[{r.fingerprint, r.key}];
+  return counts;
+}
+
+void InsertAll(PersistentRecordCache* cache,
+               const std::vector<StoredRecord>& records) {
+  for (const StoredRecord& r : records) {
+    cache->Insert(r.fingerprint, r.key, r.features, r.eval);
+  }
+}
+
+std::vector<StoredRecord> Batch(const std::string& prefix, int n) {
+  std::vector<StoredRecord> batch;
+  for (int i = 0; i < n; ++i) {
+    batch.push_back(MakeRecord(7, prefix + std::to_string(i), i));
+  }
+  return batch;
+}
+
+TEST(SharedPublishTest, AnAttachmentNeverReadsItsOwnPublishBack) {
+  const std::string path = TempLogPath("publish_restamp.rlog");
+  SiblingPublish(path, Batch("base-", 3));
+  auto cache = PersistentRecordCache::OpenShared(path, 7);
+  ASSERT_TRUE(cache.ok());
+  for (int round = 0; round < 3; ++round) {
+    InsertAll(cache->get(), Batch("own-" + std::to_string(round) + "-", 5));
+    ASSERT_TRUE((*cache)->Flush().ok());
+    const size_t loaded = (*cache)->stats().loaded_records;
+    ASSERT_TRUE((*cache)->RefreshIfChanged().ok());
+    EXPECT_EQ((*cache)->stats().loaded_records, loaded)
+        << "round " << round << ": the refresh re-indexed its own frames";
+    EXPECT_EQ((*cache)->stats().log_bytes, fs::file_size(path));
+  }
+  EXPECT_EQ((*cache)->stats().decoded_records, 3u);
+  EXPECT_EQ((*cache)->stats().appended, 15u);
+}
+
+TEST(SharedPublishTest, PublishCostFollowsTheTailNotTheFile) {
+  const std::string path = TempLogPath("publish_tail.rlog");
+  const std::vector<StoredRecord> preload = Batch("pre-", 2000);
+  SiblingPublish(path, preload);
+  auto first = PersistentRecordCache::OpenShared(path, 7);
+  auto second = PersistentRecordCache::OpenShared(path, 7);
+  ASSERT_TRUE(first.ok() && second.ok());
+  ASSERT_EQ((*second)->stats().decoded_records, 2000u);
+
+  InsertAll(first->get(), Batch("first-", 10));
+  const size_t first_before = (*first)->stats().decoded_records;
+  ASSERT_TRUE((*first)->Flush().ok());
+  EXPECT_EQ((*first)->stats().decoded_records, first_before);
+
+  // The second publisher decodes the first one's 10 frames, not the
+  // 2,010 the file holds.
+  InsertAll(second->get(), Batch("second-", 10));
+  const size_t second_before = (*second)->stats().decoded_records;
+  ASSERT_TRUE((*second)->Flush().ok());
+  EXPECT_EQ((*second)->stats().decoded_records - second_before, 10u);
+  StoredRecord got;
+  EXPECT_TRUE((*second)->Get(7, "first-3", &got));
+
+  const auto counts = FrameCounts(path);
+  EXPECT_EQ(counts.size(), 2020u);
+  for (const auto& [id, n] : counts) EXPECT_EQ(n, 1) << id.second;
+}
+
+TEST(SharedPublishTest, EdgeCasesUnderTheWriterLock) {
+  struct Case {
+    const char* name;
+    /// What happens to the file between the publisher's snapshot and
+    /// its Flush; returns the keys it added.
+    std::function<std::vector<StoredRecord>(const std::string& path)>
+        disturb;
+  };
+  const std::vector<Case> cases = {
+      {"killed sibling left half a frame",
+       [](const std::string& path) {
+         const std::vector<uint8_t> frame =
+             FrameOf(MakeRecord(7, "torn", 9.0));
+         AppendRaw(path, std::vector<uint8_t>(
+                             frame.begin(), frame.begin() + frame.size() / 2));
+         return std::vector<StoredRecord>{};
+       }},
+      {"sibling compaction replaced the inode",
+       [](const std::string& path) {
+         const uint64_t inode = FileStamp::Of(path).inode;
+         const std::vector<StoredRecord> added = {MakeRecord(7, "sib", 5.0)};
+         SiblingPublish(path, added);
+         auto host = PersistentRecordCache::Open(path, CacheMode::kReadWrite,
+                                                 7);
+         if (host.ok()) {
+           EXPECT_TRUE((*host)->Compact().ok());
+         } else {
+           ADD_FAILURE() << host.status().ToString();
+         }
+         EXPECT_NE(FileStamp::Of(path).inode, inode);
+         return added;
+       }},
+      {"sibling published the same key first",
+       [](const std::string& path) {
+         SiblingPublish(path, {MakeRecord(7, "mine-1", 1.0)});
+         return std::vector<StoredRecord>{};
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string path = TempLogPath("publish_edge.rlog");
+    const std::vector<StoredRecord> base = Batch("base-", 4);
+    SiblingPublish(path, base);
+    auto publisher = PersistentRecordCache::OpenShared(path, 7);
+    ASSERT_TRUE(publisher.ok());
+    const std::vector<StoredRecord> mine = Batch("mine-", 3);
+    InsertAll(publisher->get(), mine);
+
+    const std::vector<StoredRecord> added = c.disturb(path);
+    ASSERT_TRUE((*publisher)->Flush().ok());
+
+    // The file reloads clean, holding each key exactly once: nothing
+    // lost, nothing duplicated, the torn half frame gone.
+    std::map<std::pair<uint64_t, std::string>, int> want;
+    for (const auto* set : {&base, &mine, &added}) {
+      for (const StoredRecord& r : *set) want[{r.fingerprint, r.key}] = 1;
+    }
+    EXPECT_EQ(FrameCounts(path), want);
+    ExpectServes(publisher->get(), FullReloadView(path, {}));
+    // And the publisher's snapshot is the file it wrote.
+    const size_t decoded = (*publisher)->stats().decoded_records;
+    ASSERT_TRUE((*publisher)->RefreshIfChanged().ok());
+    EXPECT_EQ((*publisher)->stats().decoded_records, decoded);
+  }
+}
+
+TEST(SharedPublishTest, ByteBoundHoldsAcrossAlternatingPublishers) {
+  const std::string path = TempLogPath("publish_bound.rlog");
+  PersistentRecordCache::Options options;
+  options.max_bytes = RecordLog::kHeaderSize +
+                      5 * RecordLog::FrameBytes(MakeRecord(7, "a-0-0", 0.0));
+  std::unique_ptr<PersistentRecordCache> attachments[2];
+  for (auto& a : attachments) {
+    auto opened = PersistentRecordCache::OpenShared(path, 7, options);
+    ASSERT_TRUE(opened.ok());
+    a = std::move(opened).value();
+  }
+  for (int round = 0; round < 4; ++round) {
+    for (int who = 0; who < 2; ++who) {
+      SCOPED_TRACE("round " + std::to_string(round) + ", attachment " +
+                   std::to_string(who));
+      PersistentRecordCache* cache = attachments[who].get();
+      InsertAll(cache, Batch(std::string(1, char('a' + who)) + "-" +
+                                 std::to_string(round) + "-",
+                             3));
+      ASSERT_TRUE(cache->Flush().ok());
+      EXPECT_LE(fs::file_size(path), options.max_bytes);
+      const auto counts = FrameCounts(path);
+      for (const auto& [id, n] : counts) EXPECT_EQ(n, 1) << id.second;
+      // Under the lock the attachment's index was the file's live set,
+      // so after its eviction it serves exactly what the file holds.
+      EXPECT_EQ(cache->size(), counts.size());
+      ExpectServes(cache, FullReloadView(path, {}));
+    }
+  }
+  for (const auto& a : attachments) EXPECT_GT(a->stats().evicted, 0u);
 }
 
 #endif  // !_WIN32
