@@ -58,7 +58,7 @@ Status ReduceVsAugment(const PanelContext& ctx) {
   ApplyBenchOptions(*ctx.opts, &config);
   for (Algo algo : {Algo::kApx, Algo::kNoBi}) {
     auto evaluator = bench.MakeEvaluator();
-    ExactOracle oracle(evaluator.get());
+    PerformanceOracle oracle(evaluator.get());
     MODIS_ASSIGN_OR_RETURN(ModisResult result,
                            RunAlgo(algo, universe, &oracle, config));
     auto report =
@@ -97,7 +97,7 @@ Status PruningOnOff(const PanelContext& ctx) {
   ApplyBenchOptions(*ctx.opts, &config);
   for (Algo algo : {Algo::kNoBi, Algo::kBi}) {
     auto evaluator = bench.MakeEvaluator();
-    ExactOracle oracle(evaluator.get());
+    PerformanceOracle oracle(evaluator.get());
     MODIS_ASSIGN_OR_RETURN(ModisResult result,
                            RunAlgo(algo, universe, &oracle, config));
     auto report =
@@ -137,7 +137,7 @@ Status DecisiveMeasureChoice(const PanelContext& ctx) {
     config.decisive_measure = decisive;
     ApplyBenchOptions(*ctx.opts, &config);
     auto evaluator = bench.MakeEvaluator();
-    ExactOracle oracle(evaluator.get());
+    PerformanceOracle oracle(evaluator.get());
     MODIS_ASSIGN_OR_RETURN(ModisResult result,
                            RunApxModis(universe, &oracle, config));
     auto report =

@@ -35,7 +35,7 @@ Status Case1() {
   config.epsilon = 0.15;
   config.max_states = 150;
   config.max_level = 4;
-  ExactOracle oracle(evaluator.get());
+  PerformanceOracle oracle(evaluator.get());
   MODIS_ASSIGN_OR_RETURN(ModisResult result,
                          RunBiModis(universe, &oracle, config));
   std::printf("BiMODis skyline (%zu datasets):\n", result.skyline.size());
@@ -72,7 +72,7 @@ Status Case2() {
   config.epsilon = 0.2;
   config.max_states = 120;
   config.max_level = 3;
-  ExactOracle oracle(evaluator.get());
+  PerformanceOracle oracle(evaluator.get());
   MODIS_ASSIGN_OR_RETURN(ModisResult result,
                          RunBiModis(universe, &oracle, config));
   std::printf("generated %zu admissible datasets in %.1f seconds:\n",

@@ -24,7 +24,7 @@ Status Run() {
   SurrogateOptions opts;
   opts.bootstrap_budget = 24;
   opts.exact_fraction = 0.2;  // Keep shadow-checking the surrogate.
-  MoGbmOracle oracle(evaluator.get(), opts);
+  PerformanceOracle oracle(evaluator.get(), opts);
 
   ModisConfig config;
   config.epsilon = 0.2;

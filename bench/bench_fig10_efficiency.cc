@@ -34,7 +34,7 @@ Result<ModisResult> RunOne(const TabularBench& bench,
                            const SearchUniverse& universe, Algo algo,
                            const ModisConfig& config) {
   auto evaluator = bench.MakeEvaluator();
-  MoGbmOracle oracle(evaluator.get());
+  PerformanceOracle oracle(evaluator.get(), SurrogateOptions{});
   return RunAlgo(algo, universe, &oracle, config);
 }
 

@@ -49,7 +49,7 @@ Status GraphSweeps(const PanelContext& ctx) {
                       const std::string& panel, const std::string& param,
                       double param_value) -> Result<double> {
     auto evaluator = bench.MakeEvaluator();
-    ExactOracle oracle(evaluator.get());
+    PerformanceOracle oracle(evaluator.get());
     MODIS_ASSIGN_OR_RETURN(ModisResult result,
                            RunAlgo(algo, universe, &oracle, config));
     ctx.records->push_back(MakeRunRecord("fig13", panel, "T5",
@@ -112,7 +112,7 @@ Status AvocadoSweeps(const PanelContext& ctx) {
                       const std::string& panel, const std::string& param,
                       double param_value) -> Result<double> {
     auto evaluator = bench.MakeEvaluator();
-    MoGbmOracle oracle(evaluator.get());
+    PerformanceOracle oracle(evaluator.get(), SurrogateOptions{});
     MODIS_ASSIGN_OR_RETURN(ModisResult result,
                            RunAlgo(algo, universe, &oracle, config));
     ctx.records->push_back(MakeRunRecord("fig13", panel, "T3",

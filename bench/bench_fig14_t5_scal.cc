@@ -50,7 +50,7 @@ Status Run(const BenchOptions& bench_opts, std::vector<RunRecord>* records) {
     }
     for (Algo a : kAlgos) {
       auto evaluator = bench.MakeEvaluator();
-      ExactOracle oracle(evaluator.get());
+      PerformanceOracle oracle(evaluator.get());
       MODIS_ASSIGN_OR_RETURN(ModisResult result,
                              RunAlgo(a, universe, &oracle, config));
       records->push_back(MakeRunRecord("fig14", "a", "T5", AlgoName(a),
@@ -86,7 +86,7 @@ Status Run(const BenchOptions& bench_opts, std::vector<RunRecord>* records) {
     }
     for (Algo a : kAlgos) {
       auto evaluator = bench.MakeEvaluator();
-      ExactOracle oracle(evaluator.get());
+      PerformanceOracle oracle(evaluator.get());
       MODIS_ASSIGN_OR_RETURN(ModisResult result,
                              RunAlgo(a, universe, &oracle, config));
       records->push_back(MakeRunRecord("fig14", "b", "T5", AlgoName(a),

@@ -48,7 +48,7 @@ Result<double> PercentChange(const PanelContext& ctx, Fixture* f, Algo algo,
                              const std::string& panel,
                              const std::string& param, double param_value) {
   auto evaluator = f->bench.MakeEvaluator();
-  ExactOracle oracle(evaluator.get());
+  PerformanceOracle oracle(evaluator.get());
   MODIS_ASSIGN_OR_RETURN(ModisResult result,
                          RunAlgo(algo, f->universe, &oracle, config));
   MODIS_ASSIGN_OR_RETURN(

@@ -51,7 +51,7 @@ struct BestOutcome {
 Result<BestOutcome> BestRaw(Sweep* sweep, Algo algo,
                             const ModisConfig& config) {
   auto evaluator = sweep->bench.MakeEvaluator();
-  MoGbmOracle oracle(evaluator.get());
+  PerformanceOracle oracle(evaluator.get(), SurrogateOptions{});
   MODIS_ASSIGN_OR_RETURN(ModisResult result,
                          RunAlgo(algo, sweep->universe, &oracle, config));
   MODIS_ASSIGN_OR_RETURN(MethodReport report,

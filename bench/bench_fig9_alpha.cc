@@ -56,7 +56,7 @@ Status Run(const BenchOptions& opts, std::vector<RunRecord>* records) {
     ApplyBenchOptions(opts, &config);
 
     auto evaluator = bench.MakeEvaluator();
-    ExactOracle oracle(evaluator.get());
+    PerformanceOracle oracle(evaluator.get());
     MODIS_ASSIGN_OR_RETURN(ModisResult result,
                            RunDivModis(universe, &oracle, config));
     std::vector<double> accs;

@@ -423,7 +423,7 @@ const std::pair<Matrix, Matrix>& SurrogateRows() {
       if (m.name != "train_time") task.measures.push_back(m);
     }
     SupervisedEvaluator evaluator(task, bench->model->Clone());
-    ExactOracle oracle(&evaluator);
+    PerformanceOracle oracle(&evaluator);
     ModisConfig cfg;
     cfg.epsilon = 0.1;
     cfg.max_states = 120;

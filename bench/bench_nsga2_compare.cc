@@ -52,7 +52,7 @@ Status Run() {
   for (size_t budget : {60, 120, 240}) {
     {
       auto evaluator = bench.MakeEvaluator();
-      ExactOracle oracle(evaluator.get());
+      PerformanceOracle oracle(evaluator.get());
       ModisConfig config;
       config.epsilon = 0.2;
       config.max_states = budget;
@@ -71,7 +71,7 @@ Status Run() {
     }
     {
       auto evaluator = bench.MakeEvaluator();
-      ExactOracle oracle(evaluator.get());
+      PerformanceOracle oracle(evaluator.get());
       Nsga2Options opts;
       opts.population = 24;
       opts.generations = 100;  // Budget-capped, generations are the limit.

@@ -30,7 +30,7 @@ Status Run() {
       SearchUniverse universe,
       SearchUniverse::Build(bench.universal, bench.universe_options));
   auto evaluator = bench.MakeEvaluator();
-  ExactOracle oracle(evaluator.get());
+  PerformanceOracle oracle(evaluator.get());
   ModisConfig config;
   config.epsilon = 0.2;
   config.max_states = 200;

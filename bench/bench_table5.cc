@@ -47,7 +47,7 @@ Status Run(const BenchOptions& bench_opts) {
   const size_t p5 = MeasureIndex(bench.task.measures, "p@5");
   for (Algo algo : {Algo::kApx, Algo::kNoBi, Algo::kBi, Algo::kDiv}) {
     auto eval = bench.MakeEvaluator();
-    ExactOracle oracle(eval.get());
+    PerformanceOracle oracle(eval.get());
     MODIS_ASSIGN_OR_RETURN(ModisResult result,
                            RunAlgo(algo, universe, &oracle, config));
     auto report =

@@ -355,14 +355,11 @@ inline Result<std::vector<MethodReport>> RunAllModis(
   std::vector<MethodReport> reports;
   for (Algo algo : {Algo::kApx, Algo::kNoBi, Algo::kBi, Algo::kDiv}) {
     auto evaluator = bench.MakeEvaluator();
-    std::unique_ptr<PerformanceOracle> oracle;
-    if (surrogate) {
-      oracle = std::make_unique<MoGbmOracle>(evaluator.get());
-    } else {
-      oracle = std::make_unique<ExactOracle>(evaluator.get());
-    }
+    std::optional<SurrogateOptions> surrogate_options;
+    if (surrogate) surrogate_options.emplace();
+    PerformanceOracle oracle(evaluator.get(), surrogate_options);
     MODIS_ASSIGN_OR_RETURN(ModisResult result,
-                           RunAlgo(algo, universe, oracle.get(), config));
+                           RunAlgo(algo, universe, &oracle, config));
     auto report = ReportBestBy(AlgoName(algo), result, select_measure,
                                universe, evaluator.get());
     if (!report.ok()) continue;  // Empty skyline at tiny budgets.

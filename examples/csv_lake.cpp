@@ -79,7 +79,7 @@ int main() {
   auto universe = SearchUniverse::Build(universal.value(), opts);
   if (!universe.ok()) return 1;
 
-  ExactOracle oracle(&evaluator);
+  PerformanceOracle oracle(&evaluator);
   ModisConfig config;
   config.epsilon = 0.2;
   config.max_states = 100;

@@ -54,7 +54,7 @@ int main() {
   auto universe = SearchUniverse::Build(lake->edge_table, opts);
   if (!universe.ok()) return 1;
 
-  ExactOracle oracle(&evaluator);
+  PerformanceOracle oracle(&evaluator);
   ModisConfig config;
   config.epsilon = 0.15;
   config.max_states = 60;

@@ -77,7 +77,7 @@ int main() {
   config.diversify_k = 3;
 
   for (bool diversify : {false, true}) {
-    ExactOracle oracle(&evaluator);
+    PerformanceOracle oracle(&evaluator);
     auto result = diversify ? RunDivModis(*universe, &oracle, config)
                             : RunApxModis(*universe, &oracle, config);
     if (!result.ok()) {

@@ -302,7 +302,7 @@ Status Run(Args args) {
   MODIS_ASSIGN_OR_RETURN(SearchUniverse universe,
                          SearchUniverse::Build(universal, opts));
 
-  ExactOracle oracle(&evaluator);
+  PerformanceOracle oracle(&evaluator);
   ModisConfig config;
   config.epsilon = args.epsilon;
   config.max_states = args.budget;

@@ -239,9 +239,7 @@ int main(int argc, char** argv) {
 
   if (!args.batch_request.empty()) return RunBatch(args);
 
-#if !defined(_WIN32)
   std::signal(SIGPIPE, SIG_IGN);  // A dropped client must not kill the host.
-#endif
 
   DiscoveryService::Options options;
   options.sessions = args.sessions;

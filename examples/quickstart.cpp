@@ -57,8 +57,8 @@ int main() {
   if (!universe.ok()) return 1;
 
   // 4. Run BiMODis with an exact oracle (small data -> retraining per
-  //    state is fine; swap in MoGbmOracle for larger lakes).
-  ExactOracle oracle(&evaluator);
+  //    state is fine; pass SurrogateOptions{} for larger lakes).
+  PerformanceOracle oracle(&evaluator);
   ModisConfig config;
   config.epsilon = 0.2;
   config.max_states = 120;

@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "common/timer.h"
+#include "moo/correlation.h"
 #include "moo/diversity.h"
 #include "moo/pareto.h"
 #include "table/schema.h"
@@ -98,8 +99,7 @@ ModisEngine::ModisEngine(const SearchUniverse* universe,
       mat_cache_(config.table_cache_entries),
       extern_cache_(runtime.record_cache),
       trace_(runtime.trace),
-      trace_parent_(runtime.trace_parent),
-      correlation_(oracle->measures().size(), config.theta) {
+      trace_parent_(runtime.trace_parent) {
   MODIS_CHECK(universe_ != nullptr) << "ModisEngine: null universe";
   MODIS_CHECK(oracle_ != nullptr) << "ModisEngine: null oracle";
   if (extern_pool_ == nullptr) {
@@ -205,23 +205,21 @@ std::vector<StateBitmap> ModisEngine::OpGen(const StateBitmap& state,
 }
 
 void ModisEngine::RefreshCorrelation() {
+  if (!config_.correlation_pruning) return;  // Only CanPrune reads it.
   const auto& records = oracle_->store().records();
   if (records.size() < 3) return;
-  std::vector<PerfVector> perfs;
-  perfs.reserve(records.size());
   std::vector<double> row_fraction;
   row_fraction.reserve(records.size());
   for (const auto& r : records) {
-    perfs.push_back(r.eval.normalized);
     // StateFeatures appends [row_fraction, col_fraction] after the bitmap.
     MODIS_CHECK(r.features.size() >= 2) << "state features missing fractions";
     row_fraction.push_back(r.features[r.features.size() - 2]);
   }
-  correlation_.Update(perfs);
-  const size_t m = oracle_->measures().size();
-  std::vector<double> column(perfs.size());
-  for (size_t j = 0; j < m; ++j) {
-    for (size_t i = 0; i < perfs.size(); ++i) column[i] = perfs[i][j];
+  std::vector<double> column(records.size());
+  for (size_t j = 0; j < size_correlation_.size(); ++j) {
+    for (size_t i = 0; i < records.size(); ++i) {
+      column[i] = records[i].eval.normalized[j];
+    }
     size_correlation_[j] = SpearmanCorrelation(column, row_fraction);
   }
 }

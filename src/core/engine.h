@@ -14,7 +14,6 @@
 #include "core/config.h"
 #include "core/universe.h"
 #include "estimator/oracle.h"
-#include "moo/correlation.h"
 #include "storage/persistent_record_cache.h"
 
 namespace modis {
@@ -207,7 +206,8 @@ class ModisEngine {
   /// Rebuilds the grid map from `entries_` (after diversification).
   void RebuildGrid();
 
-  /// Refreshes the correlation graph from the oracle's record store.
+  /// Refreshes size_correlation_ from the oracle's record store; a no-op
+  /// unless correlation pruning is on.
   void RefreshCorrelation();
 
   const SearchUniverse* universe_;
@@ -264,9 +264,8 @@ class ModisEngine {
   std::unordered_set<std::string> visited_backward_;
   bool frontiers_met_ = false;
 
-  CorrelationGraph correlation_;
   // Spearman correlation of each measure against the row fraction,
-  // refreshed together with correlation_.
+  // refreshed once per level (correlation pruning only).
   std::vector<double> size_correlation_;
 
   ModisResult stats_;

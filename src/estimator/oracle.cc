@@ -12,14 +12,24 @@
 
 namespace modis {
 
+PerformanceOracle::PerformanceOracle(TaskEvaluator* evaluator,
+                                     std::optional<SurrogateOptions> surrogate)
+    : evaluator_(evaluator),
+      surrogate_on_(surrogate.has_value()),
+      options_(surrogate.value_or(SurrogateOptions{})),
+      surrogate_(options_.gbm),
+      rng_(options_.seed) {
+  MODIS_CHECK(evaluator_ != nullptr) << "PerformanceOracle: null evaluator";
+}
+
 PerformanceOracle::ExactOutcome PerformanceOracle::RunExactOne(
-    const ValuationRequest& req, TaskEvaluator* evaluator) const {
-  auto train = [&req, evaluator]() -> Result<Evaluation> {
+    const ValuationRequest& req) const {
+  auto train = [this, &req]() -> Result<Evaluation> {
     const MaterializationPtr m = req.materialize();
     if (m == nullptr || req.universe == nullptr) {
       return Status::Internal("valuation request without a materialization");
     }
-    return evaluator->Evaluate(req.universe->View(*m));
+    return evaluator_->Evaluate(req.universe->View(*m));
   };
   ExactOutcome out;
   out.executed = true;
@@ -37,8 +47,8 @@ PerformanceOracle::ExactOutcome PerformanceOracle::RunExactOne(
 }
 
 std::vector<PerformanceOracle::ExactOutcome>
-PerformanceOracle::RunExactTrainings(const BatchPlan& plan, ThreadPool* pool,
-                                     TaskEvaluator* evaluator) const {
+PerformanceOracle::RunExactTrainings(const BatchPlan& plan,
+                                     ThreadPool* pool) const {
   std::vector<size_t> exact_ids;
   exact_ids.reserve(plan.exact_count);
   for (size_t i = 0; i < plan.modes.size(); ++i) {
@@ -56,7 +66,7 @@ PerformanceOracle::RunExactTrainings(const BatchPlan& plan, ThreadPool* pool,
         const size_t i = exact_ids[k];
         const SpanId item_span =
             trace != nullptr ? trace->Begin("exact", train_span) : kNoSpan;
-        outcomes[i] = RunExactOne(plan.requests[i], evaluator);
+        outcomes[i] = RunExactOne(plan.requests[i]);
         if (trace != nullptr) {
           trace->AddAttr(item_span, "shared", outcomes[i].shared ? 1 : 0);
           trace->End(item_span);
@@ -121,176 +131,47 @@ void PerformanceOracle::FlushPersistent() {
   }
 }
 
-ExactOracle::ExactOracle(TaskEvaluator* evaluator) : evaluator_(evaluator) {
-  MODIS_CHECK(evaluator_ != nullptr) << "ExactOracle: null evaluator";
-}
-
-Result<Evaluation> ExactOracle::Valuate(const ValuationRequest& request) {
-  const std::string& key = request.key;
-  const std::vector<double>& features = request.features;
-  if (const Evaluation* hit = store_.Find(key)) {
-    ++stats_.cache_hits;
-    return *hit;
-  }
-  Evaluation recorded;
-  if (PersistentFetch(key, &recorded)) {
-    ++stats_.persistent_hits;
-    store_.Add(key, features, recorded);
-    return recorded;
-  }
-  ExactOutcome outcome = RunExactOne(request, evaluator_);
-  stats_.exact_seconds += outcome.seconds;
-  if (!outcome.result.ok()) {
-    ++stats_.failed_evals;
-    return outcome.result;
-  }
-  if (outcome.shared) {
-    ++stats_.fused_hits;
-  } else {
-    ++stats_.exact_evals;
-  }
-  store_.Add(key, features, outcome.result.value());
-  PersistentStore(key, features, outcome.result.value());
-  return outcome.result;
-}
-
-BatchPlan ExactOracle::PrepareBatch(std::vector<ValuationRequest> requests) {
-  const SpanId plan_span = BeginTraceSpan("plan");
-  BatchPlan plan;
-  plan.modes.reserve(requests.size());
-  for (const ValuationRequest& req : requests) {
-    if (store_.Find(req.key) != nullptr) {
-      plan.modes.push_back(BatchPlan::Mode::kCached);
-    } else if (PersistentContains(req.key)) {
-      plan.modes.push_back(BatchPlan::Mode::kPersistent);
-    } else {
-      plan.modes.push_back(BatchPlan::Mode::kExact);
-      ++plan.exact_count;
-    }
-  }
-  plan.requests = std::move(requests);
-  EndTraceSpan(plan_span);
-  return plan;
-}
-
-std::vector<Result<Evaluation>> ExactOracle::ValuateBatch(BatchPlan plan,
-                                                          ThreadPool* pool) {
-  std::vector<ExactOutcome> outcomes =
-      RunExactTrainings(plan, pool, evaluator_);
-  const SpanId commit_span = BeginTraceSpan("commit");
-  std::vector<Result<Evaluation>> results;
-  results.reserve(plan.requests.size());
-  for (size_t i = 0; i < plan.requests.size(); ++i) {
-    const ValuationRequest& req = plan.requests[i];
-    if (plan.modes[i] == BatchPlan::Mode::kCached) {
-      ++stats_.cache_hits;
-      results.push_back(*store_.Find(req.key));
-      continue;
-    }
-    if (plan.modes[i] == BatchPlan::Mode::kPersistent) {
-      Evaluation recorded;
-      if (PersistentFetch(req.key, &recorded)) {
-        ++stats_.persistent_hits;
-        store_.Add(req.key, req.features, recorded);
-        results.push_back(std::move(recorded));
-        continue;
-      }
-      // A concurrent session's byte-bound flush evicted the planned
-      // record between plan and commit: train fresh, inline on the
-      // caller thread (or join another query's in-flight training of the
-      // same state). The record was itself a deterministic training, so
-      // the result — and the skyline — are unchanged.
-      ExactOutcome fresh = RunExactOne(req, evaluator_);
-      stats_.exact_seconds += fresh.seconds;
-      if (fresh.result.ok()) {
-        if (fresh.shared) {
-          ++stats_.fused_hits;
-        } else {
-          ++stats_.exact_evals;
-        }
-        store_.Add(req.key, req.features, fresh.result.value());
-        PersistentStore(req.key, req.features, fresh.result.value());
-      } else {
-        ++stats_.failed_evals;
-      }
-      results.push_back(std::move(fresh.result));
-      continue;
-    }
-    ExactOutcome& slot = outcomes[i];
-    stats_.exact_seconds += slot.seconds;
-    if (slot.result.ok()) {
-      if (slot.shared) {
-        ++stats_.fused_hits;
-      } else {
-        ++stats_.exact_evals;
-      }
-      store_.Add(req.key, req.features, slot.result.value());
-      PersistentStore(req.key, req.features, slot.result.value());
-    } else {
-      ++stats_.failed_evals;
-    }
-    results.push_back(std::move(slot.result));
-  }
-  EndTraceSpan(commit_span);
-  FlushPersistent();
-  return results;
-}
-
-MoGbmOracle::MoGbmOracle(TaskEvaluator* evaluator, SurrogateOptions options)
-    : evaluator_(evaluator),
-      options_(options),
-      surrogate_(options.gbm),
-      rng_(options.seed) {
-  MODIS_CHECK(evaluator_ != nullptr) << "MoGbmOracle: null evaluator";
-}
-
-Result<Evaluation> MoGbmOracle::ExactValuate(
-    const ValuationRequest& request) {
-  const std::string& key = request.key;
-  const std::vector<double>& features = request.features;
-  Result<Evaluation> result = Status::Internal("unset");
-  Evaluation recorded;
-  if (PersistentFetch(key, &recorded)) {
-    // A prior run already paid for this training: replay its result. The
-    // record is committed below exactly like a fresh training, so the
-    // store, the shadow error, and the retrain schedule stay identical.
-    result = std::move(recorded);
+Result<Evaluation> PerformanceOracle::CommitExact(const ValuationRequest& req,
+                                                 ExactOutcome* trained) {
+  Evaluation eval;
+  if (trained == nullptr && PersistentFetch(req.key, &eval)) {
     ++stats_.persistent_hits;
   } else {
-    ExactOutcome outcome = RunExactOne(request, evaluator_);
-    stats_.exact_seconds += outcome.seconds;
-    if (!outcome.result.ok()) {
+    // Without a fan-out slot — a planned replay whose record a concurrent
+    // session's byte-bound flush evicted, or a request the plan left to a
+    // surrogate that is still untrained — train inline on the caller
+    // thread (or join another query's in-flight training of the state).
+    ExactOutcome fresh = trained != nullptr ? std::move(*trained)
+                                            : RunExactOne(req);
+    stats_.exact_seconds += fresh.seconds;
+    if (!fresh.result.ok()) {
       ++stats_.failed_evals;
-      return outcome.result;
+      return std::move(fresh.result);
     }
-    if (outcome.shared) {
-      ++stats_.fused_hits;
-    } else {
-      ++stats_.exact_evals;
-    }
-    result = std::move(outcome.result);
-    PersistentStore(key, features, result.value());
+    ++(fresh.shared ? stats_.fused_hits : stats_.exact_evals);
+    eval = std::move(fresh.result).value();
+    PersistentStore(req.key, req.features, eval);
   }
   // Shadow prediction: measure the surrogate against the fresh truth.
   if (surrogate_.trained()) {
-    const Evaluation guess = PredictEvaluation(features);
-    for (size_t i = 0; i < guess.normalized.size(); ++i) {
-      const double d = guess.normalized[i] - result.value().normalized[i];
+    const Evaluation guess = PredictEvaluation(req.features);
+    for (size_t j = 0; j < guess.normalized.size(); ++j) {
+      const double d = guess.normalized[j] - eval.normalized[j];
       shadow_sq_error_ += d * d;
       ++shadow_count_;
     }
   }
-  store_.Add(key, features, result.value());
-  MODIS_RETURN_IF_ERROR(MaybeRetrain());
-  return result;
+  store_.Add(req.key, req.features, eval);
+  return eval;
 }
 
-Status MoGbmOracle::MaybeRetrain() {
+void PerformanceOracle::MaybeRetrain() {
+  if (!surrogate_on_) return;
   const size_t n = store_.size();
   const bool due = !surrogate_.trained()
                        ? n >= options_.bootstrap_budget
                        : n >= records_at_last_train_ + options_.retrain_every;
-  if (!due || n < 4) return Status::OK();
+  if (!due || n < 4) return;
 
   const auto& records = store_.records();
   const size_t d = records.front().features.size();
@@ -303,12 +184,22 @@ Status MoGbmOracle::MaybeRetrain() {
     for (size_t c = 0; c < m; ++c) y.At(i, c) = records[i].eval.normalized[c];
   }
   Rng train_rng(options_.seed + n);
-  MODIS_RETURN_IF_ERROR(surrogate_.Fit(x, y, &train_rng));
+  const Status fitted = surrogate_.Fit(x, y, &train_rng);
+  if (!fitted.ok()) {
+    // A failed fit may leave some outputs unfitted: drop the estimator
+    // whole. Keeping the previous one instead would hold two estimators
+    // through every refit.
+    surrogate_ = MultiOutputGbm(options_.gbm);
+    MODIS_LOG(WARN, "oracle") << "surrogate refit on " << n
+                              << " records failed, valuating exactly until "
+                                 "a refit succeeds: "
+                              << fitted.ToString();
+    return;
+  }
   records_at_last_train_ = n;
-  return Status::OK();
 }
 
-Evaluation MoGbmOracle::PredictEvaluation(
+Evaluation PerformanceOracle::PredictEvaluation(
     const std::vector<double>& features) const {
   Evaluation eval;
   eval.normalized = surrogate_.PredictRow(features.data());
@@ -325,24 +216,12 @@ Evaluation MoGbmOracle::PredictEvaluation(
   return eval;
 }
 
-Result<Evaluation> MoGbmOracle::Valuate(const ValuationRequest& request) {
-  if (const Evaluation* hit = store_.Find(request.key)) {
-    ++stats_.cache_hits;
-    return *hit;
-  }
-  const bool must_exact =
-      !surrogate_.trained() || rng_.Bernoulli(options_.exact_fraction);
-  if (must_exact) {
-    return ExactValuate(request);
-  }
-  WallTimer timer;
-  Evaluation eval = PredictEvaluation(request.features);
-  stats_.surrogate_seconds += timer.Seconds();
-  ++stats_.surrogate_evals;
-  return eval;
+Result<Evaluation> PerformanceOracle::Valuate(const ValuationRequest& request) {
+  return std::move(ValuateBatch(PrepareBatch({request}), nullptr).front());
 }
 
-BatchPlan MoGbmOracle::PrepareBatch(std::vector<ValuationRequest> requests) {
+BatchPlan PerformanceOracle::PrepareBatch(
+    std::vector<ValuationRequest> requests) {
   // Span recording brackets the loop without touching the policy stream:
   // the Bernoulli draws below are consumed exactly as on an untraced run.
   const SpanId plan_span = BeginTraceSpan("plan");
@@ -351,7 +230,9 @@ BatchPlan MoGbmOracle::PrepareBatch(std::vector<ValuationRequest> requests) {
   // Project how the surrogate's availability evolves over the batch: the
   // records this plan's own exact valuations will add count towards the
   // bootstrap budget, because they are committed (and the surrogate
-  // retrained) before any surrogate prediction of this batch runs.
+  // retrained) before any surrogate prediction of this batch runs. In
+  // exact mode the bootstrap never completes, so every uncached request
+  // trains and no policy randomness is drawn.
   size_t projected_records = store_.size();
   bool projected_trained = surrogate_.trained();
   for (const ValuationRequest& req : requests) {
@@ -359,9 +240,9 @@ BatchPlan MoGbmOracle::PrepareBatch(std::vector<ValuationRequest> requests) {
     if (store_.Find(req.key) != nullptr) {
       mode = BatchPlan::Mode::kCached;
     } else if (!projected_trained) {
-      mode = BatchPlan::Mode::kExact;  // Still bootstrapping the estimator.
+      mode = BatchPlan::Mode::kExact;  // Exact mode, or still bootstrapping.
       ++projected_records;
-      if (projected_records >= options_.bootstrap_budget &&
+      if (surrogate_on_ && projected_records >= options_.bootstrap_budget &&
           projected_records >= 4) {
         projected_trained = true;
       }
@@ -388,75 +269,24 @@ BatchPlan MoGbmOracle::PrepareBatch(std::vector<ValuationRequest> requests) {
   return plan;
 }
 
-std::vector<Result<Evaluation>> MoGbmOracle::ValuateBatch(BatchPlan plan,
-                                                          ThreadPool* pool) {
-  std::vector<ExactOutcome> outcomes =
-      RunExactTrainings(plan, pool, evaluator_);
+std::vector<Result<Evaluation>> PerformanceOracle::ValuateBatch(
+    BatchPlan plan, ThreadPool* pool) {
+  std::vector<ExactOutcome> outcomes = RunExactTrainings(plan, pool);
   const SpanId commit_span = BeginTraceSpan("commit");
 
-  // Commit pass 1, request order: fold the exact results into the stats,
-  // the shadow error (against the pre-batch surrogate), and the record
-  // store. This is the only place batch results mutate shared state, so
-  // the store contents — and everything derived from them — are identical
-  // for every thread count.
+  // Commit pass 1, request order: fold the exact results — trained by the
+  // fan-out or replayed from the record cache — into the stats, the shadow
+  // error (against the pre-batch surrogate), and the record store. This is
+  // the only place batch results mutate shared state, so the store
+  // contents — and everything derived from them — are identical for every
+  // thread count.
   for (size_t i = 0; i < plan.requests.size(); ++i) {
     const BatchPlan::Mode mode = plan.modes[i];
-    if (mode != BatchPlan::Mode::kExact &&
-        mode != BatchPlan::Mode::kPersistent) {
-      continue;
+    if (mode == BatchPlan::Mode::kExact) {
+      outcomes[i].result = CommitExact(plan.requests[i], &outcomes[i]);
+    } else if (mode == BatchPlan::Mode::kPersistent) {
+      outcomes[i].result = CommitExact(plan.requests[i], nullptr);
     }
-    const ValuationRequest& req = plan.requests[i];
-    ExactOutcome& slot = outcomes[i];
-    if (mode == BatchPlan::Mode::kPersistent) {
-      // Replay the recorded training result through the same commit path
-      // a fresh training takes, so store contents, shadow error, and the
-      // retrain schedule are identical to the cold run that recorded it.
-      Evaluation recorded;
-      if (PersistentFetch(req.key, &recorded)) {
-        slot.result = std::move(recorded);
-        ++stats_.persistent_hits;
-      } else {
-        // Evicted by a concurrent session between plan and commit:
-        // train fresh inline (or join a concurrent query's in-flight
-        // training) — byte-identical to the replay it stands in for,
-        // since the record was a deterministic training.
-        ExactOutcome fresh = RunExactOne(req, evaluator_);
-        slot.result = std::move(fresh.result);
-        stats_.exact_seconds += fresh.seconds;
-        if (!slot.result.ok()) {
-          ++stats_.failed_evals;
-          continue;
-        }
-        if (fresh.shared) {
-          ++stats_.fused_hits;
-        } else {
-          ++stats_.exact_evals;
-        }
-        PersistentStore(req.key, req.features, slot.result.value());
-      }
-    } else {
-      stats_.exact_seconds += slot.seconds;
-      if (!slot.result.ok()) {
-        ++stats_.failed_evals;
-        continue;
-      }
-      if (slot.shared) {
-        ++stats_.fused_hits;
-      } else {
-        ++stats_.exact_evals;
-      }
-      PersistentStore(req.key, req.features, slot.result.value());
-    }
-    if (surrogate_.trained()) {
-      const Evaluation guess = PredictEvaluation(req.features);
-      for (size_t j = 0; j < guess.normalized.size(); ++j) {
-        const double d =
-            guess.normalized[j] - slot.result.value().normalized[j];
-        shadow_sq_error_ += d * d;
-        ++shadow_count_;
-      }
-    }
-    store_.Add(req.key, req.features, slot.result.value());
   }
   // One deterministic retrain per batch, after all ingestions.
   MaybeRetrain();
@@ -474,9 +304,10 @@ std::vector<Result<Evaluation>> MoGbmOracle::ValuateBatch(BatchPlan plan,
       surrogate_ids.push_back(i);
     }
   }
-  std::vector<Evaluation> predicted(plan.requests.size());
+  std::vector<Evaluation> predicted;
   bool predicted_ready = false;
   if (surrogate_.trained() && !surrogate_ids.empty()) {
+    predicted.resize(plan.requests.size());
     WallTimer timer;
     const Status fanned =
         ParallelFor(pool, 0, surrogate_ids.size(), [&](size_t k) {
@@ -505,34 +336,11 @@ std::vector<Result<Evaluation>> MoGbmOracle::ValuateBatch(BatchPlan plan,
       case BatchPlan::Mode::kSurrogate: {
         if (!surrogate_.trained()) {
           // The plan projected the bootstrap to complete, but an exact
-          // training failed (or the retrain errored): keep the serial
-          // path's guarantee that un-estimable states are valuated
-          // exactly rather than dropped. Runs inline on the caller
-          // thread, so the commit order stays deterministic.
-          Result<Evaluation> r = Status::Internal("unset");
-          Evaluation recorded;
-          if (PersistentFetch(req.key, &recorded)) {
-            r = std::move(recorded);
-            ++stats_.persistent_hits;
-          } else {
-            ExactOutcome fresh = RunExactOne(req, evaluator_);
-            r = std::move(fresh.result);
-            stats_.exact_seconds += fresh.seconds;
-            if (r.ok()) {
-              if (fresh.shared) {
-                ++stats_.fused_hits;
-              } else {
-                ++stats_.exact_evals;
-              }
-              PersistentStore(req.key, req.features, r.value());
-            } else {
-              ++stats_.failed_evals;
-            }
-          }
-          if (r.ok()) {
-            store_.Add(req.key, req.features, r.value());
-            MaybeRetrain();  // The bootstrap may complete mid-commit.
-          }
+          // training failed (or the refit did): valuate exactly rather
+          // than drop the state. Runs inline on the caller thread, so the
+          // commit order stays deterministic.
+          Result<Evaluation> r = CommitExact(req, nullptr);
+          if (r.ok()) MaybeRetrain();  // The bootstrap may complete here.
           results.push_back(std::move(r));
           break;
         }
@@ -556,7 +364,7 @@ std::vector<Result<Evaluation>> MoGbmOracle::ValuateBatch(BatchPlan plan,
   return results;
 }
 
-double MoGbmOracle::SurrogateMse() const {
+double PerformanceOracle::SurrogateMse() const {
   return shadow_count_ == 0 ? 0.0
                             : shadow_sq_error_ / static_cast<double>(
                                                      shadow_count_);

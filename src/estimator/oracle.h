@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -22,7 +23,7 @@ class TrainingFuser;
 
 /// The historical test set T of the paper: every valuated test
 /// (state signature, state features, evaluation) recorded during a running.
-/// Shared by the correlation graph, the surrogate trainer, and the
+/// Shared by correlation pruning, the surrogate trainer, and the
 /// diversification normalizer.
 class TestRecordStore {
  public:
@@ -41,7 +42,7 @@ class TestRecordStore {
   const std::vector<Record>& records() const { return records_; }
   size_t size() const { return records_.size(); }
 
-  /// All normalized performance vectors (for G_C updates / euc_max).
+  /// All normalized performance vectors (for euc_max).
   std::vector<std::vector<double>> NormalizedVectors() const;
 
  private:
@@ -85,19 +86,48 @@ struct BatchPlan {
   size_t exact_count = 0;
 };
 
-/// Valuates tests for the search, each given as a ValuationRequest: the
-/// canonical state signature (the bitmap rendered as '0'/'1' characters),
-/// the numeric encoding of the state the surrogate learns from, and a lazy
-/// materializer — only exact valuations pay for it, which is how the
-/// surrogate keeps the per-test cost low.
+/// Options of the MO-GBM surrogate: the paper's default estimator, a
+/// multi-output gradient boosting model that predicts the whole normalized
+/// performance vector from the state features in one call (§2, §6).
+struct SurrogateOptions {
+  /// Exact valuations collected before the surrogate takes over.
+  size_t bootstrap_budget = 24;
+  /// After bootstrap, this fraction of valuations is still exact, to keep
+  /// extending T (and periodically refresh the surrogate).
+  double exact_fraction = 0.1;
+  /// Retrain the MO-GBM after this many new exact records.
+  size_t retrain_every = 16;
+  GbmOptions gbm = {.num_rounds = 40,
+                    .learning_rate = 0.1,
+                    .tree = {.max_depth = 3,
+                             .min_samples_leaf = 2,
+                             .max_bins = 32,
+                             .feature_fraction = 1.0},
+                    .subsample = 1.0};
+  uint64_t seed = 29;
+};
+
+/// The estimator E of §6. For every test it decides whether to train the
+/// task model (an exact valuation) or to predict the state's normalized
+/// performance vector with the MO-GBM surrogate trained on the historical
+/// tests T. Constructed without SurrogateOptions, the policy always trains
+/// (the wire's "exact" oracle): the plan never projects a bootstrap, never
+/// draws from the policy randomness, and the surrogate is never fit. With
+/// them (the wire's "gbm"), cold-start and a trickle of valuations remain
+/// exact.
 ///
-/// Two call shapes exist: the single-test Valuate (baselines, exhaustive
-/// search, reporting) and the batched PrepareBatch/ValuateBatch pair the
-/// engine issues once per frontier level. The batch pair is the hot path:
-/// exact trainings fan out over a ThreadPool while everything stateful —
-/// cache lookups, surrogate inference, record-store ingestion, retraining —
-/// stays on the caller thread, so results are deterministic for a given
-/// request order no matter how many workers run.
+/// A test is given as a ValuationRequest: the canonical state signature
+/// (the bitmap rendered as '0'/'1' characters), the numeric encoding of the
+/// state the surrogate learns from, and a lazy materializer — only exact
+/// valuations pay for it, which is how the surrogate keeps the per-test
+/// cost low.
+///
+/// The engine issues one PrepareBatch/ValuateBatch pair per frontier level;
+/// Valuate is the same pair over a one-request batch. Exact trainings fan
+/// out over a ThreadPool while everything stateful — cache lookups,
+/// surrogate inference, record-store ingestion, retraining — stays on the
+/// caller thread, so results are deterministic for a given request order
+/// no matter how many workers run.
 class PerformanceOracle {
  public:
   struct Stats {
@@ -114,32 +144,44 @@ class PerformanceOracle {
     double surrogate_seconds = 0.0;
   };
 
-  virtual ~PerformanceOracle() = default;
+  /// Does not own `evaluator`; it must outlive the oracle. Without
+  /// `surrogate` every valuation is exact.
+  explicit PerformanceOracle(
+      TaskEvaluator* evaluator,
+      std::optional<SurrogateOptions> surrogate = std::nullopt);
 
-  /// Valuates one test.
-  virtual Result<Evaluation> Valuate(const ValuationRequest& request) = 0;
+  /// Valuates one test: ValuateBatch(PrepareBatch({request}), nullptr)[0].
+  /// Flushes an attached record cache once per call.
+  Result<Evaluation> Valuate(const ValuationRequest& request);
 
   /// Splits a level batch into cache hits, surrogate predictions, and
   /// exact trainings. Runs on the caller thread and consumes the oracle's
   /// policy randomness in request order, so the plan is a pure function of
   /// the oracle state and the request sequence.
-  virtual BatchPlan PrepareBatch(std::vector<ValuationRequest> requests) = 0;
+  BatchPlan PrepareBatch(std::vector<ValuationRequest> requests);
 
   /// Executes a plan: exact model trainings run via ParallelFor over
   /// `pool` (inline when null/single-threaded); the post-batch commit —
   /// stats, record-store ingestion, surrogate retraining, surrogate
   /// predictions — happens on the caller thread in request order. Returns
   /// one Result per request, aligned with `plan.requests`.
-  virtual std::vector<Result<Evaluation>> ValuateBatch(BatchPlan plan,
-                                                       ThreadPool* pool) = 0;
+  std::vector<Result<Evaluation>> ValuateBatch(BatchPlan plan,
+                                               ThreadPool* pool);
 
-  virtual const std::vector<MeasureSpec>& measures() const = 0;
+  const std::vector<MeasureSpec>& measures() const {
+    return evaluator_->measures();
+  }
 
-  /// The identity string of the underlying task model (see
+  /// The identity string of the task model (see
   /// TaskEvaluator::ModelIdentity); ModisEngine mixes it into the
-  /// persistent-cache task fingerprint. Empty for oracles without a task
-  /// model.
-  virtual std::string ModelIdentity() const { return std::string(); }
+  /// persistent-cache task fingerprint. The surrogate never changes what a
+  /// recorded *exact* training returns, so warm records are shareable
+  /// between exact- and surrogate-mode runs.
+  std::string ModelIdentity() const { return evaluator_->ModelIdentity(); }
+
+  /// Mean squared error of the surrogate against the exact evaluations it
+  /// has shadow-predicted (reported by bench_estimator); 0 in exact mode.
+  double SurrogateMse() const;
 
   const Stats& stats() const { return stats_; }
   const TestRecordStore& store() const { return store_; }
@@ -189,7 +231,7 @@ class PerformanceOracle {
   }
   TraceRecorder* trace_recorder() const { return trace_; }
 
- protected:
+ private:
   /// Per-request outcome of an exact training. Slots of a batch are
   /// pre-initialized to an error so indices skipped after a worker
   /// exception stay well-defined.
@@ -210,16 +252,25 @@ class PerformanceOracle {
   /// TrainingFuser when present. Safe to call from a worker thread: it
   /// touches no oracle state (stats are committed by the caller from the
   /// returned outcome).
-  ExactOutcome RunExactOne(const ValuationRequest& req,
-                           TaskEvaluator* evaluator) const;
+  ExactOutcome RunExactOne(const ValuationRequest& req) const;
 
-  /// The fan-out half of ValuateBatch, shared by both oracles: every
-  /// kExact request trains via RunExactOne, spread over `pool`. Workers
-  /// only touch their own slot — all oracle state mutation happens in the
-  /// caller's commit pass.
+  /// The fan-out half of ValuateBatch: every kExact request trains via
+  /// RunExactOne, spread over `pool`. Workers only touch their own slot —
+  /// all oracle state mutation happens in the caller's commit pass.
   std::vector<ExactOutcome> RunExactTrainings(const BatchPlan& plan,
-                                              ThreadPool* pool,
-                                              TaskEvaluator* evaluator) const;
+                                              ThreadPool* pool) const;
+
+  /// The one commit of an exact-policy valuation. With `trained` (a kExact
+  /// slot of the fan-out) it takes that training's result; without, it
+  /// replays the record cache's evaluation or, on a miss, trains inline on
+  /// the caller thread. Either way it counts the outcome (exact_evals,
+  /// fused_hits, persistent_hits or failed_evals), shadow-predicts it with
+  /// a trained surrogate, adds it to T, and writes a fresh training through
+  /// to the record cache. A replay stands in for the deterministic training
+  /// that recorded it, so everything downstream is identical to a cold run.
+  Result<Evaluation> CommitExact(const ValuationRequest& req,
+                                 ExactOutcome* trained);
+
   /// True when the attached cache holds `key`. The plan-time probe; does
   /// not count a cache hit (the commit's PersistentFetch does), but
   /// refreshes the record's recency so a byte-bounded shared cache
@@ -236,6 +287,13 @@ class PerformanceOracle {
   /// Flushes cache appends; called once per batch commit.
   void FlushPersistent();
 
+  /// Refits the surrogate on T when the bootstrap budget or the retrain
+  /// interval is reached; a no-op in exact mode. A failed refit is logged
+  /// and leaves the surrogate untrained, so valuations fall back to exact
+  /// until a later commit's refit succeeds.
+  void MaybeRetrain();
+  Evaluation PredictEvaluation(const std::vector<double>& features) const;
+
   /// Begins a span under the attached trace context; kNoSpan when no
   /// recorder is attached (End/AddAttr on kNoSpan are no-ops, so call
   /// sites stay branch-free).
@@ -246,6 +304,16 @@ class PerformanceOracle {
     if (trace_ != nullptr) trace_->End(id);
   }
 
+  TaskEvaluator* evaluator_;
+  /// False in exact mode; `options_` then only seeds unused members.
+  bool surrogate_on_;
+  SurrogateOptions options_;
+  MultiOutputGbm surrogate_;
+  Rng rng_;
+  size_t records_at_last_train_ = 0;
+  double shadow_sq_error_ = 0.0;
+  size_t shadow_count_ = 0;
+
   Stats stats_;
   TestRecordStore store_;
   PersistentRecordCache* record_cache_ = nullptr;
@@ -255,89 +323,6 @@ class PerformanceOracle {
   uint64_t fuser_fp_ = 0;
   TraceRecorder* trace_ = nullptr;
   SpanId trace_parent_ = kNoSpan;
-};
-
-/// Oracle that always trains the real model (with a cache keyed by state
-/// signature). This is both the ground-truth reporter and the valuation
-/// backend of small-scale searches.
-class ExactOracle : public PerformanceOracle {
- public:
-  /// Does not own `evaluator`; it must outlive the oracle.
-  explicit ExactOracle(TaskEvaluator* evaluator);
-
-  Result<Evaluation> Valuate(const ValuationRequest& request) override;
-  BatchPlan PrepareBatch(std::vector<ValuationRequest> requests) override;
-  std::vector<Result<Evaluation>> ValuateBatch(BatchPlan plan,
-                                               ThreadPool* pool) override;
-  const std::vector<MeasureSpec>& measures() const override {
-    return evaluator_->measures();
-  }
-  std::string ModelIdentity() const override {
-    return evaluator_->ModelIdentity();
-  }
-
- private:
-  TaskEvaluator* evaluator_;
-};
-
-/// Options of the MO-GBM surrogate oracle.
-struct SurrogateOptions {
-  /// Exact valuations collected before the surrogate takes over.
-  size_t bootstrap_budget = 24;
-  /// After bootstrap, this fraction of valuations is still exact, to keep
-  /// extending T (and periodically refresh the surrogate).
-  double exact_fraction = 0.1;
-  /// Retrain the MO-GBM after this many new exact records.
-  size_t retrain_every = 16;
-  GbmOptions gbm = {.num_rounds = 40,
-                    .learning_rate = 0.1,
-                    .tree = {.max_depth = 3,
-                             .min_samples_leaf = 2,
-                             .max_bins = 32,
-                             .feature_fraction = 1.0},
-                    .subsample = 1.0};
-  uint64_t seed = 29;
-};
-
-/// The paper's default estimator E: a multi-output gradient boosting model
-/// that predicts the whole normalized performance vector from the state
-/// features in one call (§2, §6), trained on the historically observed
-/// tests T. Cold-start and a trickle of valuations remain exact.
-class MoGbmOracle : public PerformanceOracle {
- public:
-  /// Does not own `evaluator`.
-  MoGbmOracle(TaskEvaluator* evaluator, SurrogateOptions options = {});
-
-  Result<Evaluation> Valuate(const ValuationRequest& request) override;
-  BatchPlan PrepareBatch(std::vector<ValuationRequest> requests) override;
-  std::vector<Result<Evaluation>> ValuateBatch(BatchPlan plan,
-                                               ThreadPool* pool) override;
-  const std::vector<MeasureSpec>& measures() const override {
-    return evaluator_->measures();
-  }
-  /// The surrogate never changes what a recorded *exact* training
-  /// returns, so the identity is the task model's alone — warm records
-  /// are shareable between exact- and surrogate-mode runs.
-  std::string ModelIdentity() const override {
-    return evaluator_->ModelIdentity();
-  }
-
-  /// Mean squared error of the surrogate against the exact evaluations it
-  /// has shadow-predicted (reported by bench_estimator).
-  double SurrogateMse() const;
-
- private:
-  Result<Evaluation> ExactValuate(const ValuationRequest& request);
-  Status MaybeRetrain();
-  Evaluation PredictEvaluation(const std::vector<double>& features) const;
-
-  TaskEvaluator* evaluator_;
-  SurrogateOptions options_;
-  MultiOutputGbm surrogate_;
-  Rng rng_;
-  size_t records_at_last_train_ = 0;
-  double shadow_sq_error_ = 0.0;
-  size_t shadow_count_ = 0;
 };
 
 }  // namespace modis

@@ -15,7 +15,7 @@ namespace modis {
 /// measures the raw + normalized performance vector.
 ///
 /// This is the "actual model inference test" of the paper's evaluation
-/// protocol; the exact oracle wraps it with caching, and the MO-GBM
+/// protocol; PerformanceOracle wraps it with caching, and its MO-GBM
 /// surrogate learns to imitate it.
 class TaskEvaluator {
  public:

@@ -14,8 +14,9 @@ double SpearmanCorrelation(const std::vector<double>& a,
 
 /// The correlation graph G_C of §5.3: nodes are measures, an edge (p_i,p_j)
 /// exists when |spearman(p_i, p_j)| >= theta over the currently valuated
-/// tests. BiMODis consults it to derive parameterized performance ranges
-/// for un-valuated measures.
+/// tests. The engine does not build it: BiMODis's Lemma 4 pruning derives
+/// its parameterized ranges from each measure's Spearman correlation with
+/// the dataset size (SpearmanCorrelation above), not from G_C.
 class CorrelationGraph {
  public:
   CorrelationGraph(size_t num_measures, double theta)

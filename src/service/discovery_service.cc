@@ -71,18 +71,17 @@ Result<DiscoveryResponse> RunQuery(const DiscoveryRequest& request,
                                    SupervisedEvaluator* evaluator,
                                    const ModisConfig& config,
                                    EngineRuntime runtime) {
-  std::unique_ptr<PerformanceOracle> oracle;
-  if (request.oracle == "exact") {
-    oracle = std::make_unique<ExactOracle>(evaluator);
-  } else if (request.oracle == "gbm") {
-    oracle = std::make_unique<MoGbmOracle>(evaluator);
-  } else {
+  std::optional<SurrogateOptions> surrogate;
+  if (request.oracle == "gbm") {
+    surrogate = SurrogateOptions{};
+  } else if (request.oracle != "exact") {
     return Status::InvalidArgument("unknown oracle '" + request.oracle +
                                    "' (exact | gbm)");
   }
+  PerformanceOracle oracle(evaluator, surrogate);
 
   WallTimer run_timer;
-  ModisEngine engine(&universe, oracle.get(), config, runtime);
+  ModisEngine engine(&universe, &oracle, config, runtime);
   MODIS_ASSIGN_OR_RETURN(ModisResult result, engine.Run());
 
   DiscoveryResponse response;

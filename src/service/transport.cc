@@ -6,26 +6,22 @@
 
 #include "common/logging.h"
 
-#if !defined(_WIN32)
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
-#endif
 
 namespace modis {
 
 namespace {
 
-#if !defined(_WIN32)
 #if defined(MSG_NOSIGNAL)
 constexpr int kSendFlags = MSG_NOSIGNAL;  // EPIPE instead of SIGPIPE.
 #else
 constexpr int kSendFlags = 0;
 #endif
-#endif  // !_WIN32
 
 bool ParsePort(const std::string& text, uint16_t* port) {
   if (text.empty() || text.size() > 5) return false;
@@ -85,8 +81,6 @@ Result<Endpoint> ParseEndpoint(const std::string& spec) {
   endpoint.path = spec;
   return endpoint;
 }
-
-#if !defined(_WIN32)
 
 namespace {
 
@@ -441,45 +435,5 @@ void HttpServer::ServeRequests(int fd) {
     parser.Feed(chunk, size_t(n));
   }
 }
-
-#else  // _WIN32
-
-Result<ClientChannel> ClientChannel::Connect(const Endpoint&) {
-  return Status::Unimplemented("transport requires POSIX sockets");
-}
-ClientChannel::~ClientChannel() = default;
-ClientChannel::ClientChannel(ClientChannel&& other) noexcept
-    : fd_(other.fd_) {
-  other.fd_ = -1;
-}
-ClientChannel& ClientChannel::operator=(ClientChannel&& other) noexcept {
-  fd_ = other.fd_;
-  other.fd_ = -1;
-  return *this;
-}
-Status ClientChannel::SendRaw(const std::string&) {
-  return Status::Unimplemented("transport requires POSIX sockets");
-}
-Result<std::string> ClientChannel::ReceiveRaw(size_t) {
-  return Status::Unimplemented("transport requires POSIX sockets");
-}
-void ClientChannel::Close() {}
-
-HttpServer::HttpServer(HttpHandler handler, Options options,
-                       ServiceMetrics* metrics)
-    : handler_(std::move(handler)),
-      options_(options),
-      metrics_(metrics != nullptr ? metrics : &owned_metrics_) {}
-HttpServer::~HttpServer() = default;
-Status HttpServer::Listen(const Endpoint&) {
-  return Status::Unimplemented("transport requires POSIX sockets");
-}
-void HttpServer::Serve() {}
-void HttpServer::RequestStop() {}
-void HttpServer::ReapFinishedLocked() {}
-void HttpServer::ServeConnection(uint64_t, int) {}
-void HttpServer::ServeRequests(int) {}
-
-#endif  // _WIN32
 
 }  // namespace modis

@@ -5,11 +5,9 @@
 #include <cstring>
 #include <utility>
 
-#if !defined(_WIN32)
 #include <fcntl.h>
 #include <sys/file.h>
 #include <unistd.h>
-#endif
 
 namespace modis {
 
@@ -292,8 +290,6 @@ Result<RecordLog> RecordLog::Open(const std::string& path, bool read_only,
   return OpenFrom(path, /*inode=*/0, /*offset=*/0, out);
 }
 
-#if !defined(_WIN32)
-
 namespace {
 
 /// Resumes a scan of the locked stream `f` at `offset`, the valid end of
@@ -481,111 +477,6 @@ Status RecordLog::ReadFrom(const std::string& path, uint64_t inode,
   return Status::OK();
 }
 
-#else  // _WIN32: no advisory locking; sharing a file is sequential-only.
-
-FileStamp FileStamp::Of(const std::string& path) {
-  FileStamp stamp;
-  struct stat st;
-  if (::stat(path.c_str(), &st) == 0) {
-    stamp.size = static_cast<int64_t>(st.st_size);
-    stamp.mtime_ns = static_cast<int64_t>(st.st_mtime) * 1000000000;
-  }
-  return stamp;
-}
-
-FileStamp RecordLog::stamp() const { return FileStamp::Of(path_); }
-
-Result<RecordLog> RecordLog::OpenReadOnly(const std::string& path,
-                                          std::vector<StoredRecord>* out) {
-  RecordLog log;
-  log.path_ = path;
-  log.read_only_ = true;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::NotFound("record log not found: " + path);
-  }
-  auto header = CheckHeader(f, path, /*read_only=*/true);
-  if (!header.ok()) {
-    std::fclose(f);
-    return header.status();
-  }
-  if (header.value() == HeaderState::kValid) {
-    const size_t valid_bytes = ScanRecords(f, kHeaderSize, out);
-    log.discarded_tail_bytes_ = TailBytes(f, valid_bytes);
-    log.size_bytes_ = valid_bytes;
-  }
-  std::fclose(f);
-  return log;
-}
-
-Result<RecordLog> RecordLog::OpenFrom(const std::string& path,
-                                      uint64_t /*inode*/, size_t /*offset*/,
-                                      std::vector<StoredRecord>* out) {
-  // No inode identity to tell a compacted file from a grown one: always
-  // the whole-file scan.
-  RecordLog log;
-  log.path_ = path;
-
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  size_t valid_bytes = kHeaderSize;
-  bool fresh = f == nullptr;
-  if (f != nullptr) {
-    auto header = CheckHeader(f, path, /*read_only=*/false);
-    if (!header.ok()) {
-      std::fclose(f);
-      return header.status();
-    }
-    if (header.value() == HeaderState::kValid) {
-      valid_bytes = ScanRecords(f, kHeaderSize, out);
-      log.discarded_tail_bytes_ = TailBytes(f, valid_bytes);
-    } else {
-      fresh = true;
-    }
-    std::fclose(f);
-  }
-
-  if (fresh) {
-    std::FILE* w = std::fopen(path.c_str(), "wb");
-    if (w == nullptr) {
-      return Status::IoError("cannot create record log: " + path);
-    }
-    uint8_t header[kHeaderSize];
-    FillHeader(header);
-    if (std::fwrite(header, 1, kHeaderSize, w) != kHeaderSize) {
-      std::fclose(w);
-      return Status::IoError("cannot write record log header: " + path);
-    }
-    log.file_ = w;
-    log.size_bytes_ = kHeaderSize;
-    log.discarded_tail_bytes_ = 0;
-    return log;
-  }
-
-  if (log.discarded_tail_bytes_ > 0) {
-    return Status::Unimplemented("torn-tail truncation on Windows");
-  }
-  std::FILE* w = std::fopen(path.c_str(), "rb+");
-  if (w == nullptr) {
-    return Status::IoError("cannot open record log for append: " + path);
-  }
-  if (std::fseek(w, static_cast<long>(valid_bytes), SEEK_SET) != 0) {
-    std::fclose(w);
-    return Status::IoError("cannot seek record log: " + path);
-  }
-  log.file_ = w;
-  log.size_bytes_ = valid_bytes;
-  return log;
-}
-
-Status RecordLog::ReadFrom(const std::string& path, uint64_t /*inode*/,
-                           size_t /*offset*/, std::vector<StoredRecord>*,
-                           size_t* /*valid_end*/) {
-  // No inode identity to tell a compacted file from a grown one.
-  return Status::OutOfRange("tail reads need POSIX file identity: " + path);
-}
-
-#endif  // _WIN32
-
 Status RecordLog::WriteFrame(std::FILE* f, const StoredRecord& record) {
   const std::vector<uint8_t> payload = EncodePayload(record);
   const uint32_t payload_size = static_cast<uint32_t>(payload.size());
@@ -625,7 +516,6 @@ Status RecordLog::Rewrite(const std::vector<StoredRecord>& records) {
   }
   const std::string tmp = path_ + ".compact";
 
-#if !defined(_WIN32)
   const int tfd =
       ::open(tmp.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (tfd < 0) {
@@ -644,12 +534,6 @@ Status RecordLog::Rewrite(const std::vector<StoredRecord>& records) {
     std::remove(tmp.c_str());
     return Status::IoError("cannot open compaction file: " + tmp);
   }
-#else
-  std::FILE* w = std::fopen(tmp.c_str(), "wb");
-  if (w == nullptr) {
-    return Status::IoError("cannot create compaction file: " + tmp);
-  }
-#endif
 
   uint8_t header[kHeaderSize];
   FillHeader(header);
@@ -672,7 +556,6 @@ Status RecordLog::Rewrite(const std::vector<StoredRecord>& records) {
     return status;
   }
 
-#if !defined(_WIN32)
   if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
     std::fclose(w);
     std::remove(tmp.c_str());
@@ -682,26 +565,6 @@ Status RecordLog::Rewrite(const std::vector<StoredRecord>& records) {
   // stream; closing the old stream releases the lock on the dead inode.
   if (file_ != nullptr) std::fclose(file_);
   file_ = w;
-#else
-  std::fclose(w);
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IoError("cannot swap compacted log into place: " + path_);
-  }
-  std::FILE* f = std::fopen(path_.c_str(), "rb+");
-  if (f == nullptr) {
-    return Status::IoError("cannot reopen compacted log: " + path_);
-  }
-  if (std::fseek(f, 0, SEEK_END) != 0) {
-    std::fclose(f);
-    return Status::IoError("cannot seek compacted log: " + path_);
-  }
-  file_ = f;
-#endif
 
   // The rewrite's shrinkage is the compaction's yield; growth (never
   // expected — Rewrite only drops records) reclaims nothing.

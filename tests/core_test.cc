@@ -176,7 +176,7 @@ ModisConfig SmallConfig() {
 TEST(EngineTest, SkylineIsMutuallyNonDominated) {
   auto f = UniverseFixture::Make();
   auto evaluator = f.bench.MakeEvaluator();
-  ExactOracle oracle(evaluator.get());
+  PerformanceOracle oracle(evaluator.get());
   auto result = RunApxModis(f.universe, &oracle, SmallConfig());
   ASSERT_TRUE(result.ok());
   ASSERT_FALSE(result->skyline.empty());
@@ -191,7 +191,7 @@ TEST(EngineTest, SkylineIsMutuallyNonDominated) {
 TEST(EngineTest, RespectsValuationBudget) {
   auto f = UniverseFixture::Make();
   auto evaluator = f.bench.MakeEvaluator();
-  ExactOracle oracle(evaluator.get());
+  PerformanceOracle oracle(evaluator.get());
   ModisConfig cfg = SmallConfig();
   cfg.max_states = 25;
   auto result = RunApxModis(f.universe, &oracle, cfg);
@@ -202,7 +202,7 @@ TEST(EngineTest, RespectsValuationBudget) {
 TEST(EngineTest, RespectsMaxLevel) {
   auto f = UniverseFixture::Make();
   auto evaluator = f.bench.MakeEvaluator();
-  ExactOracle oracle(evaluator.get());
+  PerformanceOracle oracle(evaluator.get());
   ModisConfig cfg = SmallConfig();
   cfg.max_level = 1;
   cfg.max_states = 10000;
@@ -216,7 +216,7 @@ TEST(EngineTest, SkylineEpsilonCoversValuatedStates) {
   // member.
   auto f = UniverseFixture::Make();
   auto evaluator = f.bench.MakeEvaluator();
-  ExactOracle oracle(evaluator.get());
+  PerformanceOracle oracle(evaluator.get());
   ModisConfig cfg = SmallConfig();
   cfg.max_states = 60;
   auto result = RunApxModis(f.universe, &oracle, cfg);
@@ -248,7 +248,7 @@ TEST(EngineTest, SkylineEpsilonCoversValuatedStates) {
 TEST(EngineTest, BidirectionalValuatesBackwardStates) {
   auto f = UniverseFixture::Make();
   auto evaluator = f.bench.MakeEvaluator();
-  ExactOracle oracle(evaluator.get());
+  PerformanceOracle oracle(evaluator.get());
   auto result = RunNoBiModis(f.universe, &oracle, SmallConfig());
   ASSERT_TRUE(result.ok());
   // Some skyline states should have few columns (backward side) or the
@@ -268,12 +268,12 @@ TEST(EngineTest, PruningNeverBreaksSkylineQuality) {
   ModisConfig cfg = SmallConfig();
 
   auto eval1 = f.bench.MakeEvaluator();
-  ExactOracle oracle1(eval1.get());
+  PerformanceOracle oracle1(eval1.get());
   auto no_prune = RunNoBiModis(f.universe, &oracle1, cfg);
   ASSERT_TRUE(no_prune.ok());
 
   auto eval2 = f.bench.MakeEvaluator();
-  ExactOracle oracle2(eval2.get());
+  PerformanceOracle oracle2(eval2.get());
   auto pruned = RunBiModis(f.universe, &oracle2, cfg);
   ASSERT_TRUE(pruned.ok());
 
@@ -284,7 +284,7 @@ TEST(EngineTest, PruningNeverBreaksSkylineQuality) {
 TEST(EngineTest, DivModisRespectsK) {
   auto f = UniverseFixture::Make();
   auto evaluator = f.bench.MakeEvaluator();
-  ExactOracle oracle(evaluator.get());
+  PerformanceOracle oracle(evaluator.get());
   ModisConfig cfg = SmallConfig();
   cfg.diversify_k = 3;
   auto result = RunDivModis(f.universe, &oracle, cfg);
@@ -304,10 +304,10 @@ TEST(EngineTest, ExtremeEpsilonCollapsesGrid) {
   fine.epsilon = 0.01;
 
   auto ev1 = f.bench.MakeEvaluator();
-  ExactOracle o1(ev1.get());
+  PerformanceOracle o1(ev1.get());
   auto r_coarse = RunApxModis(f.universe, &o1, coarse);
   auto ev2 = f.bench.MakeEvaluator();
-  ExactOracle o2(ev2.get());
+  PerformanceOracle o2(ev2.get());
   auto r_fine = RunApxModis(f.universe, &o2, fine);
   ASSERT_TRUE(r_coarse.ok() && r_fine.ok());
   EXPECT_GE(r_fine->skyline.size(), r_coarse->skyline.size());
@@ -319,7 +319,7 @@ TEST(EngineTest, ExtremeEpsilonCollapsesGrid) {
 TEST(ExactSkylineTest, MatchesParetoOverValuatedStates) {
   auto f = UniverseFixture::Make();
   auto evaluator = f.bench.MakeEvaluator();
-  ExactOracle oracle(evaluator.get());
+  PerformanceOracle oracle(evaluator.get());
   ModisConfig cfg = SmallConfig();
   cfg.max_states = 40;
   auto result = RunExactSkyline(f.universe, &oracle, cfg);
@@ -336,7 +336,7 @@ TEST(ExactSkylineTest, MatchesParetoOverValuatedStates) {
 TEST(EngineTest, ApxSkylineEntriesComeFromValuatedStates) {
   auto f = UniverseFixture::Make();
   auto evaluator = f.bench.MakeEvaluator();
-  ExactOracle oracle(evaluator.get());
+  PerformanceOracle oracle(evaluator.get());
   auto result = RunApxModis(f.universe, &oracle, SmallConfig());
   ASSERT_TRUE(result.ok());
   for (const auto& e : result->skyline) {
@@ -367,7 +367,7 @@ TEST(EngineTest, ThreadCountDoesNotChangeTheSkyline) {
 
   auto run = [&](size_t num_threads) {
     SupervisedEvaluator evaluator(task, bench->model->Clone());
-    MoGbmOracle oracle(&evaluator);
+    PerformanceOracle oracle(&evaluator, SurrogateOptions{});
     ModisConfig cfg;
     cfg.epsilon = 0.25;
     cfg.max_states = 120;
@@ -513,13 +513,10 @@ TEST(EngineTest, MaskPathSkylinesMatchTheTableReference) {
     cfg.max_level = 3;
     auto run = [&](const Runner& runner, TaskEvaluator* evaluator,
                    bool surrogate) {
-      std::unique_ptr<PerformanceOracle> oracle;
-      if (surrogate) {
-        oracle = std::make_unique<MoGbmOracle>(evaluator);
-      } else {
-        oracle = std::make_unique<ExactOracle>(evaluator);
-      }
-      auto result = runner(*universe, oracle.get(), cfg);
+      std::optional<SurrogateOptions> surrogate_options;
+      if (surrogate) surrogate_options.emplace();
+      PerformanceOracle oracle(evaluator, surrogate_options);
+      auto result = runner(*universe, &oracle, cfg);
       EXPECT_TRUE(result.ok()) << result.status().ToString();
       return std::move(result).value();
     };
@@ -542,7 +539,7 @@ class EpsilonSweepTest : public ::testing::TestWithParam<double> {};
 TEST_P(EpsilonSweepTest, SkylineNonEmptyAndNonDominated) {
   auto f = UniverseFixture::Make();
   auto evaluator = f.bench.MakeEvaluator();
-  ExactOracle oracle(evaluator.get());
+  PerformanceOracle oracle(evaluator.get());
   ModisConfig cfg = SmallConfig();
   cfg.epsilon = GetParam();
   auto result = RunApxModis(f.universe, &oracle, cfg);

@@ -128,7 +128,7 @@ TEST(AccuracyGuardTest, SurrogateStaysWithinSlackOfSortBasedSplits) {
     if (m.name != "train_time") task.measures.push_back(m);
   }
   SupervisedEvaluator evaluator(task, bench->model->Clone());
-  ExactOracle oracle(&evaluator);
+  PerformanceOracle oracle(&evaluator);
   ModisConfig cfg;
   cfg.epsilon = 0.1;
   cfg.max_states = 240;
@@ -211,10 +211,10 @@ ValuationRequest StateRequest(const SearchUniverse& universe,
   return req;
 }
 
-TEST(ExactOracleTest, CachesBySignature) {
+TEST(ExactModeOracleTest, CachesBySignature) {
   TabularBench bench = SmallHouse();
   auto evaluator = bench.MakeEvaluator();
-  ExactOracle oracle(evaluator.get());
+  PerformanceOracle oracle(evaluator.get());
   auto uni = SearchUniverse::Build(bench.universal, bench.universe_options);
   ASSERT_TRUE(uni.ok());
   int materializations = 0;
@@ -233,10 +233,10 @@ TEST(ExactOracleTest, CachesBySignature) {
   EXPECT_EQ(oracle.store().size(), 1u);
 }
 
-TEST(ExactOracleTest, FailedEvalNotCached) {
+TEST(ExactModeOracleTest, FailedEvalNotCached) {
   TabularBench bench = SmallHouse();
   auto evaluator = bench.MakeEvaluator();
-  ExactOracle oracle(evaluator.get());
+  PerformanceOracle oracle(evaluator.get());
   auto uni = SearchUniverse::Build(bench.universal, bench.universe_options);
   ASSERT_TRUE(uni.ok());
   // A one-row dataset: too small to train on.
@@ -323,9 +323,9 @@ ValuationRequest StubRequest(const std::string& key, size_t rows,
   return req;
 }
 
-TEST(ExactOracleBatchTest, PlansCacheHitsAndCommitsInOrder) {
+TEST(ExactModeOracleBatchTest, PlansCacheHitsAndCommitsInOrder) {
   StubEvaluator evaluator;
-  ExactOracle oracle(&evaluator);
+  PerformanceOracle oracle(&evaluator);
   // Pre-valuate "a" so the batch sees it as cached.
   auto warm = oracle.Valuate(StubRequest("a", 4, 0.0));
   ASSERT_TRUE(warm.ok());
@@ -354,7 +354,7 @@ TEST(ExactOracleBatchTest, PlansCacheHitsAndCommitsInOrder) {
   EXPECT_EQ(oracle.store().size(), 2u);
 }
 
-TEST(MoGbmOracleBatchTest, BootstrapShortfallFallsBackToExact) {
+TEST(SurrogateOracleBatchTest, BootstrapShortfallFallsBackToExact) {
   // The plan projects the bootstrap to finish within the batch, but one
   // exact training fails, leaving the surrogate untrained when the
   // batch's surrogate predictions come due. Those requests must fall
@@ -364,7 +364,7 @@ TEST(MoGbmOracleBatchTest, BootstrapShortfallFallsBackToExact) {
   SurrogateOptions opts;
   opts.bootstrap_budget = 4;
   opts.exact_fraction = 0.0;  // Everything after bootstrap plans surrogate.
-  MoGbmOracle oracle(&evaluator, opts);
+  PerformanceOracle oracle(&evaluator, opts);
 
   std::vector<ValuationRequest> requests;
   for (size_t i = 0; i < 8; ++i) {
@@ -399,13 +399,142 @@ TEST(MoGbmOracleBatchTest, BootstrapShortfallFallsBackToExact) {
             7u);
 }
 
-TEST(MoGbmOracleTest, BootstrapsExactThenPredicts) {
+/// Every Stats counter (seconds excluded, they are wall clock).
+std::vector<size_t> Counters(const PerformanceOracle::Stats& st) {
+  return {st.exact_evals,     st.surrogate_evals, st.cache_hits,
+          st.persistent_hits, st.fused_hits,      st.failed_evals};
+}
+
+TEST(PerformanceOracleTest, ValuateIsAOneRequestBatch) {
+  // Twin surrogate oracles take the same request stream — bootstrap,
+  // Bernoulli-mixed exact/surrogate valuations, one failed training and
+  // one repeat — one through Valuate, the other through one-request
+  // PrepareBatch/ValuateBatch pairs. Results and counters must agree.
+  StubEvaluator evaluator;
+  SurrogateOptions opts;
+  opts.bootstrap_budget = 4;
+  opts.exact_fraction = 0.3;
+  PerformanceOracle single(&evaluator, opts);
+  PerformanceOracle batched(&evaluator, opts);
+
+  std::vector<ValuationRequest> stream;
+  for (size_t i = 0; i < 30; ++i) {
+    // #2 (still bootstrapping, so exact) materializes an empty table and
+    // its training fails.
+    stream.push_back(StubRequest("k" + std::to_string(i), i == 2 ? 0 : 1 + i,
+                                 static_cast<double>(i)));
+  }
+  stream.push_back(StubRequest("k3", 4, 3.0));  // A repeat: a cache hit.
+
+  for (const ValuationRequest& req : stream) {
+    Result<Evaluation> a = single.Valuate(req);
+    std::vector<Result<Evaluation>> b =
+        batched.ValuateBatch(batched.PrepareBatch({req}), nullptr);
+    ASSERT_EQ(b.size(), 1u);
+    ASSERT_EQ(a.ok(), b[0].ok()) << req.key;
+    if (a.ok()) {
+      EXPECT_EQ(a->normalized, b[0]->normalized) << req.key;
+      EXPECT_EQ(a->raw, b[0]->raw) << req.key;
+    } else {
+      EXPECT_EQ(a.status().code(), b[0].status().code()) << req.key;
+    }
+  }
+  EXPECT_EQ(Counters(single.stats()), Counters(batched.stats()));
+  EXPECT_EQ(single.stats().failed_evals, 1u);
+  EXPECT_EQ(single.stats().cache_hits, 1u);
+  EXPECT_GT(single.stats().surrogate_evals, 0u);
+  EXPECT_EQ(single.SurrogateMse(), batched.SurrogateMse());
+  EXPECT_EQ(single.store().size(), batched.store().size());
+}
+
+TEST(PerformanceOracleTest, ExactModeNeverTouchesTheSurrogate) {
+  // More distinct requests than the default bootstrap budget (24): with
+  // the surrogate off, nothing may project a bootstrap or fit it.
+  constexpr size_t kRequests = 40;
+  ASSERT_GT(kRequests, SurrogateOptions{}.bootstrap_budget);
+  std::vector<ValuationRequest> stream;
+  for (size_t i = 0; i < kRequests; ++i) {
+    stream.push_back(StubRequest("k" + std::to_string(i), 1 + i % 60,
+                                 static_cast<double>(i)));
+  }
+  StubEvaluator evaluator;
+
+  // One request at a time: a refit after the 24th record would make the
+  // next commits shadow-predict.
+  PerformanceOracle single(&evaluator);
+  for (const ValuationRequest& req : stream) {
+    ASSERT_TRUE(single.Valuate(req).ok()) << req.key;
+  }
+  // One batch: a projected bootstrap would plan surrogate predictions.
+  PerformanceOracle batched(&evaluator);
+  BatchPlan plan = batched.PrepareBatch(stream);
+  EXPECT_EQ(plan.exact_count, kRequests);
+  for (BatchPlan::Mode mode : plan.modes) {
+    EXPECT_EQ(mode, BatchPlan::Mode::kExact);
+  }
+  for (const auto& r : batched.ValuateBatch(std::move(plan), nullptr)) {
+    ASSERT_TRUE(r.ok());
+  }
+  // A second pass over the same states is all cache hits.
+  for (const ValuationRequest& req : stream) {
+    ASSERT_TRUE(batched.Valuate(req).ok()) << req.key;
+  }
+
+  for (const PerformanceOracle* oracle : {&single, &batched}) {
+    EXPECT_EQ(oracle->stats().exact_evals, kRequests);
+    EXPECT_EQ(oracle->stats().surrogate_evals, 0u);
+    EXPECT_EQ(oracle->SurrogateMse(), 0.0);
+    EXPECT_EQ(oracle->store().size(), kRequests);
+  }
+  EXPECT_EQ(batched.stats().cache_hits, kRequests);
+}
+
+/// An evaluator with no measures: every training succeeds, but the
+/// surrogate has nothing to fit, so every refit fails.
+class NoMeasureEvaluator : public TaskEvaluator {
+ public:
+  const std::vector<MeasureSpec>& measures() const override {
+    return measures_;
+  }
+  Result<Evaluation> Evaluate(const Table&) override { return Evaluation{}; }
+
+ private:
+  std::vector<MeasureSpec> measures_;
+};
+
+TEST(SurrogateOracleTest, FailedRefitFallsBackToExact) {
+  // A refit that fails is neither a failed valuation nor a silent
+  // surrogate: every request past the bootstrap still trains exactly.
+  NoMeasureEvaluator evaluator;
+  SurrogateOptions opts;
+  opts.bootstrap_budget = 4;
+  opts.exact_fraction = 0.0;
+  PerformanceOracle single(&evaluator, opts);
+  PerformanceOracle batched(&evaluator, opts);
+  std::vector<ValuationRequest> stream;
+  for (size_t i = 0; i < 10; ++i) {
+    stream.push_back(StubRequest("k" + std::to_string(i), 1 + i,
+                                 static_cast<double>(i)));
+    EXPECT_TRUE(single.Valuate(stream.back()).ok()) << i;
+  }
+  for (const auto& r :
+       batched.ValuateBatch(batched.PrepareBatch(stream), nullptr)) {
+    EXPECT_TRUE(r.ok());
+  }
+  for (const PerformanceOracle* oracle : {&single, &batched}) {
+    EXPECT_EQ(oracle->stats().exact_evals, 10u);
+    EXPECT_EQ(oracle->stats().surrogate_evals, 0u);
+    EXPECT_EQ(oracle->stats().failed_evals, 0u);
+  }
+}
+
+TEST(SurrogateOracleTest, BootstrapsExactThenPredicts) {
   TabularBench bench = SmallHouse();
   auto evaluator = bench.MakeEvaluator();
   SurrogateOptions opts;
   opts.bootstrap_budget = 6;
   opts.exact_fraction = 0.0;
-  MoGbmOracle oracle(evaluator.get(), opts);
+  PerformanceOracle oracle(evaluator.get(), opts);
 
   auto uni = SearchUniverse::Build(bench.universal, bench.universe_options);
   ASSERT_TRUE(uni.ok());
@@ -429,13 +558,13 @@ TEST(MoGbmOracleTest, BootstrapsExactThenPredicts) {
             flips);
 }
 
-TEST(MoGbmOracleTest, SurrogateIsFastAfterBootstrap) {
+TEST(SurrogateOracleTest, SurrogateIsFastAfterBootstrap) {
   TabularBench bench = SmallHouse();
   auto evaluator = bench.MakeEvaluator();
   SurrogateOptions opts;
   opts.bootstrap_budget = 4;
   opts.exact_fraction = 0.0;
-  MoGbmOracle oracle(evaluator.get(), opts);
+  PerformanceOracle oracle(evaluator.get(), opts);
   auto uni = SearchUniverse::Build(bench.universal, bench.universe_options);
   ASSERT_TRUE(uni.ok());
   StateBitmap full = uni->FullBitmap();

@@ -269,7 +269,7 @@ TEST(Nsga2ModisTest, ProducesFeasibleFront) {
                                         bench->universe_options);
   ASSERT_TRUE(universe.ok());
   auto evaluator = bench->MakeEvaluator();
-  ExactOracle oracle(evaluator.get());
+  PerformanceOracle oracle(evaluator.get());
 
   Nsga2Options opts;
   opts.population = 12;
@@ -335,7 +335,7 @@ TEST(RunningGraphTest, EngineRunYieldsConnectedLevels) {
                                         bench->universe_options);
   ASSERT_TRUE(universe.ok());
   auto evaluator = bench->MakeEvaluator();
-  ExactOracle oracle(evaluator.get());
+  PerformanceOracle oracle(evaluator.get());
   ModisConfig cfg;
   cfg.epsilon = 0.25;
   cfg.max_states = 50;

@@ -54,7 +54,7 @@ size_t MeasureIndex(const SupervisedTask& task, const std::string& name) {
 
 TEST(IntegrationTest, HouseSkylineImprovesOverOriginal) {
   Pipeline p = Pipeline::Make(BenchTaskId::kHouse, 0.5);
-  ExactOracle oracle(p.evaluator.get());
+  PerformanceOracle oracle(p.evaluator.get());
 
   auto original = oracle.Valuate(FullStateRequest(p.universe));
   ASSERT_TRUE(original.ok());
@@ -86,7 +86,7 @@ TEST(IntegrationTest, SurrogateSearchFindsComparableSkyline) {
   cfg.max_level = 3;
 
   // Exact search.
-  ExactOracle exact(p.evaluator.get());
+  PerformanceOracle exact(p.evaluator.get());
   auto exact_run = RunApxModis(p.universe, &exact, cfg);
   ASSERT_TRUE(exact_run.ok());
 
@@ -94,7 +94,7 @@ TEST(IntegrationTest, SurrogateSearchFindsComparableSkyline) {
   auto eval2 = p.bench.MakeEvaluator();
   SurrogateOptions sopt;
   sopt.bootstrap_budget = 20;
-  MoGbmOracle surrogate(eval2.get(), sopt);
+  PerformanceOracle surrogate(eval2.get(), sopt);
   auto surr_run = RunApxModis(p.universe, &surrogate, cfg);
   ASSERT_TRUE(surr_run.ok());
   ASSERT_FALSE(surr_run->skyline.empty());
@@ -105,7 +105,7 @@ TEST(IntegrationTest, SurrogateSearchFindsComparableSkyline) {
 
 TEST(IntegrationTest, ModisBeatsFeatureSelectionOnAccuracyMeasure) {
   Pipeline p = Pipeline::Make(BenchTaskId::kHouse, 0.5);
-  ExactOracle oracle(p.evaluator.get());
+  PerformanceOracle oracle(p.evaluator.get());
 
   ModisConfig cfg;
   cfg.epsilon = 0.2;
@@ -129,7 +129,7 @@ TEST(IntegrationTest, ModisBeatsFeatureSelectionOnAccuracyMeasure) {
 
 TEST(IntegrationTest, RegressionTaskSkylineReducesError) {
   Pipeline p = Pipeline::Make(BenchTaskId::kAvocado, 0.25);
-  ExactOracle oracle(p.evaluator.get());
+  PerformanceOracle oracle(p.evaluator.get());
 
   auto original = oracle.Valuate(FullStateRequest(p.universe));
   ASSERT_TRUE(original.ok());
@@ -161,7 +161,7 @@ TEST(IntegrationTest, GraphTaskSkylineImprovesPrecision) {
   auto uni = SearchUniverse::Build(bench->lake.edge_table, opts);
   ASSERT_TRUE(uni.ok());
 
-  ExactOracle oracle(evaluator.get());
+  PerformanceOracle oracle(evaluator.get());
   auto original = oracle.Valuate(FullStateRequest(*uni));
   ASSERT_TRUE(original.ok());
 
@@ -185,7 +185,7 @@ TEST(IntegrationTest, CaseStudyBoundsAreHonored) {
   // Case 2: every skyline dataset must satisfy acc >= 0.85 (normalized
   // 1-acc <= 0.15).
   Pipeline p = Pipeline::Make(BenchTaskId::kFeaturePool, 0.5);
-  ExactOracle oracle(p.evaluator.get());
+  PerformanceOracle oracle(p.evaluator.get());
   ModisConfig cfg;
   cfg.epsilon = 0.2;
   cfg.max_states = 120;
@@ -200,7 +200,7 @@ TEST(IntegrationTest, CaseStudyBoundsAreHonored) {
 
 TEST(IntegrationTest, DivModisProducesDiverseSkyline) {
   Pipeline p = Pipeline::Make(BenchTaskId::kHouse, 0.5);
-  ExactOracle oracle(p.evaluator.get());
+  PerformanceOracle oracle(p.evaluator.get());
   ModisConfig cfg;
   cfg.epsilon = 0.25;
   cfg.max_states = 150;

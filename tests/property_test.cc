@@ -47,7 +47,7 @@ class AlgorithmPropertyTest : public ::testing::TestWithParam<AlgoCase> {};
 TEST_P(AlgorithmPropertyTest, InvariantsHold) {
   DeterministicFixture f = DeterministicFixture::Make();
   auto evaluator = f.bench.MakeEvaluator();
-  ExactOracle oracle(evaluator.get());
+  PerformanceOracle oracle(evaluator.get());
   ModisConfig cfg;
   cfg.epsilon = 0.2;
   cfg.max_states = 90;
@@ -87,7 +87,7 @@ TEST_P(AlgorithmPropertyTest, DeterministicAcrossRuns) {
 
   auto run = [&]() {
     auto evaluator = f.bench.MakeEvaluator();
-    ExactOracle oracle(evaluator.get());
+    PerformanceOracle oracle(evaluator.get());
     auto result = GetParam().fn(f.universe, &oracle, cfg);
     EXPECT_TRUE(result.ok());
     std::vector<std::string> sigs;
@@ -104,7 +104,7 @@ TEST_P(AlgorithmPropertyTest, BudgetMonotonicityOfBestMeasure) {
   DeterministicFixture f = DeterministicFixture::Make();
   auto best_f1 = [&](size_t budget) {
     auto evaluator = f.bench.MakeEvaluator();
-    ExactOracle oracle(evaluator.get());
+    PerformanceOracle oracle(evaluator.get());
     ModisConfig cfg;
     cfg.epsilon = 0.2;
     cfg.max_states = budget;
@@ -141,7 +141,7 @@ TEST_P(EpsilonPropertyTest, SkylineCoversValuatedInBoundsStates) {
   // noise, so the exact guarantee is assertable with the exact epsilon).
   DeterministicFixture f = DeterministicFixture::Make();
   auto evaluator = f.bench.MakeEvaluator();
-  ExactOracle oracle(evaluator.get());
+  PerformanceOracle oracle(evaluator.get());
   ModisConfig cfg;
   cfg.epsilon = GetParam();
   cfg.max_states = 80;
@@ -179,7 +179,7 @@ TEST_P(SeedPropertyTest, PipelineRobustAcrossLakes) {
   // stay healthy (non-empty in-bounds skyline) on each.
   DeterministicFixture f = DeterministicFixture::Make(GetParam());
   auto evaluator = f.bench.MakeEvaluator();
-  ExactOracle oracle(evaluator.get());
+  PerformanceOracle oracle(evaluator.get());
   ModisConfig cfg;
   cfg.epsilon = 0.2;
   cfg.max_states = 60;
@@ -240,7 +240,7 @@ void ExpectByteIdenticalSkyline(ModisResult a, ModisResult b) {
 
 ModisResult RunCached(DeterministicFixture& f, const std::string& cache_path) {
   auto evaluator = f.bench.MakeEvaluator();
-  ExactOracle oracle(evaluator.get());
+  PerformanceOracle oracle(evaluator.get());
   ModisConfig cfg;
   cfg.epsilon = 0.2;
   cfg.max_states = 70;

@@ -523,7 +523,7 @@ TEST(ServiceSatelliteTest, SurrogateSkylineIdenticalAcrossThreadCounts) {
 
   auto run = [&](size_t num_threads) {
     SupervisedEvaluator evaluator(task, bench->model->Clone());
-    MoGbmOracle oracle(&evaluator);
+    PerformanceOracle oracle(&evaluator, SurrogateOptions{});
     ModisConfig config;
     config.epsilon = 0.25;
     config.max_states = 90;
@@ -596,7 +596,7 @@ TEST(ServiceSatelliteTest, EvictedPlannedHitDegradesToFreshTraining) {
                    truth);
 
   // Session 2 plans a replay of that record...
-  ExactOracle second(&evaluator);
+  PerformanceOracle second(&evaluator);
   second.AttachRecordCache(cache->get(), 11);
   std::vector<ValuationRequest> requests;
   requests.push_back(make_request());
@@ -638,8 +638,8 @@ TEST(ServiceSatelliteTest, ModelIdentityScopesTheTaskFingerprint) {
   EXPECT_NE(fp_forest, fp_gbm);
 
   // The oracle plumbs the identity through unchanged, for both kinds.
-  ExactOracle exact(&forest);
-  MoGbmOracle surrogate(&forest);
+  PerformanceOracle exact(&forest);
+  PerformanceOracle surrogate(&forest, SurrogateOptions{});
   EXPECT_EQ(exact.ModelIdentity(), forest.ModelIdentity());
   EXPECT_EQ(surrogate.ModelIdentity(), forest.ModelIdentity());
 }

@@ -11,10 +11,8 @@
 #include <thread>
 #include <vector>
 
-#if !defined(_WIN32)
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 #include "core/algorithms.h"
 #include "datagen/tasks.h"
@@ -409,8 +407,6 @@ TEST(PersistentRecordCacheTest, DuplicateKeysLastWriteWinsAndCompact) {
 
 // ---------------------------------------------------------------- locking
 
-#if !defined(_WIN32)
-
 TEST(RecordLogLockTest, SingleWriterContractFailsFast) {
   const std::string path = TempLogPath("lock_writer.rlog");
   {
@@ -489,8 +485,6 @@ TEST(PersistentRecordCacheTest, TornTailRecoveryUnderLock) {
   EXPECT_EQ(records.size(), 2u);
   EXPECT_EQ(log->discarded_tail_bytes(), 0u);
 }
-
-#endif  // !_WIN32
 
 // --------------------------------------------------------------- bounding
 
@@ -658,13 +652,10 @@ struct DeterminismFixture {
 
   ModisResult Run(const ModisConfig& cfg, bool surrogate) {
     SupervisedEvaluator evaluator(task, bench.model->Clone());
-    std::unique_ptr<PerformanceOracle> oracle;
-    if (surrogate) {
-      oracle = std::make_unique<MoGbmOracle>(&evaluator);
-    } else {
-      oracle = std::make_unique<ExactOracle>(&evaluator);
-    }
-    auto result = RunBiModis(universe, oracle.get(), cfg);
+    std::optional<SurrogateOptions> surrogate_options;
+    if (surrogate) surrogate_options.emplace();
+    PerformanceOracle oracle(&evaluator, surrogate_options);
+    auto result = RunBiModis(universe, &oracle, cfg);
     EXPECT_TRUE(result.ok());
     return std::move(result).value();
   }
@@ -694,7 +685,7 @@ void ExpectSameSkyline(ModisResult a, ModisResult b) {
   }
 }
 
-TEST(CacheDeterminismTest, ExactOracleOffColdWarmAllAgree) {
+TEST(CacheDeterminismTest, ExactModeOffColdWarmAllAgree) {
   auto f = DeterminismFixture::Make();
   const std::string path = TempLogPath("exact_determinism.rlog");
 
@@ -804,8 +795,6 @@ TEST(CacheDeterminismTest, BrokenCachePathDegradesToColdRun) {
   EXPECT_EQ(result.record_cache_stats.appended, 0u);
   ExpectSameSkyline(f.Run(f.Config(""), false), std::move(result));
 }
-
-#if !defined(_WIN32)
 
 /// The cross-process cache contract, both halves (docs/MULTIPROCESS.md):
 ///
@@ -1337,8 +1326,6 @@ TEST(SharedPublishTest, ByteBoundHoldsAcrossAlternatingPublishers) {
   }
   for (const auto& a : attachments) EXPECT_GT(a->stats().evicted, 0u);
 }
-
-#endif  // !_WIN32
 
 }  // namespace
 }  // namespace modis
