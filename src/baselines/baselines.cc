@@ -238,7 +238,7 @@ Result<BaselineResult> RunHydraGanLite(const DataLake& lake,
       if (v.is_null()) {
         row.push_back(Value::Null());
       } else if (v.IsNumeric()) {
-        row.push_back(Value(v.AsDouble() + rng.Normal(0.0, 0.05)));
+        row.emplace_back(v.AsDouble() + rng.Normal(0.0, 0.05));
       } else {
         row.push_back(v);
       }

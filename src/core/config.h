@@ -99,10 +99,11 @@ struct ModisConfig {
   /// back under it — the knob that keeps a production cache from growing
   /// without limit.
   uint64_t record_cache_max_bytes = 0;
-  /// Extra fingerprint salt. The fingerprint cannot see the task's model
-  /// prototype (the engine only sees the evaluator interface), so two
-  /// tasks that differ *only* in the trained model must be disambiguated
-  /// here to avoid serving each other's records.
+  /// Extra fingerprint salt. The fingerprint already hashes the model's
+  /// identity (TaskEvaluator::ModelIdentity: model family, task kind,
+  /// seed and test split), but not its hyperparameters, so two tasks
+  /// whose models differ only in hyperparameters must be told apart here
+  /// to avoid serving each other's records.
   std::string record_cache_namespace;
 
   uint64_t seed = 1;

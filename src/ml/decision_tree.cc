@@ -145,7 +145,6 @@ Status DecisionTree::Fit(const FeatureBins& bins, const std::vector<double>& y,
   criterion_ = criterion;
   num_classes_ = criterion == Criterion::kGini ? num_classes : 0;
   nodes_.clear();
-  importance_.assign(bins.features(), 0.0);
 
   std::vector<size_t> rows = sample;
   Workspace ws;
@@ -305,8 +304,6 @@ int DecisionTree::BuildNode(const FeatureBins& bins,
   std::copy(ws->right_rows.begin(), ws->right_rows.end(), rows.begin() + mid);
   if (mid == begin || mid == end) return make_leaf();  // Degenerate.
 
-  importance_[best_feature] += best_gain;
-
   const int left_child = BuildNode(bins, y, rows, begin, mid, depth + 1, rng,
                                    ws);
   const int right_child = BuildNode(bins, y, rows, mid, end, depth + 1, rng,
@@ -314,6 +311,7 @@ int DecisionTree::BuildNode(const FeatureBins& bins,
   Node& node = nodes_[node_index];
   node.feature = best_feature;
   node.threshold = bins.cuts(static_cast<size_t>(best_feature))[best_cut];
+  node.gain = best_gain;
   node.left = left_child;
   node.right = right_child;
   return node_index;
@@ -341,18 +339,38 @@ const std::vector<double>& DecisionTree::PredictDistribution(
   return node.distribution;
 }
 
-std::vector<double> DecisionTree::FeatureImportance(size_t num_features) const {
-  std::vector<double> imp(num_features, 0.0);
-  const size_t n = std::min(num_features, importance_.size());
+namespace {
+
+/// Scales `imp` to sum to 1, unless it is all zeros.
+std::vector<double> Normalized(std::vector<double> imp) {
   double total = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    imp[i] = importance_[i];
-    total += imp[i];
-  }
+  for (double v : imp) total += v;
   if (total > 0.0) {
     for (double& v : imp) v /= total;
   }
   return imp;
+}
+
+}  // namespace
+
+std::vector<double> DecisionTree::FeatureImportance(size_t num_features) const {
+  std::vector<double> imp(num_features, 0.0);
+  for (const Node& node : nodes_) {
+    if (node.feature >= 0 && static_cast<size_t>(node.feature) < num_features) {
+      imp[node.feature] += node.gain;
+    }
+  }
+  return Normalized(std::move(imp));
+}
+
+std::vector<double> EnsembleImportance(const std::vector<DecisionTree>& trees,
+                                       size_t num_features) {
+  std::vector<double> imp(num_features, 0.0);
+  for (const DecisionTree& tree : trees) {
+    const std::vector<double> ti = tree.FeatureImportance(num_features);
+    for (size_t i = 0; i < num_features; ++i) imp[i] += ti[i];
+  }
+  return Normalized(std::move(imp));
 }
 
 }  // namespace modis

@@ -88,8 +88,9 @@ class DecisionTree {
   /// Class-probability histogram for one row (kGini trees only).
   const std::vector<double>& PredictDistribution(const double* row) const;
 
-  /// Impurity-gain importance per feature, normalized to sum to 1 (all
-  /// zeros if the tree is a single leaf).
+  /// Impurity-gain importance per feature: the gains of the splits on
+  /// it, summed over the internal nodes in build order and normalized to
+  /// sum to 1 (all zeros if the tree is a single leaf).
   std::vector<double> FeatureImportance(size_t num_features) const;
 
   size_t num_nodes() const { return nodes_.size(); }
@@ -99,6 +100,7 @@ class DecisionTree {
   struct Node {
     int feature = -1;           // -1 for leaves.
     double threshold = 0.0;     // Go left if x[feature] <= threshold.
+    double gain = 0.0;          // The split's impurity gain.
     int left = -1;
     int right = -1;
     double value = 0.0;                 // Regression leaf mean.
@@ -115,9 +117,13 @@ class DecisionTree {
   TreeOptions options_;
   Criterion criterion_ = Criterion::kVariance;
   int num_classes_ = 0;
-  std::vector<Node> nodes_;
-  std::vector<double> importance_;  // Raw impurity gains per feature.
+  std::vector<Node> nodes_;  // Pre-order: a node precedes its subtrees.
 };
+
+/// The trees' FeatureImportance summed per feature and renormalized to
+/// sum to 1: the importance of a forest or a boosted ensemble.
+std::vector<double> EnsembleImportance(const std::vector<DecisionTree>& trees,
+                                       size_t num_features);
 
 }  // namespace modis
 

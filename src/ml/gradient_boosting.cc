@@ -21,21 +21,6 @@ std::vector<size_t> SubsampleRows(size_t n, double fraction, Rng* rng) {
   return rng->SampleWithoutReplacement(n, m);
 }
 
-std::vector<double> NormalizedImportance(const std::vector<DecisionTree>& trees,
-                                         size_t num_features) {
-  std::vector<double> imp(num_features, 0.0);
-  for (const auto& t : trees) {
-    const auto ti = t.FeatureImportance(num_features);
-    for (size_t i = 0; i < num_features; ++i) imp[i] += ti[i];
-  }
-  double total = 0.0;
-  for (double v : imp) total += v;
-  if (total > 0.0) {
-    for (double& v : imp) v /= total;
-  }
-  return imp;
-}
-
 }  // namespace
 
 GradientBoostingRegressor::GradientBoostingRegressor(GbmOptions options)
@@ -90,7 +75,7 @@ std::vector<double> GradientBoostingRegressor::Predict(const Matrix& x) const {
 }
 
 std::vector<double> GradientBoostingRegressor::FeatureImportance() const {
-  return NormalizedImportance(trees_, num_features_);
+  return EnsembleImportance(trees_, num_features_);
 }
 
 std::unique_ptr<MlModel> GradientBoostingRegressor::Clone() const {
@@ -208,7 +193,7 @@ std::vector<double> GradientBoostingClassifier::Predict(const Matrix& x) const {
 }
 
 std::vector<double> GradientBoostingClassifier::FeatureImportance() const {
-  return NormalizedImportance(trees_, num_features_);
+  return EnsembleImportance(trees_, num_features_);
 }
 
 std::unique_ptr<MlModel> GradientBoostingClassifier::Clone() const {

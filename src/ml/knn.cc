@@ -97,57 +97,4 @@ std::unique_ptr<MlModel> KnnRegressor::Clone() const {
   return std::make_unique<KnnRegressor>(options_);
 }
 
-Status KnnClassifier::Fit(const MlDataset& train, Rng* /*rng*/) {
-  if (train.task != TaskKind::kClassification) {
-    return Status::InvalidArgument(
-        "KnnClassifier needs a classification dataset");
-  }
-  if (train.num_rows() == 0) {
-    return Status::InvalidArgument("KnnClassifier: empty training set");
-  }
-  if (train.num_classes < 2) {
-    return Status::InvalidArgument("KnnClassifier: needs >= 2 classes");
-  }
-  num_classes_ = train.num_classes;
-  train_x_ = train.x;
-  train_y_ = train.y;
-  FitStandardizer(train_x_, &mean_, &scale_);
-  return Status::OK();
-}
-
-std::vector<std::vector<double>> KnnClassifier::PredictProba(
-    const Matrix& x) const {
-  MODIS_CHECK(!train_y_.empty()) << "KnnClassifier not trained";
-  std::vector<std::vector<double>> out(x.rows(),
-                                       std::vector<double>(num_classes_, 0.0));
-  for (size_t r = 0; r < x.rows(); ++r) {
-    const auto nn =
-        KNearest(train_x_, x.Row(r), options_.k, mean_, scale_);
-    double total = 0.0;
-    for (const auto& [d2, idx] : nn) {
-      const double w = Weight(d2, options_.distance_weighted);
-      out[r][static_cast<int>(train_y_[idx])] += w;
-      total += w;
-    }
-    if (total > 0.0) {
-      for (double& p : out[r]) p /= total;
-    }
-  }
-  return out;
-}
-
-std::vector<double> KnnClassifier::Predict(const Matrix& x) const {
-  const auto proba = PredictProba(x);
-  std::vector<double> out(x.rows());
-  for (size_t r = 0; r < x.rows(); ++r) {
-    out[r] = static_cast<double>(
-        std::max_element(proba[r].begin(), proba[r].end()) - proba[r].begin());
-  }
-  return out;
-}
-
-std::unique_ptr<MlModel> KnnClassifier::Clone() const {
-  return std::make_unique<KnnClassifier>(options_);
-}
-
 }  // namespace modis

@@ -8,10 +8,10 @@
 
 namespace modis {
 
-/// Options shared by the k-nearest-neighbour models.
+/// Options of the k-nearest-neighbour regressor.
 struct KnnOptions {
   int k = 5;
-  /// Inverse-distance weighting of neighbour votes (uniform otherwise).
+  /// Inverse-distance weighting of the neighbours (uniform otherwise).
   bool distance_weighted = true;
 };
 
@@ -28,29 +28,7 @@ class KnnRegressor : public MlModel {
   const char* Name() const override { return "KnnRegressor"; }
 
  private:
-  /// Indices and weights of the k nearest training rows to `row`.
-  std::vector<std::pair<double, size_t>> Neighbours(const double* row) const;
-
   KnnOptions options_;
-  Matrix train_x_;
-  std::vector<double> train_y_;
-  std::vector<double> mean_, scale_;
-};
-
-/// Brute-force kNN classifier (majority / weighted vote).
-class KnnClassifier : public MlModel {
- public:
-  explicit KnnClassifier(KnnOptions options = {}) : options_(options) {}
-
-  Status Fit(const MlDataset& train, Rng* rng) override;
-  std::vector<double> Predict(const Matrix& x) const override;
-  std::vector<std::vector<double>> PredictProba(const Matrix& x) const override;
-  std::unique_ptr<MlModel> Clone() const override;
-  const char* Name() const override { return "KnnClassifier"; }
-
- private:
-  KnnOptions options_;
-  int num_classes_ = 0;
   Matrix train_x_;
   std::vector<double> train_y_;
   std::vector<double> mean_, scale_;

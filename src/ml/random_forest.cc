@@ -16,22 +16,6 @@ std::vector<size_t> BootstrapSample(size_t n, double fraction, Rng* rng) {
   return sample;
 }
 
-std::vector<double> AverageImportance(const std::vector<DecisionTree>& trees,
-                                      size_t num_features) {
-  std::vector<double> imp(num_features, 0.0);
-  if (trees.empty()) return imp;
-  for (const auto& t : trees) {
-    const auto ti = t.FeatureImportance(num_features);
-    for (size_t i = 0; i < num_features; ++i) imp[i] += ti[i];
-  }
-  double total = 0.0;
-  for (double v : imp) total += v;
-  if (total > 0.0) {
-    for (double& v : imp) v /= total;
-  }
-  return imp;
-}
-
 }  // namespace
 
 RandomForestClassifier::RandomForestClassifier(ForestOptions options)
@@ -95,7 +79,7 @@ std::vector<double> RandomForestClassifier::Predict(const Matrix& x) const {
 }
 
 std::vector<double> RandomForestClassifier::FeatureImportance() const {
-  return AverageImportance(trees_, num_features_);
+  return EnsembleImportance(trees_, num_features_);
 }
 
 std::unique_ptr<MlModel> RandomForestClassifier::Clone() const {
@@ -144,7 +128,7 @@ std::vector<double> RandomForestRegressor::Predict(const Matrix& x) const {
 }
 
 std::vector<double> RandomForestRegressor::FeatureImportance() const {
-  return AverageImportance(trees_, num_features_);
+  return EnsembleImportance(trees_, num_features_);
 }
 
 std::unique_ptr<MlModel> RandomForestRegressor::Clone() const {

@@ -227,45 +227,32 @@ bool PersistentRecordCache::Contains(uint64_t fingerprint,
   return it != index_.end() && it->second.entries.count(key) > 0;
 }
 
-bool PersistentRecordCache::Touch(uint64_t fingerprint,
-                                  const std::string& key) {
-  std::lock_guard<std::mutex> lock(mu_);
+PersistentRecordCache::Entry* PersistentRecordCache::HitLocked(
+    uint64_t fingerprint, const std::string& key) {
   auto bucket = index_.find(fingerprint);
-  if (bucket == index_.end()) return false;
-  auto it = bucket->second.entries.find(key);
-  if (it == bucket->second.entries.end()) return false;
-  const uint64_t tick = ++tick_;
-  it->second.last_hit = tick;
-  bucket->second.last_hit = tick;
-  return true;
-}
-
-bool PersistentRecordCache::Get(uint64_t fingerprint, const std::string& key,
-                                StoredRecord* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto bucket = index_.find(fingerprint);
-  if (bucket == index_.end()) return false;
-  auto it = bucket->second.entries.find(key);
-  if (it == bucket->second.entries.end()) return false;
-  const uint64_t tick = ++tick_;
-  it->second.last_hit = tick;
-  bucket->second.last_hit = tick;
-  ++stats_.served;
-  if (out != nullptr) *out = it->second.record;
-  return true;
-}
-
-const StoredRecord* PersistentRecordCache::Find(const std::string& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto bucket = index_.find(fingerprint_);
   if (bucket == index_.end()) return nullptr;
   auto it = bucket->second.entries.find(key);
   if (it == bucket->second.entries.end()) return nullptr;
   const uint64_t tick = ++tick_;
   it->second.last_hit = tick;
   bucket->second.last_hit = tick;
+  return &it->second;
+}
+
+bool PersistentRecordCache::Touch(uint64_t fingerprint,
+                                  const std::string& key) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return HitLocked(fingerprint, key) != nullptr;
+}
+
+bool PersistentRecordCache::Get(uint64_t fingerprint, const std::string& key,
+                                StoredRecord* out) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const Entry* entry = HitLocked(fingerprint, key);
+  if (entry == nullptr) return false;
   ++stats_.served;
-  return &it->second.record;
+  if (out != nullptr) *out = entry->record;
+  return true;
 }
 
 void PersistentRecordCache::Insert(uint64_t fingerprint,

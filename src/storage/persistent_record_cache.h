@@ -20,16 +20,15 @@ namespace modis {
 ///
 /// One open cache can serve many tasks at once — the shape the
 /// long-lived discovery service needs, where concurrent queries over
-/// different task fingerprints share a single locked cache file. The
-/// single-task callers (ModisEngine owning its own cache) pass their
-/// fingerprint at Open and use the unqualified convenience methods,
-/// which bind to that default fingerprint.
+/// different task fingerprints share a single locked cache file. Every
+/// lookup and insert therefore names its task fingerprint; the one given
+/// at Open only scopes size() and Stats::task_records.
 ///
-/// During a running the oracle consults Contains() while planning a batch —
-/// a hit means the state's exact training is skipped and the recorded
-/// evaluation is replayed (fetched with Get) — and Insert()s every freshly
-/// trained record during the batch commit; Flush() after each commit makes
-/// the log crash-consistent at batch granularity.
+/// During a running the oracle Touch()es each state while planning a
+/// batch — a hit means the state's exact training is skipped and the
+/// recorded evaluation is replayed (fetched with Get) — and Insert()s
+/// every freshly trained record during the batch commit; Flush() after
+/// each commit makes the log crash-consistent at batch granularity.
 ///
 /// Duplicate keys can appear in the log (two cold runs racing before
 /// locking existed, or a run killed between commit and flush and re-run):
@@ -43,10 +42,8 @@ namespace modis {
 ///
 /// Thread safety: every method locks an internal mutex, so one cache
 /// object may be shared by concurrent in-process sessions (the discovery
-/// service shares one per cache file). Find() returns a pointer into the
-/// index that stays valid only until the next eviction or compaction —
-/// fine for the single-session pattern of copying immediately, but shared
-/// sessions should prefer Get(), which copies under the lock.
+/// service shares one per cache file); Get() copies a record out under
+/// that lock, so no caller holds a pointer an eviction could invalidate.
 /// Cross-process sharing is governed by the RecordLog flock contract:
 /// single writer, many readers.
 ///
@@ -78,8 +75,8 @@ class PersistentRecordCache {
     /// Frames decoded from the file this session: the open's scan plus,
     /// in shared mode, every refresh and publish catch-up.
     size_t decoded_records = 0;
-    size_t task_records = 0;     // Subset matching the default fingerprint.
-    size_t served = 0;           // Find()/Get() hits.
+    size_t task_records = 0;     // Subset matching the Open fingerprint.
+    size_t served = 0;           // Get() hits.
     size_t appended = 0;         // Insert()s written this session.
     size_t compacted_away = 0;   // Dead records dropped by auto-compaction.
     size_t evicted = 0;          // Live records dropped by the byte bound.
@@ -89,12 +86,12 @@ class PersistentRecordCache {
     size_t reclaimed_bytes = 0;
   };
 
-  /// Opens `path` for the task identified by `fingerprint` (the default
-  /// fingerprint of the unqualified methods; a multi-task host may pass
-  /// 0 and use only the qualified ones). kRead fails if the file does not
-  /// exist; kReadWrite creates it. Passing kOff is a programming error —
-  /// callers gate on the mode before opening. A lock conflict (another
-  /// live writer on the file) fails with FailedPrecondition.
+  /// Opens `path` for the task identified by `fingerprint` (the one
+  /// size() and Stats::task_records count; a multi-task host may pass
+  /// 0). kRead fails if the file does not exist; kReadWrite creates it.
+  /// Passing kOff is a programming error — callers gate on the mode
+  /// before opening. A lock conflict (another live writer on the file)
+  /// fails with FailedPrecondition.
   static Result<std::unique_ptr<PersistentRecordCache>> Open(
       const std::string& path, CacheMode mode, uint64_t fingerprint,
       Options options = Options());
@@ -138,14 +135,9 @@ class PersistentRecordCache {
 
   bool shared() const { return shared_; }
 
-  /// True when a record exists for (fingerprint, key). Does not count
-  /// stats.served or refresh recency — batch planning probes with this,
-  /// then the commit fetches with Get/Find, so served equals records
-  /// actually replayed.
+  /// True when a record exists for (fingerprint, key). Counts nothing
+  /// and refreshes no recency.
   bool Contains(uint64_t fingerprint, const std::string& key) const;
-  bool Contains(const std::string& key) const {
-    return Contains(fingerprint_, key);
-  }
 
   /// Contains + recency refresh, without counting stats.served. The
   /// oracle probes with this at plan time so a record it is about to
@@ -157,24 +149,14 @@ class PersistentRecordCache {
 
   /// Copies the record for (fingerprint, key) into `*out` (either may be
   /// skipped by passing nullptr). Counts stats.served and refreshes the
-  /// recency of both the record and its fingerprint. The safe lookup for
-  /// shared sessions.
+  /// recency of both the record and its fingerprint.
   bool Get(uint64_t fingerprint, const std::string& key, StoredRecord* out);
-
-  /// The recorded evaluation for a state signature under the default
-  /// fingerprint, or nullptr. Counts stats.served on hit. The returned
-  /// pointer is invalidated by eviction/compaction — single-session use.
-  const StoredRecord* Find(const std::string& key);
 
   /// Records a fresh valuation: indexed immediately; appended to the log
   /// in kReadWrite mode (no-op write in kRead). Inserting an existing
   /// (fingerprint, key) is a no-op — see the class comment.
   void Insert(uint64_t fingerprint, const std::string& key,
               const std::vector<double>& features, const Evaluation& eval);
-  void Insert(const std::string& key, const std::vector<double>& features,
-              const Evaluation& eval) {
-    Insert(fingerprint_, key, features, eval);
-  }
 
   /// Persists appends buffered since the last flush, then enforces the
   /// byte bound (eviction + compaction) if one is configured.
@@ -185,10 +167,7 @@ class PersistentRecordCache {
   Status Compact();
 
   Stats stats() const;
-  uint64_t fingerprint() const { return fingerprint_; }
-  CacheMode mode() const { return mode_; }
-  const std::string& path() const { return path_; }
-  /// Records of the default fingerprint.
+  /// Records of the fingerprint given at Open.
   size_t size() const;
 
  private:
@@ -238,6 +217,10 @@ class PersistentRecordCache {
   /// The body of that window: log_ holds the exclusive lock and `scanned`
   /// the frames its open decoded. Caller holds mu_.
   Status AppendPendingLocked(std::vector<StoredRecord>* scanned);
+
+  /// The entry for (fingerprint, key) with its and its bucket's recency
+  /// refreshed, or nullptr. Caller holds mu_.
+  Entry* HitLocked(uint64_t fingerprint, const std::string& key);
 
   /// Rewrites the log from the live index. Caller holds mu_.
   Status CompactLocked();

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <functional>
 #include <set>
+#include <string>
 
 #include "core/algorithms.h"
 #include "core/engine.h"
@@ -343,6 +344,40 @@ TEST(EngineTest, ApxSkylineEntriesComeFromValuatedStates) {
     EXPECT_NE(oracle.store().Find(e.state.Signature()), nullptr);
     EXPECT_GT(e.rows, 0u);
     EXPECT_GT(e.cols, 0u);
+  }
+}
+
+TEST(EngineTest, EveryValuatedStateIsOneReductFromAnother) {
+  // ApxMODis reduces from the universal state, so every other state it
+  // valuates was generated by one Reduct flip (a unit 1 -> 0) of a state
+  // it valuated before.
+  auto f = UniverseFixture::Make();
+  auto evaluator = f.bench.MakeEvaluator();
+  PerformanceOracle oracle(evaluator.get());
+  ModisConfig cfg;
+  cfg.epsilon = 0.25;
+  cfg.max_states = 50;
+  cfg.max_level = 2;
+  ASSERT_TRUE(RunApxModis(f.universe, &oracle, cfg).ok());
+
+  const std::string universal = f.universe.FullBitmap().Signature();
+  std::set<std::string> valuated;
+  for (const auto& record : oracle.store().records()) {
+    valuated.insert(record.key);
+  }
+  EXPECT_EQ(valuated.size(), oracle.store().size());
+  ASSERT_GT(valuated.size(), 1u);
+  EXPECT_EQ(valuated.count(universal), 1u);
+  for (const std::string& key : valuated) {
+    if (key == universal) continue;
+    bool has_parent = false;
+    for (size_t unit = 0; unit < key.size() && !has_parent; ++unit) {
+      if (key[unit] != '0') continue;
+      std::string parent = key;
+      parent[unit] = '1';
+      has_parent = valuated.count(parent) > 0;
+    }
+    EXPECT_TRUE(has_parent) << key;
   }
 }
 

@@ -1,6 +1,6 @@
 /// Tests for the extension components: NSGA-II (the paper's evolutionary
-/// alternative), hypervolume indicators, kNN / naive-Bayes model families,
-/// the NSGA-II-over-bitmaps adapter, and running-graph reconstruction.
+/// alternative), hypervolume indicators, the kNN regressor (a surrogate
+/// family of bench_surrogates), and the NSGA-II-over-bitmaps adapter.
 
 #include <gtest/gtest.h>
 
@@ -8,12 +8,8 @@
 #include <set>
 
 #include "baselines/nsga2_modis.h"
-#include "core/algorithms.h"
-#include "core/running_graph.h"
 #include "datagen/tasks.h"
 #include "ml/knn.h"
-#include "ml/metrics.h"
-#include "ml/naive_bayes.h"
 #include "moo/hypervolume.h"
 #include "moo/nsga2.h"
 
@@ -166,34 +162,7 @@ TEST(HypervolumeTest, MoreNonDominatedPointsNeverShrink) {
   EXPECT_GE(after, before - 0.01);
 }
 
-// --------------------------------------------------------------- kNN / NB
-
-MlDataset Blobs(size_t n, uint64_t seed, int classes = 2) {
-  Rng rng(seed);
-  MlDataset ds;
-  ds.task = TaskKind::kClassification;
-  ds.num_classes = classes;
-  ds.x = Matrix(n, 2);
-  ds.y.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    const int k = static_cast<int>(rng.UniformInt(classes));
-    ds.x.At(i, 0) = 3.0 * k + rng.Normal(0.0, 0.5);
-    ds.x.At(i, 1) = rng.Normal();
-    ds.y[i] = k;
-  }
-  return ds;
-}
-
-TEST(KnnTest, ClassifierSeparatesBlobs) {
-  MlDataset train = Blobs(300, 10, 3);
-  MlDataset test = Blobs(150, 11, 3);
-  KnnClassifier knn({.k = 7});
-  Rng rng(12);
-  ASSERT_TRUE(knn.Fit(train, &rng).ok());
-  auto pred = knn.Predict(test.x);
-  std::vector<int> pi(pred.begin(), pred.end());
-  EXPECT_GT(Accuracy(test.LabelsAsInt(), pi), 0.92);
-}
+// -------------------------------------------------------------------- kNN
 
 TEST(KnnTest, RegressorInterpolates) {
   Rng rng(13);
@@ -215,49 +184,15 @@ TEST(KnnTest, RegressorInterpolates) {
 }
 
 TEST(KnnTest, RejectsWrongTaskAndEmpty) {
-  KnnClassifier knn;
+  KnnRegressor knn;
   Rng rng(15);
-  MlDataset reg;
-  reg.task = TaskKind::kRegression;
-  EXPECT_FALSE(knn.Fit(reg, &rng).ok());
+  MlDataset clf;
+  clf.task = TaskKind::kClassification;
+  clf.num_classes = 2;
+  EXPECT_FALSE(knn.Fit(clf, &rng).ok());
   MlDataset empty;
-  empty.task = TaskKind::kClassification;
-  empty.num_classes = 2;
+  empty.task = TaskKind::kRegression;
   EXPECT_FALSE(knn.Fit(empty, &rng).ok());
-}
-
-TEST(NaiveBayesTest, SeparatesBlobs) {
-  MlDataset train = Blobs(400, 16, 3);
-  MlDataset test = Blobs(200, 17, 3);
-  GaussianNaiveBayes nb;
-  Rng rng(18);
-  ASSERT_TRUE(nb.Fit(train, &rng).ok());
-  auto pred = nb.Predict(test.x);
-  std::vector<int> pi(pred.begin(), pred.end());
-  EXPECT_GT(Accuracy(test.LabelsAsInt(), pi), 0.9);
-}
-
-TEST(NaiveBayesTest, ProbaRowsAreDistributions) {
-  MlDataset train = Blobs(150, 19);
-  GaussianNaiveBayes nb;
-  Rng rng(20);
-  ASSERT_TRUE(nb.Fit(train, &rng).ok());
-  for (const auto& row : nb.PredictProba(train.x)) {
-    double s = 0;
-    for (double p : row) {
-      EXPECT_GE(p, 0.0);
-      s += p;
-    }
-    EXPECT_NEAR(s, 1.0, 1e-9);
-  }
-}
-
-TEST(NaiveBayesTest, HandlesConstantFeature) {
-  MlDataset train = Blobs(100, 21);
-  for (size_t i = 0; i < train.num_rows(); ++i) train.x.At(i, 1) = 2.0;
-  GaussianNaiveBayes nb;
-  Rng rng(22);
-  EXPECT_TRUE(nb.Fit(train, &rng).ok());
 }
 
 // ------------------------------------------------------------ NSGA2-MODis
@@ -289,64 +224,6 @@ TEST(Nsga2ModisTest, ProducesFeasibleFront) {
     }
     EXPECT_GT(e.rows, 0u);
   }
-}
-
-// ---------------------------------------------------------- Running graph
-
-TEST(RunningGraphTest, ReconstructsSingleFlipEdges) {
-  TestRecordStore store;
-  Evaluation ev;
-  ev.normalized = {0.5};
-  ev.raw = {0.5};
-  store.Add("111", {1, 1, 1}, ev);
-  store.Add("110", {1, 1, 0}, ev);
-  store.Add("100", {1, 0, 0}, ev);
-  store.Add("001", {0, 0, 1}, ev);  // Distance 2 from "111" and "100".
-
-  RunningGraph graph = ReconstructRunningGraph(store);
-  EXPECT_EQ(graph.nodes.size(), 4u);
-  // Edges: 111->110, 110->100; "001" connects to none... except "011"? Not
-  // present; and "101"? Not present. Distance("001","101")... not stored.
-  ASSERT_EQ(graph.transitions.size(), 2u);
-  for (const auto& t : graph.transitions) {
-    EXPECT_GT(graph.nodes[t.from].popcount, graph.nodes[t.to].popcount);
-  }
-}
-
-TEST(RunningGraphTest, DotOutputWellFormed) {
-  TestRecordStore store;
-  Evaluation ev;
-  ev.normalized = {0.25};
-  ev.raw = {0.25};
-  store.Add("11", {1, 1}, ev);
-  store.Add("10", {1, 0}, ev);
-  RunningGraph graph = ReconstructRunningGraph(store);
-  const std::string dot = RunningGraphToDot(graph, {"10"});
-  EXPECT_NE(dot.find("digraph running_graph"), std::string::npos);
-  EXPECT_NE(dot.find("n0 -> n1"), std::string::npos);
-  EXPECT_NE(dot.find("lightblue"), std::string::npos);  // Skyline marked.
-  EXPECT_EQ(dot.back(), '\n');
-}
-
-TEST(RunningGraphTest, EngineRunYieldsConnectedLevels) {
-  auto bench = MakeTabularBench(BenchTaskId::kHouse, 0.4);
-  ASSERT_TRUE(bench.ok());
-  auto universe = SearchUniverse::Build(bench->universal,
-                                        bench->universe_options);
-  ASSERT_TRUE(universe.ok());
-  auto evaluator = bench->MakeEvaluator();
-  PerformanceOracle oracle(evaluator.get());
-  ModisConfig cfg;
-  cfg.epsilon = 0.25;
-  cfg.max_states = 50;
-  cfg.max_level = 2;
-  auto run = RunApxModis(*universe, &oracle, cfg);
-  ASSERT_TRUE(run.ok());
-  RunningGraph graph = ReconstructRunningGraph(oracle.store());
-  EXPECT_EQ(graph.nodes.size(), oracle.store().size());
-  // Every level-1 valuated state is one flip from the universal state, so
-  // at least (nodes - 1) edges exist at small levels.
-  EXPECT_GE(graph.transitions.size(), graph.nodes.size() - 1);
 }
 
 }  // namespace

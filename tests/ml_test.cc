@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <utility>
 
 #include "common/thread_pool.h"
 #include "ml/dataset.h"
@@ -602,6 +603,50 @@ TEST(GbmTest, RejectsEmptyData) {
   GradientBoostingRegressor gbm;
   Rng rng(1);
   EXPECT_FALSE(gbm.Fit(empty, &rng).ok());
+}
+
+// ------------------------------------------------- Ensemble importance
+
+/// Columns: informative (the target is a step of it), noise, constant.
+MlDataset SignalNoiseConstant(TaskKind task, size_t n, uint64_t seed) {
+  Rng rng(seed);
+  MlDataset ds;
+  ds.task = task;
+  ds.num_classes = task == TaskKind::kClassification ? 2 : 0;
+  ds.x = Matrix(n, 3);
+  ds.y.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    const double signal = rng.Uniform(-1, 1);
+    ds.x.At(i, 0) = signal;
+    ds.x.At(i, 1) = rng.Uniform(-1, 1);
+    ds.x.At(i, 2) = 3.0;
+    const bool high = signal > 0.2;
+    ds.y[i] = task == TaskKind::kClassification
+                  ? (high ? 1.0 : 0.0)
+                  : (high ? 2.0 : -1.0) + rng.Normal(0.0, 0.1);
+  }
+  return ds;
+}
+
+TEST(EnsembleImportanceTest, RanksSignalAndZeroesConstant) {
+  const MlDataset reg = SignalNoiseConstant(TaskKind::kRegression, 300, 31);
+  const MlDataset clf =
+      SignalNoiseConstant(TaskKind::kClassification, 300, 32);
+  GradientBoostingRegressor gbm_reg;
+  GradientBoostingClassifier gbm_clf;
+  RandomForestClassifier rf_clf;
+  const std::pair<MlModel*, const MlDataset*> cases[] = {
+      {&gbm_reg, &reg}, {&gbm_clf, &clf}, {&rf_clf, &clf}};
+  for (const auto& [model, data] : cases) {
+    SCOPED_TRACE(model->Name());
+    Rng rng(33);
+    ASSERT_TRUE(model->Fit(*data, &rng).ok());
+    const std::vector<double> imp = model->FeatureImportance();
+    ASSERT_EQ(imp.size(), 3u);
+    EXPECT_NEAR(imp[0] + imp[1] + imp[2], 1.0, 1e-9);
+    EXPECT_GT(imp[0], imp[1]);
+    EXPECT_EQ(imp[2], 0.0);
+  }
 }
 
 // ---------------------------------------------------------------- Linear

@@ -310,28 +310,27 @@ TEST(RecordLogTest, RejectsForeignFiles) {
 
 // ---------------------------------------------------------------- cache
 
-TEST(PersistentRecordCacheTest, InsertFindAndReload) {
+TEST(PersistentRecordCacheTest, InsertGetAndReload) {
   const std::string path = TempLogPath("cache.rlog");
   Evaluation eval;
   eval.raw = {0.9, 12.0};
   eval.normalized = {0.1, 0.6};
+  StoredRecord hit;
   {
     auto cache =
         PersistentRecordCache::Open(path, CacheMode::kReadWrite, 99);
     ASSERT_TRUE(cache.ok());
-    EXPECT_EQ((*cache)->Find("110"), nullptr);
-    (*cache)->Insert("110", {1.0, 1.0, 0.0}, eval);
-    const StoredRecord* hit = (*cache)->Find("110");
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(hit->eval.normalized, eval.normalized);
+    EXPECT_FALSE((*cache)->Get(99, "110", &hit));
+    (*cache)->Insert(99, "110", {1.0, 1.0, 0.0}, eval);
+    ASSERT_TRUE((*cache)->Get(99, "110", &hit));
+    EXPECT_EQ(hit.eval.normalized, eval.normalized);
     MODIS_CHECK_OK((*cache)->Flush());
   }
   auto cache = PersistentRecordCache::Open(path, CacheMode::kRead, 99);
   ASSERT_TRUE(cache.ok());
   EXPECT_EQ((*cache)->stats().task_records, 1u);
-  const StoredRecord* hit = (*cache)->Find("110");
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->eval.raw, eval.raw);
+  ASSERT_TRUE((*cache)->Get(99, "110", &hit));
+  EXPECT_EQ(hit.eval.raw, eval.raw);
   EXPECT_EQ((*cache)->stats().served, 1u);
 }
 
@@ -344,7 +343,7 @@ TEST(PersistentRecordCacheTest, FingerprintScopesServing) {
     auto cache =
         PersistentRecordCache::Open(path, CacheMode::kReadWrite, 1);
     ASSERT_TRUE(cache.ok());
-    (*cache)->Insert("101", {1.0}, eval);
+    (*cache)->Insert(1, "101", {1.0}, eval);
     MODIS_CHECK_OK((*cache)->Flush());
   }
   // A different task sees nothing, but its own inserts coexist in the
@@ -355,16 +354,17 @@ TEST(PersistentRecordCacheTest, FingerprintScopesServing) {
     ASSERT_TRUE(cache.ok());
     EXPECT_EQ((*cache)->stats().loaded_records, 1u);
     EXPECT_EQ((*cache)->stats().task_records, 0u);
-    EXPECT_EQ((*cache)->Find("101"), nullptr);
-    (*cache)->Insert("101", {2.0}, eval);
+    EXPECT_FALSE((*cache)->Get(2, "101", nullptr));
+    (*cache)->Insert(2, "101", {2.0}, eval);
     MODIS_CHECK_OK((*cache)->Flush());
   }
   auto cache = PersistentRecordCache::Open(path, CacheMode::kRead, 1);
   ASSERT_TRUE(cache.ok());
   EXPECT_EQ((*cache)->stats().loaded_records, 2u);
   EXPECT_EQ((*cache)->stats().task_records, 1u);
-  ASSERT_NE((*cache)->Find("101"), nullptr);
-  EXPECT_EQ((*cache)->Find("101")->features, (std::vector<double>{1.0}));
+  StoredRecord hit;
+  ASSERT_TRUE((*cache)->Get(1, "101", &hit));
+  EXPECT_EQ(hit.features, (std::vector<double>{1.0}));
 }
 
 TEST(PersistentRecordCacheTest, DuplicateKeysLastWriteWinsAndCompact) {
@@ -386,9 +386,9 @@ TEST(PersistentRecordCacheTest, DuplicateKeysLastWriteWinsAndCompact) {
     auto cache =
         PersistentRecordCache::Open(path, CacheMode::kReadWrite, 5);
     ASSERT_TRUE(cache.ok());
-    const StoredRecord* hit = (*cache)->Find("k");
-    ASSERT_NE(hit, nullptr);
-    ExpectRecordEq(*hit, MakeRecord(5, "k", 3.0));  // Last write won.
+    StoredRecord hit;
+    ASSERT_TRUE((*cache)->Get(5, "k", &hit));
+    ExpectRecordEq(hit, MakeRecord(5, "k", 3.0));  // Last write won.
     EXPECT_EQ((*cache)->stats().compacted_away, 2u);
   }
   EXPECT_LT(fs::file_size(path), size_before);
@@ -459,7 +459,7 @@ TEST(PersistentRecordCacheTest, TornTailRecoveryUnderLock) {
   {
     auto cache = PersistentRecordCache::Open(path, CacheMode::kReadWrite, 3);
     ASSERT_TRUE(cache.ok());
-    (*cache)->Insert("111", {1.0}, eval);
+    (*cache)->Insert(3, "111", {1.0}, eval);
     MODIS_CHECK_OK((*cache)->Flush());
   }
   {
@@ -476,7 +476,7 @@ TEST(PersistentRecordCacheTest, TornTailRecoveryUnderLock) {
     ASSERT_TRUE(cache.ok()) << cache.status().ToString();
     EXPECT_EQ((*cache)->stats().discarded_tail_bytes, 5u);
     EXPECT_EQ((*cache)->stats().task_records, 1u);
-    (*cache)->Insert("110", {2.0}, eval);
+    (*cache)->Insert(3, "110", {2.0}, eval);
     MODIS_CHECK_OK((*cache)->Flush());
   }
   std::vector<StoredRecord> records;
@@ -498,7 +498,7 @@ TEST(PersistentRecordCacheTest, EvictionKeepsMostRecentlyHitRecords) {
   ASSERT_TRUE(cache.ok());
   for (int i = 1; i <= 6; ++i) {
     const StoredRecord r = MakeRecord(7, "k" + std::to_string(i), double(i));
-    (*cache)->Insert(r.key, r.features, r.eval);
+    (*cache)->Insert(7, r.key, r.features, r.eval);
   }
   // Refresh k1 and k2: the least-recently-hit records are now k3 and k4.
   EXPECT_TRUE((*cache)->Get(7, "k1", nullptr));
@@ -509,10 +509,10 @@ TEST(PersistentRecordCacheTest, EvictionKeepsMostRecentlyHitRecords) {
   EXPECT_LE((*cache)->stats().log_bytes, options.max_bytes);
   EXPECT_LE(fs::file_size(path), options.max_bytes);
   for (const char* kept : {"k1", "k2", "k5", "k6"}) {
-    EXPECT_TRUE((*cache)->Contains(kept)) << kept;
+    EXPECT_TRUE((*cache)->Contains(7, kept)) << kept;
   }
   for (const char* gone : {"k3", "k4"}) {
-    EXPECT_FALSE((*cache)->Contains(gone)) << gone;
+    EXPECT_FALSE((*cache)->Contains(7, gone)) << gone;
   }
 }
 
@@ -526,7 +526,7 @@ TEST(PersistentRecordCacheTest, ByteBoundRewriteReportsReclaimedBytes) {
   ASSERT_TRUE(cache.ok());
   for (int i = 0; i < 60; ++i) {
     const StoredRecord r = MakeRecord(7, "v" + std::to_string(i), i);
-    (*cache)->Insert(r.key, r.features, r.eval);
+    (*cache)->Insert(7, r.key, r.features, r.eval);
   }
   ASSERT_TRUE((*cache)->Flush().ok());
   const PersistentRecordCache::Stats stats = (*cache)->stats();
@@ -579,7 +579,7 @@ TEST(PersistentRecordCacheTest, ConcurrentReadersAndOneWriterStayConsistent) {
   constexpr int kBase = 32;
   constexpr int kFresh = 64;
   for (int i = 0; i < kBase; ++i) {
-    cache->Insert("base" + std::to_string(i), {double(i)}, eval);
+    cache->Insert(9, "base" + std::to_string(i), {double(i)}, eval);
   }
   MODIS_CHECK_OK(cache->Flush());
 
@@ -592,13 +592,13 @@ TEST(PersistentRecordCacheTest, ConcurrentReadersAndOneWriterStayConsistent) {
         EXPECT_TRUE(cache->Get(9, key, &record));
         EXPECT_EQ(record.key, key);
         EXPECT_EQ(record.eval.normalized.size(), 2u);
-        cache->Contains("fresh" + std::to_string(round % kFresh));
+        cache->Contains(9, "fresh" + std::to_string(round % kFresh));
       }
     });
   }
   std::thread writer([cache, &eval] {
     for (int i = 0; i < kFresh; ++i) {
-      cache->Insert("fresh" + std::to_string(i), {double(i), 1.0}, eval);
+      cache->Insert(9, "fresh" + std::to_string(i), {double(i), 1.0}, eval);
       if (i % 8 == 7) MODIS_CHECK_OK(cache->Flush());
     }
   });
@@ -1141,7 +1141,7 @@ TEST(SharedRefreshTest, LockedFileKeepsTheOldSnapshot) {
     auto writer = PersistentRecordCache::Open(path, CacheMode::kReadWrite, 7);
     ASSERT_TRUE(writer.ok());
     const StoredRecord b = MakeRecord(7, "b", 2.0);
-    (*writer)->Insert(b.key, b.features, b.eval);
+    (*writer)->Insert(7, b.key, b.features, b.eval);
     ASSERT_TRUE((*writer)->Flush().ok());
     EXPECT_TRUE((*reader)->RefreshIfChanged().ok());  // Not an error.
     EXPECT_TRUE((*reader)->Get(7, "a", &got));
