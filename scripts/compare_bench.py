@@ -10,8 +10,11 @@ Handles both JSON dialects the bench binaries emit
   compared on the latency field (`p50_ms` when present, else `wall_ms`,
   else `discovery_seconds`);
 * google-benchmark — an object with a `benchmarks` array
-  (`bench_micro_ops --json`): matched on `name`/`run_name` and compared
-  on `real_time`.
+  (`bench_micro_ops --json`): matched on `run_name` (else `name`) and
+  compared on `real_time`. A document with `run_type: aggregate` rows
+  (a `--benchmark_repetitions` run) is compared on its `median` row per
+  `run_name` and its iteration rows are ignored; one without aggregates
+  compares its iteration rows.
 
 Exits 1 when any shared entry regressed by more than --threshold
 (default 0.25 = +25%); entries present on only one side are reported
@@ -53,10 +56,11 @@ def run_record_series(doc):
 
 
 def google_benchmark_series(doc):
+    records = doc.get("benchmarks", [])
+    if any(r.get("run_type") == "aggregate" for r in records):
+        records = [r for r in records if r.get("aggregate_name") == "median"]
     series = {}
-    for record in doc.get("benchmarks", []):
-        if record.get("run_type") == "aggregate":
-            continue
+    for record in records:
         name = record.get("run_name", record.get("name", ""))
         if "real_time" in record:
             unit = record.get("time_unit", "ns")

@@ -24,26 +24,16 @@ Result<Nsga2ModisResult> RunNsga2Modis(const SearchUniverse& universe,
     return genome;
   };
 
-  // Materializations cached by signature: generations revisit genomes, and
-  // the final front's row counts become mask popcounts instead of rescans.
-  MaterializationCache mats(256);
-
   Nsga2Fitness fitness =
       [&](const std::vector<uint8_t>& raw) -> std::optional<PerfVector> {
     const std::vector<uint8_t> genome = repair(raw);
     StateBitmap state(genome.size());
     for (size_t i = 0; i < genome.size(); ++i) state.Set(i, genome[i] != 0);
-    const std::string sig = state.Signature();
     ValuationRequest request;
-    request.key = sig;
+    request.key = state.Signature();
     request.features = universe.StateFeatures(state);
     request.universe = &universe;
-    request.materialize = [&]() {
-      if (MaterializationPtr hit = mats.Get(sig)) return hit;
-      MaterializationPtr m = universe.MaterializeRecord(state);
-      mats.Put(sig, m);
-      return m;
-    };
+    request.materialize = [&]() { return universe.MaterializeRecord(state); };
     Result<Evaluation> eval = oracle->Valuate(request);
     if (!eval.ok()) return std::nullopt;  // Untrainable genome.
     for (size_t j = 0; j < upper.size(); ++j) {
@@ -67,11 +57,7 @@ Result<Nsga2ModisResult> RunNsga2Modis(const SearchUniverse& universe,
     }
     entry.eval.normalized = ind.objectives;
     entry.eval.raw = ind.objectives;  // Raw values live in the oracle store.
-    if (MaterializationPtr hit = mats.Get(entry.state.Signature())) {
-      entry.rows = hit->mask.Count();
-    } else {
-      entry.rows = universe.CountRows(entry.state);
-    }
+    entry.rows = universe.CountRows(entry.state);
     for (size_t a = 0; a < layout.num_attributes(); ++a) {
       if (entry.state.Get(a)) ++entry.cols;
     }

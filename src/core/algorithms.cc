@@ -77,9 +77,6 @@ Result<ModisResult> RunExactSkyline(const SearchUniverse& universe,
   std::deque<std::pair<StateBitmap, int>> queue;
   std::unordered_set<std::string> visited;
   std::vector<SkylineEntry> valuated;
-  // Materializations cached by signature so the post-valuation row count
-  // is a popcount of the cached mask, not a second D_U pass.
-  MaterializationCache mats(config.table_cache_entries);
 
   const UnitLayout& layout = universe.layout();
   queue.emplace_back(universe.FullBitmap(), 0);
@@ -90,16 +87,12 @@ Result<ModisResult> RunExactSkyline(const SearchUniverse& universe,
     queue.pop_front();
     ++result.generated_states;
 
-    const std::string sig = state.Signature();
     ValuationRequest request;
-    request.key = sig;
+    request.key = state.Signature();
     request.features = universe.StateFeatures(state);
     request.universe = &universe;
-    request.materialize = [&universe, &state, &mats, &sig]() {
-      if (MaterializationPtr hit = mats.Get(sig)) return hit;
-      MaterializationPtr m = universe.MaterializeRecord(state);
-      mats.Put(sig, m);
-      return m;
+    request.materialize = [&universe, &state]() {
+      return universe.MaterializeRecord(state);
     };
     Result<Evaluation> eval = oracle->Valuate(request);
     ++result.valuated_states;
@@ -109,12 +102,7 @@ Result<ModisResult> RunExactSkyline(const SearchUniverse& universe,
       entry.state = state;
       entry.eval = eval.value();
       entry.level = level;
-      if (MaterializationPtr hit = mats.Get(sig)) {
-        entry.rows = hit->mask.Count();
-        ++result.mask_fast_path_hits;
-      } else {
-        entry.rows = universe.CountRows(state);
-      }
+      entry.rows = universe.CountRows(state);
       for (size_t a = 0; a < layout.num_attributes(); ++a) {
         if (state.Get(a)) ++entry.cols;
       }

@@ -73,14 +73,6 @@ struct ModisConfig {
   /// scheduling noise.
   size_t num_threads = 0;
 
-  /// Capacity (entries) of the engine's LRU materialization cache. An
-  /// entry is a state's surviving-row mask (a few hundred bytes at the
-  /// task scales), not a table: along one-flip edges children derive their
-  /// mask from a cached parent's instead of recomputing it over D_U, and
-  /// exact valuations gather their rows straight from the encoded D_U.
-  /// 0 disables incremental materialization.
-  size_t table_cache_entries = 64;
-
   /// Path of the cross-run persistent valuation-record log. Empty (the
   /// default) disables persistence. When set, the engine opens the log,
   /// serves previously recorded evaluations before any exact training,

@@ -96,7 +96,6 @@ ModisEngine::ModisEngine(const SearchUniverse* universe,
       config_(config),
       rng_(config.seed),
       extern_pool_(runtime.pool),
-      mat_cache_(config.table_cache_entries),
       extern_cache_(runtime.record_cache),
       trace_(runtime.trace),
       trace_parent_(runtime.trace_parent) {
@@ -280,8 +279,7 @@ bool ModisEngine::CanPrune(const StateBitmap& state) {
   return false;
 }
 
-void ModisEngine::UPareto(const StateBitmap& state,
-                          const std::string& signature, const Evaluation& eval,
+void ModisEngine::UPareto(const StateBitmap& state, const Evaluation& eval,
                           int level) {
   // Early skip when any measure exceeds its tolerance p_u.
   for (size_t j = 0; j < eval.normalized.size(); ++j) {
@@ -302,12 +300,7 @@ void ModisEngine::UPareto(const StateBitmap& state,
   entry.state = state;
   entry.eval = eval;
   entry.level = level;
-  if (MaterializationPtr cached = mat_cache_.Get(signature)) {
-    entry.rows = cached->mask.Count();
-    ++stats_.mask_fast_path_hits;
-  } else {
-    entry.rows = universe_->CountRows(state);
-  }
+  entry.rows = universe_->CountRows(state);
   entry.cols = 0;
   for (size_t a = 0; a < universe_->layout().num_attributes(); ++a) {
     if (state.Get(a)) ++entry.cols;
@@ -331,8 +324,7 @@ void ModisEngine::UPareto(const StateBitmap& state,
   }
 }
 
-void ModisEngine::CollectState(const StateBitmap& state,
-                               std::string parent_signature, int level,
+void ModisEngine::CollectState(const StateBitmap& state, int level,
                                Frontier* frontier,
                                std::vector<BatchItem>* batch) {
   std::string sig = state.Signature();
@@ -347,8 +339,7 @@ void ModisEngine::CollectState(const StateBitmap& state,
     ++stats_.pruned_states;
     return;  // Not valuated, not enqueued: the path is cut here.
   }
-  batch->push_back(
-      {state, std::move(sig), std::move(parent_signature), level});
+  batch->push_back({state, std::move(sig), level});
 }
 
 void ModisEngine::ValuateBatch(std::vector<BatchItem> items,
@@ -372,32 +363,11 @@ void ModisEngine::ValuateBatch(std::vector<BatchItem> items,
   for (const BatchItem& item : items) {
     ValuationRequest req;
     req.key = item.signature;
-    // A state whose materialization is already resident (a re-seeded
-    // parent, a frontier meeting point) gets its row fraction from the
-    // cached mask's popcount instead of recomputing the surviving set.
-    if (MaterializationPtr cached = mat_cache_.Get(item.signature)) {
-      req.features = universe_->StateFeatures(item.state, cached->mask);
-      ++stats_.mask_fast_path_hits;
-    } else {
-      req.features = universe_->StateFeatures(item.state);
-    }
-    // Materialization runs lazily on a worker thread for exact items:
-    // reuse the parent's cached mask along the one-flip edge when it is
-    // still resident, and cache the child for its own children.
-    const SearchUniverse* universe = universe_;
-    req.universe = universe;
-    MaterializationCache* cache = &mat_cache_;
-    req.materialize = [universe, cache, state = item.state,
-                       sig = item.signature,
-                       parent_sig = item.parent_signature]() {
-      if (MaterializationPtr hit = cache->Get(sig)) return hit;
-      const MaterializationPtr parent =
-          parent_sig.empty() ? nullptr : cache->Get(parent_sig);
-      MaterializationPtr m = parent != nullptr
-                                 ? universe->MaterializeFrom(*parent, state)
-                                 : universe->MaterializeRecord(state);
-      cache->Put(sig, m);
-      return m;
+    req.features = universe_->StateFeatures(item.state);
+    req.universe = universe_;
+    // Materialization runs lazily on a worker thread for exact items.
+    req.materialize = [universe = universe_, state = item.state]() {
+      return universe->MaterializeRecord(state);
     };
     requests.push_back(std::move(req));
   }
@@ -442,7 +412,7 @@ void ModisEngine::ValuateBatch(std::vector<BatchItem> items,
       }
       continue;
     }
-    UPareto(item.state, item.signature, eval.value(), item.level);
+    UPareto(item.state, eval.value(), item.level);
     if (item.level < config_.max_level) {
       // Priority: the worst bound-violation ratio max_j p_j / p_u_j —
       // states closest to (or inside) the user-defined ranges are extended
@@ -493,10 +463,9 @@ void ModisEngine::ExpandLevel(Frontier* frontier, int level) {
   std::vector<BatchItem> batch;
   for (const Frontier::Entry& entry : current) {
     if (stats_.valuated_states + batch.size() >= config_.max_states) break;
-    const std::string parent_sig = entry.state.Signature();
     for (const StateBitmap& child : OpGen(entry.state, frontier->forward)) {
       if (stats_.valuated_states + batch.size() >= config_.max_states) break;
-      CollectState(child, parent_sig, level + 1, frontier, &batch);
+      CollectState(child, level + 1, frontier, &batch);
     }
   }
   ValuateBatch(std::move(batch), frontier, level_span);
@@ -553,8 +522,7 @@ Result<ModisResult> ModisEngine::Run() {
   // Seed the frontiers at level 0, each as a one-item batch.
   auto seed = [this](const StateBitmap& state, Frontier* frontier) {
     std::vector<BatchItem> batch;
-    CollectState(state, /*parent_signature=*/"", /*level=*/0, frontier,
-                 &batch);
+    CollectState(state, /*level=*/0, frontier, &batch);
     if (stats_.valuated_states + batch.size() > config_.max_states) {
       return;  // Budget of zero: nothing to do.
     }

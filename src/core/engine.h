@@ -34,10 +34,6 @@ struct ModisResult {
   size_t valuated_states = 0;
   size_t generated_states = 0;
   size_t pruned_states = 0;
-  /// Times a row count or feature vector was served from a cached
-  /// materialization's row mask (popcount) instead of recomputing the
-  /// surviving set.
-  size_t mask_fast_path_hits = 0;
   double seconds = 0.0;
   PerformanceOracle::Stats oracle_stats;
   /// True when a persistent record cache was actually open during the
@@ -97,10 +93,10 @@ struct EngineRuntime {
 /// model trainings of the batch fan out over a ThreadPool sized by
 /// ModisConfig::num_threads; plan and commit stay on the caller thread in
 /// a fixed order, so the computed skyline does not depend on the thread
-/// count. Children derive their row mask incrementally from their
-/// parent's cached one (SearchUniverse::MaterializeFrom) instead of
-/// rescanning D_U, and exact trainings gather their rows from the encoded
-/// D_U (SearchUniverse::View) without copying a table.
+/// count. A state's rows are one SearchUniverse::SurvivingMask (word-level
+/// ANDNOTs over precomputed cluster masks), and exact trainings gather
+/// their rows from the encoded D_U (SearchUniverse::View) without copying
+/// a table.
 class ModisEngine {
  public:
   /// Does not own `universe` or `oracle`; both must outlive the engine.
@@ -152,9 +148,6 @@ class ModisEngine {
   struct BatchItem {
     StateBitmap state;
     std::string signature;
-    /// Signature of the parent whose cached materialization the child
-    /// derives from; empty for seed states.
-    std::string parent_signature;
     /// The child's own level (parent level + 1; 0 for seeds).
     int level = 0;
   };
@@ -171,8 +164,7 @@ class ModisEngine {
 
   /// Dedups/prunes one candidate state; appends a BatchItem to `batch`
   /// when the state must be valuated. Shared by seeds and ExpandLevel.
-  void CollectState(const StateBitmap& state, std::string parent_signature,
-                    int level, Frontier* frontier,
+  void CollectState(const StateBitmap& state, int level, Frontier* frontier,
                     std::vector<BatchItem>* batch);
 
   /// Issues `items` as one oracle batch and folds the results — skyline
@@ -182,11 +174,8 @@ class ModisEngine {
   void ValuateBatch(std::vector<BatchItem> items, Frontier* frontier,
                     SpanId trace_scope);
 
-  /// The UPareto grid update (Fig. 3 lines 20-30). `signature` keys the
-  /// materialization cache so the entry's row count can be a popcount of
-  /// the cached mask.
-  void UPareto(const StateBitmap& state, const std::string& signature,
-               const Evaluation& eval, int level);
+  /// The UPareto grid update (Fig. 3 lines 20-30).
+  void UPareto(const StateBitmap& state, const Evaluation& eval, int level);
 
   /// Correlation-based pruning (Lemma 4): true when the optimistic
   /// parameterized bounds of `state` are already ε-dominated by a skyline
@@ -221,9 +210,6 @@ class ModisEngine {
   std::unique_ptr<ThreadPool> pool_;
   /// Externally owned pool (EngineRuntime::pool); wins over pool_.
   ThreadPool* extern_pool_ = nullptr;
-  /// LRU of recent materializations, shared by both frontiers; lets
-  /// children materialize incrementally from their parent.
-  MaterializationCache mat_cache_;
   /// Cross-run persistent record cache (ModisConfig::record_cache_path);
   /// null when persistence is off or the log failed to open. Attached to
   /// the oracle for the engine's lifetime.

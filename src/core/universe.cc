@@ -59,12 +59,10 @@ Result<SearchUniverse> SearchUniverse::Build(Table universal,
   const size_t rows = u.universal_.num_rows();
   u.cluster_of_.assign(rows * num_attrs, -1);
   u.cluster_masks_.assign(u.layout_.clusters.size(), RowMask(rows, false));
-  u.attr_clusters_.assign(num_attrs, {});
   for (size_t cu = 0; cu < u.layout_.clusters.size(); ++cu) {
     const UnitLayout::ClusterUnit& unit = u.layout_.clusters[cu];
     const int32_t bit = static_cast<int32_t>(num_attrs + cu);
     const Column& col = u.universal_.column(unit.attr_index);
-    u.attr_clusters_[unit.attr_index].push_back(cu);
     for (size_t r = 0; r < rows; ++r) {
       if (u.cluster_of_[r * num_attrs + unit.attr_index] >= 0) continue;
       if (unit.literal.Matches(col[r])) {
@@ -159,77 +157,9 @@ DatasetView SearchUniverse::View(const Materialization& m) const {
   return view;
 }
 
-RowMask SearchUniverse::DeriveMask(const Materialization& parent,
-                                   const StateBitmap& child) const {
-  MODIS_CHECK(child.size() == layout_.num_units()) << "bitmap size mismatch";
-  // Locate the flipped unit; anything but a clean one-flip edge falls back
-  // to a fresh mask computation.
-  size_t flipped = layout_.num_units();
-  size_t diff = 0;
-  if (parent.state.size() == child.size()) {
-    for (size_t u = 0; u < child.size() && diff < 2; ++u) {
-      if (parent.state.Get(u) != child.Get(u)) {
-        flipped = u;
-        ++diff;
-      }
-    }
-  } else {
-    diff = 2;
-  }
-  if (diff != 1) return SurvivingMask(child);
-
-  const size_t num_attrs = layout_.num_attributes();
-
-  // The flipped unit changes which "included attribute, cluster bit off"
-  // constraints are active. Collect the constraints it activates (tighten)
-  // or deactivates (relax); an edge that changes neither reuses the parent
-  // mask verbatim.
-  std::vector<size_t> activated;    // Cluster units newly constraining.
-  std::vector<size_t> deactivated;  // Cluster units no longer constraining.
-  if (layout_.IsAttributeUnit(flipped)) {
-    // Attribute toggled: every off cluster of that attribute switches.
-    for (size_t cu : attr_clusters_[flipped]) {
-      if (child.Get(num_attrs + cu)) continue;
-      (child.Get(flipped) ? activated : deactivated).push_back(cu);
-    }
-  } else {
-    const size_t cu = flipped - num_attrs;
-    const size_t attr = layout_.cluster(flipped).attr_index;
-    if (child.Get(attr)) {
-      // Cluster toggled under an included attribute: bit off activates the
-      // constraint, bit on retires it.
-      (child.Get(flipped) ? deactivated : activated).push_back(cu);
-    }
-    // Attribute excluded: the cluster bit carries no row constraint.
-  }
-
-  RowMask mask = parent.mask;
-  for (size_t cu : activated) {
-    mask.AndNotWith(cluster_masks_[cu]);
-  }
-  if (!deactivated.empty()) {
-    // Rows the retired constraints removed may resurrect — but only those
-    // passing every constraint still active in the child.
-    RowMask revive(universal_.num_rows(), false);
-    for (size_t cu : deactivated) {
-      revive.OrWith(cluster_masks_[cu]);
-    }
-    for (size_t cu = 0; cu < layout_.clusters.size(); ++cu) {
-      if (!child.Get(layout_.clusters[cu].attr_index)) continue;
-      if (child.Get(num_attrs + cu)) continue;
-      revive.AndNotWith(cluster_masks_[cu]);
-    }
-    mask.OrWith(revive);
-  }
-  return mask;
-}
-
 MaterializationPtr SearchUniverse::MaterializeFrom(
-    const Materialization& parent, const StateBitmap& child) const {
-  auto m = std::make_shared<Materialization>();
-  m->state = child;
-  m->mask = DeriveMask(parent, child);
-  return m;
+    const Materialization& /*parent*/, const StateBitmap& child) const {
+  return MaterializeRecord(child);
 }
 
 size_t SearchUniverse::CountRows(const StateBitmap& state) const {
@@ -265,46 +195,6 @@ std::vector<double> SearchUniverse::StateFeatures(
   f.push_back(RowFraction(state));
   f.push_back(ColumnFraction(state));
   return f;
-}
-
-std::vector<double> SearchUniverse::StateFeatures(const StateBitmap& state,
-                                                  const RowMask& mask) const {
-  std::vector<double> f = state.Features();
-  const double rows = static_cast<double>(universal_.num_rows());
-  f.push_back(rows == 0.0 ? 0.0 : static_cast<double>(mask.Count()) / rows);
-  f.push_back(ColumnFraction(state));
-  return f;
-}
-
-MaterializationPtr MaterializationCache::Get(const std::string& signature) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(signature);
-  if (it == index_.end()) return nullptr;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->second;
-}
-
-void MaterializationCache::Put(const std::string& signature,
-                               MaterializationPtr m) {
-  if (capacity_ == 0 || m == nullptr) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(signature);
-  if (it != index_.end()) {
-    it->second->second = std::move(m);
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.emplace_front(signature, std::move(m));
-  index_[signature] = lru_.begin();
-  while (lru_.size() > capacity_) {
-    index_.erase(lru_.back().first);
-    lru_.pop_back();
-  }
-}
-
-size_t MaterializationCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return lru_.size();
 }
 
 }  // namespace modis

@@ -2,12 +2,9 @@
 #define MODIS_CORE_UNIVERSE_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -20,12 +17,8 @@
 namespace modis {
 
 /// One materialized state: the surviving-row bitset over D_U and the state
-/// itself. Carrying the mask is what makes the incremental materializer
-/// possible — a child's row set is one or two word sweeps over the
-/// parent's instead of a rescan of D_U — and makes the row count of a
-/// cached state a popcount. The dataset itself is never copied out: an
-/// exact valuation gathers it from the universe's encoding of D_U through
-/// SearchUniverse::View.
+/// itself. The dataset is never copied out: an exact valuation gathers it
+/// from the universe's encoding of D_U through SearchUniverse::View.
 struct Materialization {
   StateBitmap state;
   RowMask mask;
@@ -86,26 +79,17 @@ class SearchUniverse {
   /// filtered by the active cluster bits of included attributes.
   Table Materialize(const StateBitmap& state) const;
 
-  /// The state's surviving-row mask, the bookkeeping MaterializeFrom and
-  /// View need; no table is built.
+  /// The state's surviving-row mask, the bookkeeping View needs; no table
+  /// is built.
   MaterializationPtr MaterializeRecord(const StateBitmap& state) const;
 
   /// The dataset `m` denotes as a view over D_U and its encoding: what
   /// TaskEvaluator::Evaluate trains on. Borrows from `m` and the universe.
   DatasetView View(const Materialization& m) const;
 
-  /// Incremental materializer along a one-flip edge: derives the child's
-  /// row mask from the parent's instead of recomputing from scratch.
-  ///
-  ///  - Tightening flips (attribute augmented, cluster bit dropped) are an
-  ///    ANDNOT of the newly active cluster masks over the parent's words.
-  ///  - Relaxing flips (attribute dropped, cluster bit restored) OR the
-  ///    resurrected cluster rows back in after masking them against the
-  ///    constraints still active in the child.
-  ///
-  /// `child` must differ from `parent.state` in exactly one unit;
-  /// otherwise this falls back to a fresh mask computation. The result is
-  /// always identical to MaterializeRecord(child).
+  /// MaterializeRecord(child); `parent` is ignored. Kept only for the
+  /// bench/e2e `core.materialize_from_us` probe until that probe is
+  /// retired.
   MaterializationPtr MaterializeFrom(const Materialization& parent,
                                      const StateBitmap& child) const;
 
@@ -113,19 +97,12 @@ class SearchUniverse {
   /// every active off cluster. Word-level; no per-row work.
   RowMask SurvivingMask(const StateBitmap& state) const;
 
-  /// The child's surviving mask derived from the parent's along a one-flip
-  /// edge (what MaterializeFrom records, exposed for benchmarks and
-  /// callers that only need counts). Falls back to SurvivingMask when the
-  /// edge is not a clean one-flip.
-  RowMask DeriveMask(const Materialization& parent,
-                     const StateBitmap& child) const;
-
   /// Row count of Materialize(state) without building the table — a
   /// SurvivingMask popcount.
   size_t CountRows(const StateBitmap& state) const;
 
   /// The seed's row-at-a-time reference counter. Kept for the mask-vs-scan
-  /// property battery and the micro-op benchmark; O(rows × attrs).
+  /// property battery; O(rows × attrs).
   size_t CountRowsScan(const StateBitmap& state) const;
 
   /// Fraction helpers used by the pruning heuristics and state features.
@@ -135,11 +112,6 @@ class SearchUniverse {
   /// State features for the surrogate: the bitmap plus row/column
   /// fractions.
   std::vector<double> StateFeatures(const StateBitmap& state) const;
-
-  /// Same features, reusing an already-computed surviving mask (e.g. from a
-  /// cached materialization) instead of recomputing it.
-  std::vector<double> StateFeatures(const StateBitmap& state,
-                                    const RowMask& mask) const;
 
  private:
   SearchUniverse() = default;
@@ -162,36 +134,6 @@ class SearchUniverse {
   /// cluster_masks_[cu]: the rows assigned to cluster unit cu (the rows an
   /// active "cluster off" constraint removes). Disjoint per attribute.
   std::vector<RowMask> cluster_masks_;
-  /// attr_clusters_[a]: the cluster-unit indices derived for attribute a.
-  std::vector<std::vector<size_t>> attr_clusters_;
-};
-
-/// A small thread-safe LRU cache of materializations keyed by state
-/// signature. During a batched valuation the engine seeds it with the
-/// parents of the current frontier level, so the worker threads reach
-/// children through SearchUniverse::MaterializeFrom instead of full D_U
-/// scans. Capacity 0 disables caching (Get misses, Put drops).
-class MaterializationCache {
- public:
-  explicit MaterializationCache(size_t capacity) : capacity_(capacity) {}
-
-  /// The cached materialization, or nullptr. Refreshes LRU order.
-  MaterializationPtr Get(const std::string& signature);
-
-  /// Inserts (or refreshes) an entry, evicting the least recently used
-  /// entry beyond capacity.
-  void Put(const std::string& signature, MaterializationPtr m);
-
-  size_t size() const;
-  size_t capacity() const { return capacity_; }
-
- private:
-  using Entry = std::pair<std::string, MaterializationPtr>;
-
-  mutable std::mutex mu_;
-  size_t capacity_;
-  std::list<Entry> lru_;  // Front = most recently used.
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
 };
 
 }  // namespace modis

@@ -109,7 +109,6 @@ Result<DiscoveryResponse> RunQuery(const DiscoveryRequest& request,
   response.cache_hits = result.oracle_stats.cache_hits;
   response.failed_evals = result.oracle_stats.failed_evals;
   response.fused_hits = result.oracle_stats.fused_hits;
-  response.mask_fast_path_hits = result.mask_fast_path_hits;
   response.cache_active = result.record_cache_active;
   response.run_ms = run_timer.Millis();
   return response;
@@ -670,8 +669,6 @@ void DiscoveryService::SessionLoop() {
       metrics_.run_ms.Record(response.value().run_ms);
       metrics_.total_ms.Record(response.value().total_ms);
       metrics_.trainings_shared.fetch_add(response.value().fused_hits);
-      metrics_.mask_fast_path_hits.fetch_add(
-          response.value().mask_fast_path_hits);
       if (response.value().fused_hits > 0) metrics_.queries_fused.fetch_add(1);
       metrics_.served.fetch_add(1);
     } else {

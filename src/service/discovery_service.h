@@ -101,9 +101,6 @@ struct DiscoveryResponse {
   /// (or just-finished) identical training instead of running its own
   /// (cross-query fusion; counted separately from exact_evals).
   size_t fused_hits = 0;
-  /// Row counts / feature vectors served from a cached materialization's
-  /// bitset mask (popcount) instead of a rescan of D_U.
-  size_t mask_fast_path_hits = 0;
   bool cache_active = false;
 
   double queue_ms = 0.0;  // Admission-queue wait.

@@ -72,9 +72,6 @@ const std::vector<ScalarMetricDesc>& ScalarMetricDescriptors() {
       {"trainings_shared", "modis_trainings_shared_total", true,
        &MetricsSnapshot::trainings_shared,
        "Exact trainings consumed from another query."},
-      {"mask_fast_path_hits", "modis_mask_fast_path_hits_total", true,
-       &MetricsSnapshot::mask_fast_path_hits,
-       "Row counts served from cached bitset masks."},
       {"connections_opened", "modis_connections_opened_total", true,
        &MetricsSnapshot::connections_opened, "Connections accepted."},
       {"connections_active", "modis_connections_active", false,
@@ -209,7 +206,6 @@ MetricsSnapshot ServiceMetrics::Snapshot() const {
   snapshot.context_evictions = context_evictions.load();
   snapshot.queries_fused = queries_fused.load();
   snapshot.trainings_shared = trainings_shared.load();
-  snapshot.mask_fast_path_hits = mask_fast_path_hits.load();
   snapshot.connections_opened = connections_opened.load();
   snapshot.connections_active = connections_active.load();
   snapshot.dropped_connections = dropped_connections.load();

@@ -101,15 +101,12 @@ struct MetricsSnapshot {
   /// Bytes returned by cache log rewrites this session.
   uint64_t cache_reclaimed_bytes = 0;
 
-  // Cross-query exact-training fusion + columnar mask fast path.
+  // Cross-query exact-training fusion.
   /// Queries that consumed at least one fused training.
   uint64_t queries_fused = 0;
   /// Exact trainings consumed from another query's identical concurrent
   /// (or just-finished) training instead of re-executed.
   uint64_t trainings_shared = 0;
-  /// Row counts / feature vectors served from a cached bitset row mask
-  /// (popcount) instead of a rescan of D_U.
-  uint64_t mask_fast_path_hits = 0;
 
   // Transport (filled by HttpServer when one is attached).
   uint64_t connections_opened = 0;
@@ -235,7 +232,6 @@ class ServiceMetrics {
 
   std::atomic<uint64_t> queries_fused{0};
   std::atomic<uint64_t> trainings_shared{0};
-  std::atomic<uint64_t> mask_fast_path_hits{0};
 
   std::atomic<uint64_t> connections_opened{0};
   std::atomic<uint64_t> connections_active{0};

@@ -200,7 +200,6 @@ std::string SerializeDiscoveryResponse(const DiscoveryResponse& response) {
   stats.Set("cache_hits", response.cache_hits);
   stats.Set("failed_evals", response.failed_evals);
   stats.Set("fused_hits", response.fused_hits);
-  stats.Set("mask_fast_path_hits", response.mask_fast_path_hits);
   stats.Set("cache_active", response.cache_active);
   stats.Set("queue_ms", response.queue_ms);
   stats.Set("run_ms", response.run_ms);
@@ -408,8 +407,6 @@ Result<DiscoveryResponse> ParseDiscoveryResponse(const std::string& text) {
         static_cast<size_t>(stats->GetNumber("failed_evals", 0));
     response.fused_hits =
         static_cast<size_t>(stats->GetNumber("fused_hits", 0));
-    response.mask_fast_path_hits =
-        static_cast<size_t>(stats->GetNumber("mask_fast_path_hits", 0));
     response.cache_active = stats->GetBool("cache_active", false);
     response.queue_ms = stats->GetNumber("queue_ms", 0.0);
     response.run_ms = stats->GetNumber("run_ms", 0.0);

@@ -220,13 +220,6 @@ Status PersistentRecordCache::AppendPendingLocked(
   return bounded;
 }
 
-bool PersistentRecordCache::Contains(uint64_t fingerprint,
-                                     const std::string& key) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(fingerprint);
-  return it != index_.end() && it->second.entries.count(key) > 0;
-}
-
 PersistentRecordCache::Entry* PersistentRecordCache::HitLocked(
     uint64_t fingerprint, const std::string& key) {
   auto bucket = index_.find(fingerprint);

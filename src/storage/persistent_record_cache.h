@@ -135,16 +135,12 @@ class PersistentRecordCache {
 
   bool shared() const { return shared_; }
 
-  /// True when a record exists for (fingerprint, key). Counts nothing
-  /// and refreshes no recency.
-  bool Contains(uint64_t fingerprint, const std::string& key) const;
-
-  /// Contains + recency refresh, without counting stats.served. The
-  /// oracle probes with this at plan time so a record it is about to
-  /// replay becomes most-recently-hit — a concurrent session's eviction
-  /// pass then prefers any other victim. (Eviction between plan and
-  /// commit is still possible; the oracle degrades that to a fresh
-  /// training.)
+  /// True when a record exists for (fingerprint, key); refreshes its
+  /// recency without counting stats.served. The oracle probes with this
+  /// at plan time so a record it is about to replay becomes
+  /// most-recently-hit — a concurrent session's eviction pass then
+  /// prefers any other victim. (Eviction between plan and commit is still
+  /// possible; the oracle degrades that to a fresh training.)
   bool Touch(uint64_t fingerprint, const std::string& key);
 
   /// Copies the record for (fingerprint, key) into `*out` (either may be

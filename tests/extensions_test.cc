@@ -1,13 +1,18 @@
 /// Tests for the extension components: NSGA-II (the paper's evolutionary
 /// alternative), hypervolume indicators, the kNN regressor (a surrogate
-/// family of bench_surrogates), and the NSGA-II-over-bitmaps adapter.
+/// family of bench_surrogates), the NSGA-II-over-bitmaps adapter, and the
+/// skyline sizes every search path reports.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "baselines/nsga2_modis.h"
+#include "core/algorithms.h"
 #include "datagen/tasks.h"
 #include "ml/knn.h"
 #include "moo/hypervolume.h"
@@ -224,6 +229,60 @@ TEST(Nsga2ModisTest, ProducesFeasibleFront) {
     }
     EXPECT_GT(e.rows, 0u);
   }
+}
+
+// ------------------------------------------------------ Reported sizes
+
+/// Every member's `rows` is the row count of the dataset its state
+/// denotes, and its `cols` the attributes the state includes.
+void ExpectSizesMatchData(const SearchUniverse& universe,
+                          const std::vector<SkylineEntry>& skyline,
+                          const std::string& context) {
+  ASSERT_FALSE(skyline.empty()) << context;
+  for (const SkylineEntry& e : skyline) {
+    const std::string where = context + " " + e.state.Signature();
+    EXPECT_EQ(e.rows, universe.Materialize(e.state).num_rows()) << where;
+    size_t included = 0;
+    for (size_t a = 0; a < universe.layout().num_attributes(); ++a) {
+      if (e.state.Get(a)) ++included;
+    }
+    EXPECT_EQ(e.cols, included) << where;
+  }
+}
+
+TEST(SkylineSizesTest, RowsAndColsMatchTheMaterializedDataset) {
+  auto bench = MakeTabularBench(BenchTaskId::kHouse, 0.4);  // T2.
+  ASSERT_TRUE(bench.ok());
+  auto universe = SearchUniverse::Build(bench->universal,
+                                        bench->universe_options);
+  ASSERT_TRUE(universe.ok());
+
+  ModisConfig config;
+  config.epsilon = 0.25;
+  config.max_states = 60;
+  config.max_level = 3;
+  using Variant = Result<ModisResult> (*)(const SearchUniverse&,
+                                          PerformanceOracle*, ModisConfig);
+  const std::pair<const char*, Variant> variants[] = {
+      {"apx", RunApxModis}, {"nobi", RunNoBiModis}, {"bi", RunBiModis},
+      {"div", RunDivModis}, {"exact", RunExactSkyline}};
+  for (const auto& [name, run] : variants) {
+    auto evaluator = bench->MakeEvaluator();
+    PerformanceOracle oracle(evaluator.get());
+    auto result = run(*universe, &oracle, config);
+    ASSERT_TRUE(result.ok()) << name << ": " << result.status().ToString();
+    ExpectSizesMatchData(*universe, result->skyline, name);
+  }
+
+  auto evaluator = bench->MakeEvaluator();
+  PerformanceOracle oracle(evaluator.get());
+  Nsga2Options options;
+  options.population = 12;
+  options.generations = 3;
+  options.max_evaluations = 60;
+  auto nsga2 = RunNsga2Modis(*universe, &oracle, options);
+  ASSERT_TRUE(nsga2.ok()) << nsga2.status().ToString();
+  ExpectSizesMatchData(*universe, nsga2->skyline, "nsga2");
 }
 
 }  // namespace

@@ -509,10 +509,10 @@ TEST(PersistentRecordCacheTest, EvictionKeepsMostRecentlyHitRecords) {
   EXPECT_LE((*cache)->stats().log_bytes, options.max_bytes);
   EXPECT_LE(fs::file_size(path), options.max_bytes);
   for (const char* kept : {"k1", "k2", "k5", "k6"}) {
-    EXPECT_TRUE((*cache)->Contains(7, kept)) << kept;
+    EXPECT_TRUE((*cache)->Touch(7, kept)) << kept;
   }
   for (const char* gone : {"k3", "k4"}) {
-    EXPECT_FALSE((*cache)->Contains(7, gone)) << gone;
+    EXPECT_FALSE((*cache)->Touch(7, gone)) << gone;
   }
 }
 
@@ -558,10 +558,10 @@ TEST(PersistentRecordCacheTest, EvictionDropsLeastRecentlyHitFingerprintFirst) {
 
   MODIS_CHECK_OK((*cache)->Flush());
   EXPECT_EQ((*cache)->stats().evicted, 2u);
-  EXPECT_TRUE((*cache)->Contains(1, "k1"));
-  EXPECT_TRUE((*cache)->Contains(1, "k2"));
-  EXPECT_FALSE((*cache)->Contains(2, "k1"));
-  EXPECT_FALSE((*cache)->Contains(2, "k2"));
+  EXPECT_TRUE((*cache)->Touch(1, "k1"));
+  EXPECT_TRUE((*cache)->Touch(1, "k2"));
+  EXPECT_FALSE((*cache)->Touch(2, "k1"));
+  EXPECT_FALSE((*cache)->Touch(2, "k2"));
   EXPECT_LE(fs::file_size(path), options.max_bytes);
 }
 
@@ -592,7 +592,7 @@ TEST(PersistentRecordCacheTest, ConcurrentReadersAndOneWriterStayConsistent) {
         EXPECT_TRUE(cache->Get(9, key, &record));
         EXPECT_EQ(record.key, key);
         EXPECT_EQ(record.eval.normalized.size(), 2u);
-        cache->Contains(9, "fresh" + std::to_string(round % kFresh));
+        cache->Touch(9, "fresh" + std::to_string(round % kFresh));
       }
     });
   }

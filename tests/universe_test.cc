@@ -29,156 +29,38 @@ struct Fixture {
   }
 };
 
-void ExpectTablesEqual(const Table& actual, const Table& expected,
-                       const std::string& context) {
-  ASSERT_EQ(actual.num_cols(), expected.num_cols()) << context;
-  ASSERT_EQ(actual.num_rows(), expected.num_rows()) << context;
-  for (size_t c = 0; c < actual.num_cols(); ++c) {
-    EXPECT_EQ(actual.schema().field(c).name, expected.schema().field(c).name)
+/// Checks every row path of `state` against the row-at-a-time reference
+/// CountRowsScan: CountRows, the surviving mask, the record's row ids, and
+/// the materialized table cell by cell against D_U. `carried_nulls` (may
+/// be null) is set when the table holds a null cell.
+void ExpectRowsMatchScan(const SearchUniverse& universe,
+                         const StateBitmap& state, const std::string& context,
+                         bool* carried_nulls = nullptr) {
+  const size_t scan = universe.CountRowsScan(state);
+  EXPECT_EQ(universe.CountRows(state), scan) << context;
+  const RowMask mask = universe.SurvivingMask(state);
+  EXPECT_EQ(mask.Count(), scan) << context;
+  const MaterializationPtr m = universe.MaterializeRecord(state);
+  EXPECT_EQ(m->mask, mask) << context;
+  EXPECT_EQ(m->row_ids(), mask.ToRowIds()) << context;
+
+  const Table table = universe.Materialize(state);
+  const Table& du = universe.universal();
+  ASSERT_EQ(table.num_rows(), scan) << context;
+  size_t c = 0;
+  for (size_t a = 0; a < du.num_cols(); ++a) {
+    if (!state.Get(a)) continue;
+    ASSERT_LT(c, table.num_cols()) << context;
+    EXPECT_EQ(table.schema().field(c).name, du.schema().field(a).name)
         << context;
-  }
-  for (size_t r = 0; r < actual.num_rows(); ++r) {
-    for (size_t c = 0; c < actual.num_cols(); ++c) {
-      ASSERT_EQ(actual.At(r, c), expected.At(r, c))
+    for (size_t r = 0; r < table.num_rows(); ++r) {
+      ASSERT_EQ(table.At(r, c), du.At(m->row_ids()[r], a))
           << context << " cell (" << r << "," << c << ")";
     }
+    ++c;
   }
-}
-
-void ExpectIncrementalMatchesFresh(const SearchUniverse& universe,
-                                   const Materialization& parent,
-                                   const StateBitmap& child,
-                                   const std::string& context) {
-  MaterializationPtr inc = universe.MaterializeFrom(parent, child);
-  MaterializationPtr fresh = universe.MaterializeRecord(child);
-  ASSERT_NE(inc, nullptr) << context;
-  EXPECT_EQ(inc->mask, fresh->mask) << context;
-  EXPECT_EQ(inc->row_ids(), fresh->row_ids()) << context;
-  EXPECT_EQ(inc->mask.Count(), universe.CountRowsScan(child)) << context;
-  ExpectTablesEqual(universe.View(*inc).ToTable(),
-                    universe.Materialize(child), context);
-}
-
-TEST(MaterializeFromTest, ReductEdgesFromUniversalState) {
-  auto f = Fixture::Make();
-  const UnitLayout& layout = f.universe.layout();
-  const StateBitmap full = f.universe.FullBitmap();
-  const MaterializationPtr parent = f.universe.MaterializeRecord(full);
-
-  for (size_t u = 0; u < layout.num_units(); ++u) {
-    if (layout.IsAttributeUnit(u) && !layout.attr_flippable[u]) continue;
-    ExpectIncrementalMatchesFresh(f.universe, *parent, full.WithFlipped(u),
-                                  "reduct unit " + std::to_string(u));
-  }
-}
-
-TEST(MaterializeFromTest, ReductChainReusesIncrementalParents) {
-  // Walk a multi-step Reduct path, deriving every level from the previous
-  // *incremental* materialization — errors would compound if any edge
-  // diverged from a fresh scan.
-  auto f = Fixture::Make();
-  const UnitLayout& layout = f.universe.layout();
-  StateBitmap state = f.universe.FullBitmap();
-  MaterializationPtr parent = f.universe.MaterializeRecord(state);
-
-  size_t steps = 0;
-  // Alternate cluster and attribute flips across the layout: odd units
-  // walk from the back so cluster drops hit attributes that stay included.
-  for (size_t u = 0; u < layout.num_units() && steps < 6; ++u) {
-    const size_t unit = steps % 2 == 0 ? layout.num_units() - 1 - u : u;
-    if (!state.Get(unit)) continue;
-    if (layout.IsAttributeUnit(unit)) {
-      if (!layout.attr_flippable[unit]) continue;
-    } else if (!state.Get(layout.cluster(unit).attr_index)) {
-      continue;  // Cluster flips need their attribute included.
-    }
-    StateBitmap child = state.WithFlipped(unit);
-    ExpectIncrementalMatchesFresh(f.universe, *parent, child,
-                                  "chain unit " + std::to_string(unit));
-    parent = f.universe.MaterializeFrom(*parent, child);
-    state = child;
-    ++steps;
-  }
-  EXPECT_GE(steps, 4u);
-}
-
-TEST(MaterializeFromTest, AugmentEdgesFromBackwardState) {
-  auto f = Fixture::Make();
-  const UnitLayout& layout = f.universe.layout();
-  const StateBitmap back = f.universe.BackwardBitmap();
-  const MaterializationPtr parent = f.universe.MaterializeRecord(back);
-
-  for (size_t u = 0; u < layout.num_units(); ++u) {
-    if (back.Get(u)) continue;  // Augment flips 0 -> 1.
-    if (layout.IsAttributeUnit(u) && !layout.attr_flippable[u]) continue;
-    ExpectIncrementalMatchesFresh(f.universe, *parent, back.WithFlipped(u),
-                                  "augment unit " + std::to_string(u));
-  }
-}
-
-TEST(MaterializeFromTest, AugmentClusterEdgeAfterClusterDrop) {
-  // Exercise the relaxing cluster flip 0 -> 1 with its attribute included:
-  // rows removed by the dropped cluster must resurrect exactly.
-  auto f = Fixture::Make();
-  const UnitLayout& layout = f.universe.layout();
-  ASSERT_FALSE(layout.clusters.empty());
-  const size_t unit = layout.num_attributes();  // First cluster unit.
-
-  StateBitmap reduced = f.universe.FullBitmap().WithFlipped(unit);
-  const MaterializationPtr parent = f.universe.MaterializeRecord(reduced);
-  ASSERT_LT(parent->row_ids().size(), f.bench.universal.num_rows())
-      << "cluster drop removed no rows; test would be vacuous";
-  ExpectIncrementalMatchesFresh(f.universe, *parent,
-                                reduced.WithFlipped(unit),
-                                "cluster resurrect");
-}
-
-TEST(MaterializeFromTest, PreservesNullCells) {
-  // The universal table comes from a full outer join, so it carries null
-  // cells; incremental materialization must hand them through untouched.
-  auto f = Fixture::Make();
-  ASSERT_GT(f.bench.universal.NullFraction(), 0.0)
-      << "fixture lost its null cells; pick a task with an outer join";
-
-  const StateBitmap full = f.universe.FullBitmap();
-  const MaterializationPtr parent = f.universe.MaterializeRecord(full);
-  const UnitLayout& layout = f.universe.layout();
-  size_t checked = 0;
-  for (size_t u = 0; u < layout.num_units() && checked < 3; ++u) {
-    if (layout.IsAttributeUnit(u) && !layout.attr_flippable[u]) continue;
-    StateBitmap child = full.WithFlipped(u);
-    MaterializationPtr inc = f.universe.MaterializeFrom(*parent, child);
-    const Table table = f.universe.View(*inc).ToTable();
-    if (table.NullFraction() == 0.0) continue;
-    ExpectTablesEqual(table, f.universe.Materialize(child),
-                      "null-carrying child " + std::to_string(u));
-    ++checked;
-  }
-  EXPECT_GT(checked, 0u) << "no child table carried nulls";
-}
-
-TEST(MaterializeFromTest, FallsBackOnMultiFlipEdges) {
-  auto f = Fixture::Make();
-  const UnitLayout& layout = f.universe.layout();
-  const StateBitmap full = f.universe.FullBitmap();
-  const MaterializationPtr parent = f.universe.MaterializeRecord(full);
-
-  size_t a = layout.num_attributes(), b = layout.num_attributes();
-  for (size_t u = 0; u < layout.num_attributes(); ++u) {
-    if (!layout.attr_flippable[u]) continue;
-    if (a == layout.num_attributes()) {
-      a = u;
-    } else {
-      b = u;
-      break;
-    }
-  }
-  ASSERT_LT(b, layout.num_attributes());
-  StateBitmap child = full.WithFlipped(a).WithFlipped(b);
-  MaterializationPtr inc = f.universe.MaterializeFrom(*parent, child);
-  MaterializationPtr fresh = f.universe.MaterializeRecord(child);
-  EXPECT_EQ(inc->row_ids(), fresh->row_ids());
-  EXPECT_EQ(inc->mask, fresh->mask);
+  EXPECT_EQ(c, table.num_cols()) << context;
+  if (carried_nulls != nullptr) *carried_nulls = table.NullFraction() > 0.0;
 }
 
 // ------------------------------------------------------------- Mask vs scan
@@ -210,9 +92,13 @@ TEST(RowMaskTest, TailBitsStayZeroOnNonMultipleOf64Sizes) {
 
 TEST(RowMaskPathTest, CountRowsMatchesScanOnEveryOneFlipChild) {
   auto f = Fixture::Make();
+  // The universal table comes from a full outer join, so it carries null
+  // cells; materialization must hand them through untouched.
+  ASSERT_GT(f.bench.universal.NullFraction(), 0.0)
+      << "fixture lost its null cells; pick a task with an outer join";
   const UnitLayout& layout = f.universe.layout();
-  std::vector<StateBitmap> states = {f.universe.FullBitmap(),
-                                     f.universe.BackwardBitmap()};
+  const StateBitmap full = f.universe.FullBitmap();
+  std::vector<StateBitmap> states = {full, f.universe.BackwardBitmap()};
   const size_t num_seeds = states.size();
   for (size_t s = 0; s < num_seeds; ++s) {
     for (size_t u = 0; u < layout.num_units(); ++u) {
@@ -220,29 +106,52 @@ TEST(RowMaskPathTest, CountRowsMatchesScanOnEveryOneFlipChild) {
       states.push_back(states[s].WithFlipped(u));
     }
   }
+
+  // A multi-step Reduct chain: alternate cluster and attribute flips
+  // across the layout; odd steps walk from the back so cluster drops hit
+  // attributes that stay included.
+  StateBitmap state = full;
+  size_t steps = 0;
+  for (size_t u = 0; u < layout.num_units() && steps < 6; ++u) {
+    const size_t unit = steps % 2 == 0 ? layout.num_units() - 1 - u : u;
+    if (!state.Get(unit)) continue;
+    if (layout.IsAttributeUnit(unit)) {
+      if (!layout.attr_flippable[unit]) continue;
+    } else if (!state.Get(layout.cluster(unit).attr_index)) {
+      continue;  // Cluster flips need their attribute included.
+    }
+    state = state.WithFlipped(unit);
+    states.push_back(state);
+    ++steps;
+  }
+  EXPECT_GE(steps, 4u);
+
+  // A cluster drop with its attribute included, and the relax edge that
+  // resurrects its rows.
+  ASSERT_FALSE(layout.clusters.empty());
+  const size_t cluster = layout.num_attributes();
+  const StateBitmap dropped = full.WithFlipped(cluster);
+  ASSERT_LT(f.universe.CountRowsScan(dropped), f.bench.universal.num_rows())
+      << "cluster drop removed no rows; test would be vacuous";
+  states.push_back(dropped);
+  states.push_back(dropped.WithFlipped(cluster));
+
   size_t nontrivial = 0;
-  for (const StateBitmap& state : states) {
-    const size_t scan = f.universe.CountRowsScan(state);
-    EXPECT_EQ(f.universe.CountRows(state), scan);
-    EXPECT_EQ(f.universe.SurvivingMask(state).Count(), scan);
-    EXPECT_EQ(f.universe.SurvivingMask(state).ToRowIds(),
-              f.universe.MaterializeRecord(state)->row_ids());
-    if (scan < f.bench.universal.num_rows()) ++nontrivial;
+  size_t null_tables = 0;
+  for (size_t i = 0; i < states.size(); ++i) {
+    bool carried_nulls = false;
+    ExpectRowsMatchScan(f.universe, states[i], "state " + std::to_string(i),
+                        &carried_nulls);
+    if (f.universe.CountRowsScan(states[i]) < f.bench.universal.num_rows()) {
+      ++nontrivial;
+    }
+    if (carried_nulls) ++null_tables;
   }
   EXPECT_GT(nontrivial, 0u) << "no state filtered any row; battery vacuous";
+  EXPECT_GT(null_tables, 0u) << "no state's table carried nulls";
 }
 
-TEST(RowMaskPathTest, StateFeaturesFromCachedMaskMatchRecompute) {
-  auto f = Fixture::Make();
-  const StateBitmap full = f.universe.FullBitmap();
-  const size_t unit = f.universe.layout().num_attributes();
-  const StateBitmap child = full.WithFlipped(unit);
-  const MaterializationPtr m = f.universe.MaterializeRecord(child);
-  EXPECT_EQ(f.universe.StateFeatures(child),
-            f.universe.StateFeatures(child, m->mask));
-}
-
-TEST(RowMaskPathTest, MaskDerivationExactOnNonMultipleOf64Universe) {
+TEST(RowMaskPathTest, MaskExactOnNonMultipleOf64Universe) {
   // A handcrafted 70-row universe (not a multiple of 64) with null cells:
   // the word-level path must neither lose the last partial word's rows nor
   // resurrect tail garbage, and null cells must survive every reduction.
@@ -272,16 +181,16 @@ TEST(RowMaskPathTest, MaskDerivationExactOnNonMultipleOf64Universe) {
 
   const StateBitmap full = uni->FullBitmap();
   EXPECT_EQ(uni->CountRows(full), 70u);
-  const MaterializationPtr parent = uni->MaterializeRecord(full);
+  ExpectRowsMatchScan(*uni, full, "70-row full");
   for (size_t u = 0; u < layout.num_units(); ++u) {
     if (layout.IsAttributeUnit(u) && !layout.attr_flippable[u]) continue;
     const StateBitmap child = full.WithFlipped(u);
-    ExpectIncrementalMatchesFresh(*uni, *parent, child,
-                                  "70-row reduct unit " + std::to_string(u));
-    // And the relax edge back up from the reduced child.
-    const MaterializationPtr reduced = uni->MaterializeRecord(child);
-    ExpectIncrementalMatchesFresh(*uni, *reduced, full,
-                                  "70-row augment unit " + std::to_string(u));
+    ExpectRowsMatchScan(*uni, child, "70-row reduct unit " + std::to_string(u));
+    if (layout.IsAttributeUnit(u)) continue;
+    // Excluding the attribute lifts its dropped cluster's constraint.
+    ExpectRowsMatchScan(*uni, child.WithFlipped(layout.cluster(u).attr_index),
+                        "70-row excluded attribute of unit " +
+                            std::to_string(u));
   }
 }
 
@@ -510,53 +419,6 @@ TEST(GatherDatasetTest, MatchesTableEncoderOnHandcraftedEdgeCases) {
   EXPECT_GT(coverage.lost_class, 0u);
   EXPECT_GT(coverage.no_features, 0u);
   EXPECT_GT(coverage.errors, 0u);
-}
-
-// ------------------------------------------------------- Materialization LRU
-
-MaterializationPtr DummyMaterialization(const std::string& tag) {
-  auto m = std::make_shared<Materialization>();
-  m->state = StateBitmap(tag.size(), true);
-  return m;
-}
-
-TEST(MaterializationCacheTest, PutGetRoundtrip) {
-  MaterializationCache cache(4);
-  EXPECT_EQ(cache.Get("a"), nullptr);
-  MaterializationPtr m = DummyMaterialization("a");
-  cache.Put("a", m);
-  EXPECT_EQ(cache.Get("a"), m);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(MaterializationCacheTest, EvictsLeastRecentlyUsed) {
-  MaterializationCache cache(2);
-  cache.Put("a", DummyMaterialization("a"));
-  cache.Put("b", DummyMaterialization("b"));
-  ASSERT_NE(cache.Get("a"), nullptr);  // Refreshes "a"; "b" is now LRU.
-  cache.Put("c", DummyMaterialization("c"));
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_NE(cache.Get("a"), nullptr);
-  EXPECT_EQ(cache.Get("b"), nullptr);
-  EXPECT_NE(cache.Get("c"), nullptr);
-}
-
-TEST(MaterializationCacheTest, ZeroCapacityDisablesCaching) {
-  MaterializationCache cache(0);
-  cache.Put("a", DummyMaterialization("a"));
-  EXPECT_EQ(cache.Get("a"), nullptr);
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(MaterializationCacheTest, PutRefreshesExistingKey) {
-  MaterializationCache cache(2);
-  cache.Put("a", DummyMaterialization("a"));
-  cache.Put("b", DummyMaterialization("b"));
-  MaterializationPtr fresh = DummyMaterialization("a2");
-  cache.Put("a", fresh);  // Refresh: "b" becomes LRU.
-  cache.Put("c", DummyMaterialization("c"));
-  EXPECT_EQ(cache.Get("a"), fresh);
-  EXPECT_EQ(cache.Get("b"), nullptr);
 }
 
 }  // namespace
