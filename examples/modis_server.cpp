@@ -252,8 +252,7 @@ int main(int argc, char** argv) {
   options.task_row_scale = args.row_scale;
   options.tenants = args.tenants;
   options.slow_query_ms = args.slow_query_ms;
-  options.trace_recent_capacity = args.trace_ring;
-  options.trace_slow_capacity = args.trace_ring;
+  options.trace_ring_capacity = args.trace_ring;
   auto mode = ParseCacheMode(args.cache_mode);
   if (!mode.ok()) {
     MODIS_LOG(ERROR, "server") << mode.status().ToString();

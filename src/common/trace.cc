@@ -119,16 +119,13 @@ std::vector<TraceSpan> DropLeafSpans(const std::vector<TraceSpan>& spans,
   return kept;
 }
 
-TraceRing::TraceRing(size_t recent_capacity, size_t slow_capacity)
-    : recent_capacity_(recent_capacity), slow_capacity_(slow_capacity) {}
+TraceRing::TraceRing(size_t capacity) : capacity_(capacity) {}
 
 void TraceRing::Add(Trace trace) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (recent_capacity_ > 0) {
-    recent_.push_back(trace);
-    while (recent_.size() > recent_capacity_) recent_.pop_front();
-  }
-  if (slow_capacity_ == 0) return;
+  if (capacity_ == 0) return;
+  recent_.push_back(trace);
+  while (recent_.size() > capacity_) recent_.pop_front();
   // Keep the slow set sorted slowest-first; a tie keeps the newer trace
   // closer to the front so eviction (drop the back) is deterministic.
   const auto at = std::upper_bound(
@@ -137,7 +134,7 @@ void TraceRing::Add(Trace trace) {
         return a.sequence > b.sequence;
       });
   slow_.insert(at, std::move(trace));
-  if (slow_.size() > slow_capacity_) slow_.pop_back();
+  if (slow_.size() > capacity_) slow_.pop_back();
 }
 
 std::vector<Trace> TraceRing::Recent() const {

@@ -117,11 +117,12 @@ using SpanObserver = void (*)(const char* name);
 void SetGlobalSpanObserver(SpanObserver observer);
 
 /// Bounded retention of completed traces: the N most recent and,
-/// separately, the N slowest seen so far. Mutex-guarded; Add() is on the
-/// query completion path and does O(N) work on small fixed N.
+/// separately, the N slowest seen so far (N = `capacity`, 0 keeps none).
+/// Mutex-guarded; Add() is on the query completion path and does O(N)
+/// work on small fixed N.
 class TraceRing {
  public:
-  TraceRing(size_t recent_capacity, size_t slow_capacity);
+  explicit TraceRing(size_t capacity);
 
   void Add(Trace trace);
 
@@ -131,12 +132,8 @@ class TraceRing {
   /// Slowest completions, slowest first.
   std::vector<Trace> Slowest() const;
 
-  size_t recent_capacity() const { return recent_capacity_; }
-  size_t slow_capacity() const { return slow_capacity_; }
-
  private:
-  const size_t recent_capacity_;
-  const size_t slow_capacity_;
+  const size_t capacity_;
   mutable std::mutex mu_;
   std::deque<Trace> recent_;
   std::vector<Trace> slow_;  // Kept sorted, slowest first.

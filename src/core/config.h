@@ -34,12 +34,9 @@ inline const char* CacheModeName(CacheMode mode) {
   return mode == CacheMode::kRead ? "read" : "read_write";
 }
 
-/// Knobs of one MODis running. The three published algorithms are feature
-/// combinations of the same engine:
-///   ApxMODis   — reduce-from-universal only;
-///   NOBiMODis  — + bidirectional frontiers;
-///   BiMODis    — + correlation-based pruning;
-///   DivMODis   — bidirectional + per-level diversification.
+/// Knobs of one MODis running. The published algorithms are feature
+/// combinations of the same engine; ApplyVariantFlags (core/algorithms.h)
+/// is the one mapping from a variant name to these flags.
 struct ModisConfig {
   /// Approximation slack of the ε-skyline (§5.1).
   double epsilon = 0.2;
@@ -99,25 +96,6 @@ struct ModisConfig {
   std::string record_cache_namespace;
 
   uint64_t seed = 1;
-
-  static ModisConfig Apx() { return ModisConfig{}; }
-  static ModisConfig NoBi() {
-    ModisConfig c;
-    c.bidirectional = true;
-    return c;
-  }
-  static ModisConfig Bi() {
-    ModisConfig c;
-    c.bidirectional = true;
-    c.correlation_pruning = true;
-    return c;
-  }
-  static ModisConfig Div() {
-    ModisConfig c;
-    c.bidirectional = true;
-    c.diversify = true;
-    return c;
-  }
 };
 
 }  // namespace modis

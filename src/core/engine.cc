@@ -85,27 +85,23 @@ uint64_t ModisEngine::TaskFingerprint(
 }
 
 ModisEngine::ModisEngine(const SearchUniverse* universe,
-                         PerformanceOracle* oracle, ModisConfig config)
-    : ModisEngine(universe, oracle, std::move(config), EngineRuntime{}) {}
-
-ModisEngine::ModisEngine(const SearchUniverse* universe,
                          PerformanceOracle* oracle, ModisConfig config,
-                         EngineRuntime runtime)
+                         ValuationContext context)
     : universe_(universe),
       oracle_(oracle),
       config_(config),
       rng_(config.seed),
-      extern_pool_(runtime.pool),
-      extern_cache_(runtime.record_cache),
-      trace_(runtime.trace),
-      trace_parent_(runtime.trace_parent) {
+      ctx_(context) {
   MODIS_CHECK(universe_ != nullptr) << "ModisEngine: null universe";
   MODIS_CHECK(oracle_ != nullptr) << "ModisEngine: null oracle";
-  if (extern_pool_ == nullptr) {
+  if (ctx_.pool == nullptr) {
     const size_t threads = config_.num_threads == 0
                                ? std::thread::hardware_concurrency()
                                : config_.num_threads;
-    if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
+    if (threads > 1) {
+      pool_ = std::make_unique<ThreadPool>(threads);
+      ctx_.pool = pool_.get();
+    }
   }
   const size_t m = oracle_->measures().size();
   MODIS_CHECK(m >= 1) << "ModisEngine: empty measure set";
@@ -116,44 +112,32 @@ ModisEngine::ModisEngine(const SearchUniverse* universe,
   upper_bounds_ = UpperBounds(oracle_->measures());
   size_correlation_.assign(m, 0.0);
 
-  if (config_.cache_mode == CacheMode::kOff) {
-    extern_cache_ = nullptr;  // kOff wins even over a provided cache.
-  }
-  const bool needs_fingerprint =
-      runtime.fuser != nullptr || extern_cache_ != nullptr ||
-      (config_.cache_mode != CacheMode::kOff &&
-       !config_.record_cache_path.empty());
-  const uint64_t fingerprint =
-      needs_fingerprint
+  // kOff wins even over a lent cache: no persistent records in any form.
+  // A lent cache opened read-write becomes a no-append view under kRead.
+  if (config_.cache_mode == CacheMode::kOff) ctx_.record_cache = nullptr;
+  ctx_.write_through = config_.cache_mode == CacheMode::kReadWrite;
+  const bool open_cache = ctx_.record_cache == nullptr &&
+                          config_.cache_mode != CacheMode::kOff &&
+                          !config_.record_cache_path.empty();
+  // Fusion never changes what a training returns (trainings are
+  // deterministic per fingerprint), so a fuser is scoped under every
+  // cache mode, kOff included.
+  ctx_.fingerprint =
+      ctx_.fuser != nullptr || ctx_.record_cache != nullptr || open_cache
           ? TaskFingerprint(*universe_, oracle_->measures(),
                             config_.record_cache_namespace,
                             oracle_->ModelIdentity())
           : 0;
-  if (runtime.fuser != nullptr) {
-    // Fusion never changes what a training returns (trainings are
-    // deterministic per fingerprint), so it is sound under every cache
-    // mode — including kOff.
-    fuser_ = runtime.fuser;
-    oracle_->AttachTrainingFuser(fuser_, fingerprint);
-  }
-  if (config_.cache_mode == CacheMode::kOff) {
-    // No persistent records in any form.
-  } else if (extern_cache_ != nullptr) {
-    // Shared, already-open cache: scope by this task's fingerprint; a
-    // per-query kRead mode becomes a no-append view of the shared file.
-    oracle_->AttachRecordCache(
-        extern_cache_, fingerprint,
-        /*write_through=*/config_.cache_mode == CacheMode::kReadWrite);
-  } else if (!config_.record_cache_path.empty()) {
+  if (open_cache) {
     PersistentRecordCache::Options cache_options;
     cache_options.max_bytes = config_.record_cache_max_bytes;
     auto opened =
         PersistentRecordCache::Open(config_.record_cache_path,
-                                    config_.cache_mode, fingerprint,
+                                    config_.cache_mode, ctx_.fingerprint,
                                     cache_options);
     if (opened.ok()) {
       record_cache_ = std::move(opened).value();
-      oracle_->AttachRecordCache(record_cache_.get(), fingerprint);
+      ctx_.record_cache = record_cache_.get();
     } else {
       // A broken cache must never break the search: run cold. (kRead on a
       // missing file, or a log locked by a live host, lands here too.)
@@ -164,21 +148,9 @@ ModisEngine::ModisEngine(const SearchUniverse* universe,
 }
 
 ModisEngine::~ModisEngine() {
-  PersistentRecordCache* cache = ActiveCache();
-  if (cache != nullptr) {
-    const Status flushed = cache->Flush();
+  if (ctx_.record_cache != nullptr) {
+    const Status flushed = ctx_.record_cache->Flush();
     (void)flushed;
-    // Only detach our own attachment: a newer engine sharing this oracle
-    // may have attached its own cache in the meantime.
-    if (oracle_->record_cache() == cache) {
-      oracle_->AttachRecordCache(nullptr);
-    }
-  }
-  if (fuser_ != nullptr && oracle_->training_fuser() == fuser_) {
-    oracle_->AttachTrainingFuser(nullptr);
-  }
-  if (trace_ != nullptr && oracle_->trace_recorder() == trace_) {
-    oracle_->SetTraceContext(nullptr, kNoSpan);
   }
 }
 
@@ -346,16 +318,17 @@ void ModisEngine::ValuateBatch(std::vector<BatchItem> items,
                                Frontier* frontier, SpanId trace_scope) {
   if (items.empty()) return;
 
-  SpanId batch_span = kNoSpan;
+  // The oracle parents its plan/train/commit/flush spans under this batch.
+  ValuationContext ctx = ctx_;
+  TraceRecorder* const trace = ctx.trace;
+  const SpanId batch_span =
+      trace != nullptr ? trace->Begin("batch", trace_scope) : kNoSpan;
+  ctx.trace_parent = batch_span;
   PerformanceOracle::Stats before;
-  if (trace_ != nullptr) {
-    batch_span = trace_->Begin("batch", trace_scope);
-    trace_->AddAttr(batch_span, "batch_size",
-                    static_cast<int64_t>(items.size()));
+  if (trace != nullptr) {
+    trace->AddAttr(batch_span, "batch_size",
+                   static_cast<int64_t>(items.size()));
     before = oracle_->stats();
-    // The oracle parents its plan/train/commit/flush spans under this
-    // batch for the duration of the call pair below.
-    oracle_->SetTraceContext(trace_, batch_span);
   }
 
   std::vector<ValuationRequest> requests;
@@ -372,28 +345,26 @@ void ModisEngine::ValuateBatch(std::vector<BatchItem> items,
     requests.push_back(std::move(req));
   }
 
-  BatchPlan plan = oracle_->PrepareBatch(std::move(requests));
   std::vector<Result<Evaluation>> results =
-      oracle_->ValuateBatch(std::move(plan), EffectivePool());
+      oracle_->ValuateBatch(oracle_->PrepareBatch(std::move(requests), ctx));
   MODIS_CHECK(results.size() == items.size()) << "batch result misalignment";
 
-  if (trace_ != nullptr) {
+  if (trace != nullptr) {
     const PerformanceOracle::Stats after = oracle_->stats();
-    trace_->AddAttr(batch_span, "exact",
-                    static_cast<int64_t>(after.exact_evals -
-                                         before.exact_evals));
-    trace_->AddAttr(batch_span, "surrogate",
-                    static_cast<int64_t>(after.surrogate_evals -
-                                         before.surrogate_evals));
-    trace_->AddAttr(batch_span, "cached",
-                    static_cast<int64_t>(after.cache_hits -
-                                         before.cache_hits));
-    trace_->AddAttr(batch_span, "persistent",
-                    static_cast<int64_t>(after.persistent_hits -
-                                         before.persistent_hits));
-    trace_->AddAttr(batch_span, "fused",
-                    static_cast<int64_t>(after.fused_hits -
-                                         before.fused_hits));
+    trace->AddAttr(batch_span, "exact",
+                   static_cast<int64_t>(after.exact_evals -
+                                        before.exact_evals));
+    trace->AddAttr(batch_span, "surrogate",
+                   static_cast<int64_t>(after.surrogate_evals -
+                                        before.surrogate_evals));
+    trace->AddAttr(batch_span, "cached",
+                   static_cast<int64_t>(after.cache_hits - before.cache_hits));
+    trace->AddAttr(batch_span, "persistent",
+                   static_cast<int64_t>(after.persistent_hits -
+                                        before.persistent_hits));
+    trace->AddAttr(batch_span, "fused",
+                   static_cast<int64_t>(after.fused_hits -
+                                        before.fused_hits));
   }
 
   // Commit in collection order, so the skyline grid and the next level's
@@ -426,18 +397,16 @@ void ModisEngine::ValuateBatch(std::vector<BatchItem> items,
     }
   }
 
-  if (trace_ != nullptr) {
-    oracle_->SetTraceContext(nullptr, kNoSpan);
-    trace_->End(batch_span);
-  }
+  if (trace != nullptr) trace->End(batch_span);
 }
 
 void ModisEngine::ExpandLevel(Frontier* frontier, int level) {
   SpanId level_span = kNoSpan;
-  if (trace_ != nullptr) {
-    level_span = trace_->Begin("level", trace_parent_);
-    trace_->AddAttr(level_span, "level", level);
-    trace_->AddAttr(level_span, "forward", frontier->forward ? 1 : 0);
+  TraceRecorder* const trace = ctx_.trace;
+  if (trace != nullptr) {
+    level_span = trace->Begin("level", ctx_.trace_parent);
+    trace->AddAttr(level_span, "level", level);
+    trace->AddAttr(level_span, "forward", frontier->forward ? 1 : 0);
   }
 
   // Pull the entries parked at `level`, most promising first: when the
@@ -469,7 +438,7 @@ void ModisEngine::ExpandLevel(Frontier* frontier, int level) {
     }
   }
   ValuateBatch(std::move(batch), frontier, level_span);
-  if (trace_ != nullptr) trace_->End(level_span);
+  if (trace != nullptr) trace->End(level_span);
 }
 
 void ModisEngine::DiversifyLevel() {
@@ -526,7 +495,7 @@ Result<ModisResult> ModisEngine::Run() {
     if (stats_.valuated_states + batch.size() > config_.max_states) {
       return;  // Budget of zero: nothing to do.
     }
-    ValuateBatch(std::move(batch), frontier, trace_parent_);
+    ValuateBatch(std::move(batch), frontier, ctx_.trace_parent);
   };
   seed(universe_->FullBitmap(), &forward);
   if (config_.bidirectional) {
@@ -563,12 +532,13 @@ Result<ModisResult> ModisEngine::Run() {
   }
   result.seconds = timer.Seconds();
   result.oracle_stats = oracle_->stats();
-  if (PersistentRecordCache* cache = ActiveCache()) {
+  if (PersistentRecordCache* cache = ctx_.record_cache) {
+    TraceRecorder* const trace = ctx_.trace;
     SpanId flush_span = kNoSpan;
-    if (trace_ != nullptr) flush_span = trace_->Begin("flush", trace_parent_);
+    if (trace != nullptr) flush_span = trace->Begin("flush", ctx_.trace_parent);
     const Status flushed = cache->Flush();
     (void)flushed;
-    if (trace_ != nullptr) trace_->End(flush_span);
+    if (trace != nullptr) trace->End(flush_span);
     result.record_cache_active = true;
     // For a shared cache these counters are host-wide, not per-query;
     // per-query accounting lives in oracle_stats.persistent_hits.

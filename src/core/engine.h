@@ -45,39 +45,6 @@ struct ModisResult {
   PersistentRecordCache::Stats record_cache_stats;
 };
 
-/// Externally owned execution resources a re-entrant engine may run on.
-/// The long-lived discovery service (src/service/) constructs one engine
-/// per query but shares one worker pool and one open record cache across
-/// all of them; a default-constructed runtime reproduces the standalone
-/// behavior (engine owns a pool sized by ModisConfig::num_threads and
-/// opens its own cache from ModisConfig::record_cache_path).
-struct EngineRuntime {
-  /// Worker pool for batched exact trainings (and surrogate prediction
-  /// fan-out). Not owned; must outlive the engine. Null → self-owned.
-  ThreadPool* pool = nullptr;
-  /// An already-open (possibly multi-task, thread-safe) record cache.
-  /// Not owned; must outlive the engine. The engine scopes all access by
-  /// its own TaskFingerprint and honors ModisConfig::cache_mode — kRead
-  /// serves hits without appending, kOff ignores the cache entirely.
-  /// Null → self-opened from ModisConfig::record_cache_path.
-  PersistentRecordCache* record_cache = nullptr;
-  /// A cross-query exact-training fuser shared by every engine the host
-  /// constructs. Not owned; must outlive the engine. The engine scopes it
-  /// by its own TaskFingerprint, so only queries over identical data,
-  /// layout, measures, and model identity ever share a training. Null →
-  /// no fusion (standalone behavior).
-  TrainingFuser* fuser = nullptr;
-  /// Per-query span recorder (owned by the caller; must outlive the
-  /// engine). When set, the engine records level/batch spans under
-  /// `trace_parent` and propagates the context into the oracle, so one
-  /// query yields a complete span tree. Null → no tracing. Recording
-  /// never consumes randomness or reorders valuation, so a traced run is
-  /// byte-identical to an untraced one.
-  TraceRecorder* trace = nullptr;
-  /// Parent span (the caller's "run" span) for the engine's spans.
-  SpanId trace_parent = kNoSpan;
-};
-
 /// The multi-goal finite-state-transducer search engine (§3-§5).
 ///
 /// Simulates a running of the data generator T: starting from the
@@ -91,26 +58,31 @@ struct EngineRuntime {
 /// prune-filters every one-flip child of the frontier level, then issues
 /// the survivors as one oracle batch (PrepareBatch / ValuateBatch). Exact
 /// model trainings of the batch fan out over a ThreadPool sized by
-/// ModisConfig::num_threads; plan and commit stay on the caller thread in
-/// a fixed order, so the computed skyline does not depend on the thread
-/// count. A state's rows are one SearchUniverse::SurvivingMask (word-level
-/// ANDNOTs over precomputed cluster masks), and exact trainings gather
-/// their rows from the encoded D_U (SearchUniverse::View) without copying
-/// a table.
+/// ModisConfig::num_threads (or lent in the ValuationContext); plan and
+/// commit stay on the caller thread in a fixed order, so the computed
+/// skyline does not depend on the thread count. A state's rows are one
+/// SearchUniverse::SurvivingMask (word-level ANDNOTs over precomputed
+/// cluster masks), and exact trainings gather their rows from the encoded
+/// D_U (SearchUniverse::View) without copying a table.
 class ModisEngine {
  public:
   /// Does not own `universe` or `oracle`; both must outlive the engine.
+  ///
+  /// `context` lends the running's resources; everything in it must
+  /// outlive the engine. The long-lived discovery service (src/service/)
+  /// constructs one engine per query but lends every one of them its
+  /// worker pool, its open record caches, its training fuser, and the
+  /// query's span recorder (with `trace_parent` the query's "run" span).
+  /// The engine resolves the context once: without a lent pool it owns one
+  /// sized by ModisConfig::num_threads; without a lent cache it opens
+  /// ModisConfig::record_cache_path itself (a broken log runs cold);
+  /// CacheMode::kOff drops any cache; `write_through` is
+  /// `cache_mode == kReadWrite`, and `fingerprint` is TaskFingerprint.
+  /// Each batch gets a copy whose `trace_parent` is the batch span.
   ModisEngine(const SearchUniverse* universe, PerformanceOracle* oracle,
-              ModisConfig config);
+              ModisConfig config, ValuationContext context = {});
 
-  /// Re-entrant construction over externally owned resources (see
-  /// EngineRuntime). A default runtime is identical to the 3-arg ctor.
-  ModisEngine(const SearchUniverse* universe, PerformanceOracle* oracle,
-              ModisConfig config, EngineRuntime runtime);
-
-  /// Detaches the persistent record cache from the oracle (a self-owned
-  /// cache dies with the engine; a shared one merely outlives the
-  /// attachment).
+  /// Flushes the record cache, so the last batch's appends are durable.
   ~ModisEngine();
 
   /// Runs the search to completion and returns the skyline set.
@@ -170,7 +142,7 @@ class ModisEngine {
   /// Issues `items` as one oracle batch and folds the results — skyline
   /// updates, frontier enqueues, failed-state handling — in item order.
   /// `trace_scope` parents the batch span (a level span inside
-  /// ExpandLevel; the runtime's parent for seed batches).
+  /// ExpandLevel; the context's parent for seed batches).
   void ValuateBatch(std::vector<BatchItem> items, Frontier* frontier,
                     SpanId trace_scope);
 
@@ -204,37 +176,14 @@ class ModisEngine {
   ModisConfig config_;
   Rng rng_;
 
-  /// Workers for the exact trainings of a batch; null when the effective
-  /// thread count is 1 (fully serial running) or an external pool is in
-  /// use.
+  /// What this running lends the oracle, resolved by the constructor.
+  ValuationContext ctx_;
+  /// The pool behind ctx_.pool when the caller lent none and more than
+  /// one thread is configured.
   std::unique_ptr<ThreadPool> pool_;
-  /// Externally owned pool (EngineRuntime::pool); wins over pool_.
-  ThreadPool* extern_pool_ = nullptr;
-  /// Cross-run persistent record cache (ModisConfig::record_cache_path);
-  /// null when persistence is off or the log failed to open. Attached to
-  /// the oracle for the engine's lifetime.
+  /// The cache behind ctx_.record_cache when the caller lent none and
+  /// ModisConfig::record_cache_path opened cleanly.
   std::unique_ptr<PersistentRecordCache> record_cache_;
-  /// Externally owned shared cache (EngineRuntime::record_cache); wins
-  /// over record_cache_.
-  PersistentRecordCache* extern_cache_ = nullptr;
-  /// Externally owned cross-query training fuser (EngineRuntime::fuser);
-  /// attached to the oracle under this engine's TaskFingerprint.
-  TrainingFuser* fuser_ = nullptr;
-  /// Per-query span recorder (EngineRuntime::trace); null disables
-  /// tracing.
-  TraceRecorder* trace_ = nullptr;
-  /// Parent span for level/flush spans (EngineRuntime::trace_parent).
-  SpanId trace_parent_ = kNoSpan;
-
-  /// The pool batched valuations fan out over (external or owned).
-  ThreadPool* EffectivePool() const {
-    return extern_pool_ != nullptr ? extern_pool_ : pool_.get();
-  }
-  /// The cache attached to the oracle for this running (external or
-  /// owned); null when persistence is inactive.
-  PersistentRecordCache* ActiveCache() const {
-    return extern_cache_ != nullptr ? extern_cache_ : record_cache_.get();
-  }
 
   size_t decisive_ = 0;
   std::vector<double> lower_bounds_;

@@ -12,6 +12,60 @@
 
 namespace modis {
 
+namespace {
+
+/// Begins a span under the context's parent; kNoSpan without a recorder
+/// (End/AddAttr on kNoSpan are no-ops, so call sites stay branch-free).
+SpanId BeginSpan(const ValuationContext& ctx, const char* name) {
+  return ctx.trace != nullptr ? ctx.trace->Begin(name, ctx.trace_parent)
+                              : kNoSpan;
+}
+
+void EndSpan(const ValuationContext& ctx, SpanId id) {
+  if (ctx.trace != nullptr) ctx.trace->End(id);
+}
+
+/// True when the context's cache holds `key`. The plan-time probe; does
+/// not count a cache hit (the commit's PersistentFetch does), but refreshes
+/// the record's recency so a byte-bounded shared cache prefers other
+/// eviction victims between this plan and its commit.
+bool PersistentContains(const ValuationContext& ctx, const std::string& key) {
+  return ctx.record_cache != nullptr &&
+         ctx.record_cache->Touch(ctx.fingerprint, key);
+}
+
+/// Copies the recorded evaluation for `key` into `*out`; false on miss.
+/// Copying (not pointing into the cache) is what makes a cache shared by
+/// concurrent sessions safe to serve from.
+bool PersistentFetch(const ValuationContext& ctx, const std::string& key,
+                     Evaluation* out) {
+  if (ctx.record_cache == nullptr) return false;
+  StoredRecord record;
+  if (!ctx.record_cache->Get(ctx.fingerprint, key, &record)) return false;
+  *out = std::move(record.eval);
+  return true;
+}
+
+/// Writes a freshly trained record through to the context's cache.
+void PersistentStore(const ValuationContext& ctx, const std::string& key,
+                     const std::vector<double>& features,
+                     const Evaluation& eval) {
+  if (ctx.record_cache != nullptr && ctx.write_through) {
+    ctx.record_cache->Insert(ctx.fingerprint, key, features, eval);
+  }
+}
+
+/// Flushes cache appends; called once per batch commit.
+void FlushPersistent(const ValuationContext& ctx) {
+  if (ctx.record_cache == nullptr) return;
+  const SpanId flush_span = BeginSpan(ctx, "flush");
+  const Status flushed = ctx.record_cache->Flush();
+  (void)flushed;  // A failed flush only risks re-training after a crash.
+  EndSpan(ctx, flush_span);
+}
+
+}  // namespace
+
 PerformanceOracle::PerformanceOracle(TaskEvaluator* evaluator,
                                      std::optional<SurrogateOptions> surrogate)
     : evaluator_(evaluator),
@@ -23,7 +77,7 @@ PerformanceOracle::PerformanceOracle(TaskEvaluator* evaluator,
 }
 
 PerformanceOracle::ExactOutcome PerformanceOracle::RunExactOne(
-    const ValuationRequest& req) const {
+    const ValuationRequest& req, const ValuationContext& ctx) const {
   auto train = [this, &req]() -> Result<Evaluation> {
     const MaterializationPtr m = req.materialize();
     if (m == nullptr || req.universe == nullptr) {
@@ -33,8 +87,9 @@ PerformanceOracle::ExactOutcome PerformanceOracle::RunExactOne(
   };
   ExactOutcome out;
   out.executed = true;
-  if (fuser_ != nullptr) {
-    TrainingFuser::Outcome fused = fuser_->Train(fuser_fp_, req.key, train);
+  if (ctx.fuser != nullptr) {
+    TrainingFuser::Outcome fused =
+        ctx.fuser->Train(ctx.fingerprint, req.key, train);
     out.result = std::move(fused.result);
     out.seconds = fused.seconds;
     out.shared = fused.shared;
@@ -47,8 +102,7 @@ PerformanceOracle::ExactOutcome PerformanceOracle::RunExactOne(
 }
 
 std::vector<PerformanceOracle::ExactOutcome>
-PerformanceOracle::RunExactTrainings(const BatchPlan& plan,
-                                     ThreadPool* pool) const {
+PerformanceOracle::RunExactTrainings(const BatchPlan& plan) const {
   std::vector<size_t> exact_ids;
   exact_ids.reserve(plan.exact_count);
   for (size_t i = 0; i < plan.modes.size(); ++i) {
@@ -59,20 +113,21 @@ PerformanceOracle::RunExactTrainings(const BatchPlan& plan,
   // closure: every worker parents its "exact" span under this batch's
   // "train" span no matter which pool thread runs it. The recorder's own
   // mutex makes concurrent Begin/End TSan-clean.
-  const SpanId train_span = BeginTraceSpan("train");
-  TraceRecorder* const trace = trace_;
-  const Status status =
-      ParallelFor(pool, 0, exact_ids.size(), [&, trace, train_span](size_t k) {
+  const ValuationContext& ctx = plan.context;
+  const SpanId train_span = BeginSpan(ctx, "train");
+  TraceRecorder* const trace = ctx.trace;
+  const Status status = ParallelFor(
+      ctx.pool, 0, exact_ids.size(), [&, trace, train_span](size_t k) {
         const size_t i = exact_ids[k];
         const SpanId item_span =
             trace != nullptr ? trace->Begin("exact", train_span) : kNoSpan;
-        outcomes[i] = RunExactOne(plan.requests[i]);
+        outcomes[i] = RunExactOne(plan.requests[i], ctx);
         if (trace != nullptr) {
           trace->AddAttr(item_span, "shared", outcomes[i].shared ? 1 : 0);
           trace->End(item_span);
         }
       });
-  EndTraceSpan(train_span);
+  EndSpan(ctx, train_span);
   if (!status.ok()) {
     for (size_t i : exact_ids) {
       if (!outcomes[i].executed) outcomes[i].result = status;
@@ -100,41 +155,11 @@ std::vector<std::vector<double>> TestRecordStore::NormalizedVectors() const {
   return out;
 }
 
-bool PerformanceOracle::PersistentContains(const std::string& key) const {
-  return record_cache_ != nullptr &&
-         record_cache_->Touch(record_cache_fp_, key);
-}
-
-bool PerformanceOracle::PersistentFetch(const std::string& key,
-                                        Evaluation* out) {
-  if (record_cache_ == nullptr) return false;
-  StoredRecord record;
-  if (!record_cache_->Get(record_cache_fp_, key, &record)) return false;
-  *out = std::move(record.eval);
-  return true;
-}
-
-void PerformanceOracle::PersistentStore(const std::string& key,
-                                        const std::vector<double>& features,
-                                        const Evaluation& eval) {
-  if (record_cache_ != nullptr && record_cache_write_) {
-    record_cache_->Insert(record_cache_fp_, key, features, eval);
-  }
-}
-
-void PerformanceOracle::FlushPersistent() {
-  if (record_cache_ != nullptr) {
-    const SpanId flush_span = BeginTraceSpan("flush");
-    const Status flushed = record_cache_->Flush();
-    (void)flushed;  // A failed flush only risks re-training after a crash.
-    EndTraceSpan(flush_span);
-  }
-}
-
 Result<Evaluation> PerformanceOracle::CommitExact(const ValuationRequest& req,
+                                                 const ValuationContext& ctx,
                                                  ExactOutcome* trained) {
   Evaluation eval;
-  if (trained == nullptr && PersistentFetch(req.key, &eval)) {
+  if (trained == nullptr && PersistentFetch(ctx, req.key, &eval)) {
     ++stats_.persistent_hits;
   } else {
     // Without a fan-out slot — a planned replay whose record a concurrent
@@ -142,7 +167,7 @@ Result<Evaluation> PerformanceOracle::CommitExact(const ValuationRequest& req,
     // surrogate that is still untrained — train inline on the caller
     // thread (or join another query's in-flight training of the state).
     ExactOutcome fresh = trained != nullptr ? std::move(*trained)
-                                            : RunExactOne(req);
+                                            : RunExactOne(req, ctx);
     stats_.exact_seconds += fresh.seconds;
     if (!fresh.result.ok()) {
       ++stats_.failed_evals;
@@ -150,7 +175,7 @@ Result<Evaluation> PerformanceOracle::CommitExact(const ValuationRequest& req,
     }
     ++(fresh.shared ? stats_.fused_hits : stats_.exact_evals);
     eval = std::move(fresh.result).value();
-    PersistentStore(req.key, req.features, eval);
+    PersistentStore(ctx, req.key, req.features, eval);
   }
   // Shadow prediction: measure the surrogate against the fresh truth.
   if (surrogate_.trained()) {
@@ -217,14 +242,14 @@ Evaluation PerformanceOracle::PredictEvaluation(
 }
 
 Result<Evaluation> PerformanceOracle::Valuate(const ValuationRequest& request) {
-  return std::move(ValuateBatch(PrepareBatch({request}), nullptr).front());
+  return std::move(ValuateBatch(PrepareBatch({request})).front());
 }
 
 BatchPlan PerformanceOracle::PrepareBatch(
-    std::vector<ValuationRequest> requests) {
+    std::vector<ValuationRequest> requests, ValuationContext context) {
   // Span recording brackets the loop without touching the policy stream:
   // the Bernoulli draws below are consumed exactly as on an untraced run.
-  const SpanId plan_span = BeginTraceSpan("plan");
+  const SpanId plan_span = BeginSpan(context, "plan");
   BatchPlan plan;
   plan.modes.reserve(requests.size());
   // Project how the surrogate's availability evolves over the batch: the
@@ -258,21 +283,24 @@ BatchPlan PerformanceOracle::PrepareBatch(
     // Bernoulli stream and the bootstrap projection are consumed exactly
     // as on a cold run, so a warm running replays the cold plan verbatim
     // — only the trainings themselves are skipped.
-    if (mode == BatchPlan::Mode::kExact && PersistentContains(req.key)) {
+    if (mode == BatchPlan::Mode::kExact &&
+        PersistentContains(context, req.key)) {
       mode = BatchPlan::Mode::kPersistent;
     }
     if (mode == BatchPlan::Mode::kExact) ++plan.exact_count;
     plan.modes.push_back(mode);
   }
   plan.requests = std::move(requests);
-  EndTraceSpan(plan_span);
+  EndSpan(context, plan_span);
+  plan.context = context;
   return plan;
 }
 
 std::vector<Result<Evaluation>> PerformanceOracle::ValuateBatch(
-    BatchPlan plan, ThreadPool* pool) {
-  std::vector<ExactOutcome> outcomes = RunExactTrainings(plan, pool);
-  const SpanId commit_span = BeginTraceSpan("commit");
+    BatchPlan plan) {
+  const ValuationContext& ctx = plan.context;
+  std::vector<ExactOutcome> outcomes = RunExactTrainings(plan);
+  const SpanId commit_span = BeginSpan(ctx, "commit");
 
   // Commit pass 1, request order: fold the exact results — trained by the
   // fan-out or replayed from the record cache — into the stats, the shadow
@@ -283,9 +311,9 @@ std::vector<Result<Evaluation>> PerformanceOracle::ValuateBatch(
   for (size_t i = 0; i < plan.requests.size(); ++i) {
     const BatchPlan::Mode mode = plan.modes[i];
     if (mode == BatchPlan::Mode::kExact) {
-      outcomes[i].result = CommitExact(plan.requests[i], &outcomes[i]);
+      outcomes[i].result = CommitExact(plan.requests[i], ctx, &outcomes[i]);
     } else if (mode == BatchPlan::Mode::kPersistent) {
-      outcomes[i].result = CommitExact(plan.requests[i], nullptr);
+      outcomes[i].result = CommitExact(plan.requests[i], ctx, nullptr);
     }
   }
   // One deterministic retrain per batch, after all ingestions.
@@ -310,7 +338,7 @@ std::vector<Result<Evaluation>> PerformanceOracle::ValuateBatch(
     predicted.resize(plan.requests.size());
     WallTimer timer;
     const Status fanned =
-        ParallelFor(pool, 0, surrogate_ids.size(), [&](size_t k) {
+        ParallelFor(ctx.pool, 0, surrogate_ids.size(), [&](size_t k) {
           const size_t i = surrogate_ids[k];
           predicted[i] = PredictEvaluation(plan.requests[i].features);
         });
@@ -339,7 +367,7 @@ std::vector<Result<Evaluation>> PerformanceOracle::ValuateBatch(
           // training failed (or the refit did): valuate exactly rather
           // than drop the state. Runs inline on the caller thread, so the
           // commit order stays deterministic.
-          Result<Evaluation> r = CommitExact(req, nullptr);
+          Result<Evaluation> r = CommitExact(req, ctx, nullptr);
           if (r.ok()) MaybeRetrain();  // The bootstrap may complete here.
           results.push_back(std::move(r));
           break;
@@ -359,8 +387,8 @@ std::vector<Result<Evaluation>> PerformanceOracle::ValuateBatch(
       }
     }
   }
-  EndTraceSpan(commit_span);
-  FlushPersistent();
+  EndSpan(ctx, commit_span);
+  FlushPersistent(ctx);
   return results;
 }
 

@@ -65,8 +65,40 @@ struct ValuationRequest {
   std::function<MaterializationPtr()> materialize;
 };
 
+/// What one running lends the estimator E for a batch (§6). None of it is
+/// E's state: every pointer is borrowed, must outlive the batch, and may be
+/// null. A default context valuates inline on the caller thread, with no
+/// persistent records, no cross-query fusion, and no tracing.
+struct ValuationContext {
+  /// Worker pool the exact trainings (and surrogate predictions) of a
+  /// batch fan out over; null runs them inline on the caller thread.
+  ThreadPool* pool = nullptr;
+  /// Cross-run persistent record cache, possibly shared by sessions of many
+  /// tasks. With it, states whose exact training a prior run already paid
+  /// for are replayed instead of re-trained (BatchPlan::Mode::kPersistent).
+  PersistentRecordCache* record_cache = nullptr;
+  /// Append fresh trainings to `record_cache`; false serves hits but never
+  /// appends (a kRead view of the cache).
+  bool write_through = false;
+  /// Cross-query training fuser: exact trainings that concurrent queries
+  /// request for the same (fingerprint, state) run once, and the other
+  /// queries count a `fused_hit` instead of an `exact_eval`.
+  TrainingFuser* fuser = nullptr;
+  /// The task fingerprint (ModisEngine::TaskFingerprint) that scopes every
+  /// record-cache access and every fused training. Sharing is sound
+  /// because identical data, layout, measures, and model identity train
+  /// identically.
+  uint64_t fingerprint = 0;
+  /// Span recorder; the oracle's plan/train/commit/flush spans nest under
+  /// `trace_parent`. Recording consumes no policy randomness and reorders
+  /// no work, so a traced batch is byte-identical to an untraced one.
+  TraceRecorder* trace = nullptr;
+  SpanId trace_parent = kNoSpan;
+};
+
 /// The caller-thread half of a batched valuation: the per-request decision
-/// the oracle took before any model training ran.
+/// the oracle took before any model training ran, and the context the
+/// batch runs in.
 struct BatchPlan {
   enum class Mode : uint8_t {
     kCached,      // Evaluation already in the record store.
@@ -84,6 +116,7 @@ struct BatchPlan {
   std::vector<ValuationRequest> requests;
   std::vector<Mode> modes;  // Parallel to `requests`.
   size_t exact_count = 0;
+  ValuationContext context;
 };
 
 /// Options of the MO-GBM surrogate: the paper's default estimator, a
@@ -123,8 +156,10 @@ struct SurrogateOptions {
 /// cost low.
 ///
 /// The engine issues one PrepareBatch/ValuateBatch pair per frontier level;
-/// Valuate is the same pair over a one-request batch. Exact trainings fan
-/// out over a ThreadPool while everything stateful — cache lookups,
+/// Valuate is the same pair over a one-request batch. What a batch borrows
+/// (pool, record cache, fuser, trace) comes in its ValuationContext and
+/// stays in its plan; the oracle keeps none of it between batches. Exact
+/// trainings fan out over the pool while everything stateful — cache lookups,
 /// surrogate inference, record-store ingestion, retraining — stays on the
 /// caller thread, so results are deterministic for a given request order
 /// no matter how many workers run.
@@ -137,7 +172,7 @@ class PerformanceOracle {
     /// Exact trainings avoided by replaying the persistent record cache.
     size_t persistent_hits = 0;
     /// Exact trainings avoided by sharing another concurrent query's
-    /// training through the attached TrainingFuser.
+    /// training through the context's TrainingFuser.
     size_t fused_hits = 0;
     size_t failed_evals = 0;
     double exact_seconds = 0.0;
@@ -150,23 +185,26 @@ class PerformanceOracle {
       TaskEvaluator* evaluator,
       std::optional<SurrogateOptions> surrogate = std::nullopt);
 
-  /// Valuates one test: ValuateBatch(PrepareBatch({request}), nullptr)[0].
-  /// Flushes an attached record cache once per call.
+  /// Valuates one test: ValuateBatch(PrepareBatch({request}))[0], in an
+  /// empty context.
   Result<Evaluation> Valuate(const ValuationRequest& request);
 
   /// Splits a level batch into cache hits, surrogate predictions, and
-  /// exact trainings. Runs on the caller thread and consumes the oracle's
-  /// policy randomness in request order, so the plan is a pure function of
-  /// the oracle state and the request sequence.
-  BatchPlan PrepareBatch(std::vector<ValuationRequest> requests);
+  /// exact trainings, and keeps `context` in the plan for ValuateBatch.
+  /// Runs on the caller thread and consumes the oracle's policy randomness
+  /// in request order, so the plan is a pure function of the oracle state
+  /// and the request sequence; `context.record_cache` only turns planned
+  /// exact trainings into replays.
+  BatchPlan PrepareBatch(std::vector<ValuationRequest> requests,
+                         ValuationContext context = {});
 
   /// Executes a plan: exact model trainings run via ParallelFor over
-  /// `pool` (inline when null/single-threaded); the post-batch commit —
-  /// stats, record-store ingestion, surrogate retraining, surrogate
-  /// predictions — happens on the caller thread in request order. Returns
-  /// one Result per request, aligned with `plan.requests`.
-  std::vector<Result<Evaluation>> ValuateBatch(BatchPlan plan,
-                                               ThreadPool* pool);
+  /// `plan.context.pool` (inline when null/single-threaded); the
+  /// post-batch commit — stats, record-store ingestion, surrogate
+  /// retraining, surrogate predictions — happens on the caller thread in
+  /// request order, and a context cache is flushed once at its end.
+  /// Returns one Result per request, aligned with `plan.requests`.
+  std::vector<Result<Evaluation>> ValuateBatch(BatchPlan plan);
 
   const std::vector<MeasureSpec>& measures() const {
     return evaluator_->measures();
@@ -186,51 +224,6 @@ class PerformanceOracle {
   const Stats& stats() const { return stats_; }
   const TestRecordStore& store() const { return store_; }
 
-  /// Attaches (or detaches, with nullptr) a cross-run persistent record
-  /// cache. Not owned; the caller (normally ModisEngine, or the discovery
-  /// service via the engine) keeps it alive for the duration of the
-  /// attachment. `fingerprint` scopes every probe/fetch/store to this
-  /// task's records — the cache object itself may be shared by sessions
-  /// of many tasks. `write_through` false serves hits but never appends
-  /// (a per-session kRead view of a shared read-write cache). With a
-  /// cache attached, states whose exact training a prior run already paid
-  /// for are replayed instead of re-trained — see
-  /// BatchPlan::Mode::kPersistent.
-  void AttachRecordCache(PersistentRecordCache* cache,
-                         uint64_t fingerprint = 0,
-                         bool write_through = true) {
-    record_cache_ = cache;
-    record_cache_fp_ = fingerprint;
-    record_cache_write_ = write_through;
-  }
-  PersistentRecordCache* record_cache() const { return record_cache_; }
-
-  /// Attaches (or detaches, with nullptr) a cross-query training fuser.
-  /// Not owned; normally the DiscoveryService's, routed through the
-  /// engine. `fingerprint` must be the same task fingerprint that scopes
-  /// the record cache — it is what makes sharing trainings across queries
-  /// sound (identical data, layout, measures, and model identity train
-  /// identically). With a fuser attached, exact trainings requested by
-  /// concurrent queries for the same (fingerprint, state) run once; the
-  /// other queries count a `fused_hit` instead of an `exact_eval`.
-  void AttachTrainingFuser(TrainingFuser* fuser, uint64_t fingerprint = 0) {
-    fuser_ = fuser;
-    fuser_fp_ = fingerprint;
-  }
-  TrainingFuser* training_fuser() const { return fuser_; }
-
-  /// Attaches (or detaches, with nullptr) the current query's span
-  /// recorder. Not owned; the engine sets it for the duration of one
-  /// PrepareBatch/ValuateBatch pair, with `parent` the batch span the
-  /// oracle's plan/train/commit/flush spans nest under. Recording is
-  /// side-effect-free with respect to valuation: no policy randomness is
-  /// consumed and no work is reordered.
-  void SetTraceContext(TraceRecorder* trace, SpanId parent) {
-    trace_ = trace;
-    trace_parent_ = parent;
-  }
-  TraceRecorder* trace_recorder() const { return trace_; }
-
  private:
   /// Per-request outcome of an exact training. Slots of a batch are
   /// pre-initialized to an error so indices skipped after a worker
@@ -248,44 +241,31 @@ class PerformanceOracle {
   };
 
   /// One exact training — materialize the row mask, then train the real
-  /// model on the view it selects — routed through the attached
+  /// model on the view it selects — routed through the context's
   /// TrainingFuser when present. Safe to call from a worker thread: it
   /// touches no oracle state (stats are committed by the caller from the
   /// returned outcome).
-  ExactOutcome RunExactOne(const ValuationRequest& req) const;
+  ExactOutcome RunExactOne(const ValuationRequest& req,
+                           const ValuationContext& ctx) const;
 
   /// The fan-out half of ValuateBatch: every kExact request trains via
-  /// RunExactOne, spread over `pool`. Workers only touch their own slot —
-  /// all oracle state mutation happens in the caller's commit pass.
-  std::vector<ExactOutcome> RunExactTrainings(const BatchPlan& plan,
-                                              ThreadPool* pool) const;
+  /// RunExactOne, spread over the plan's pool. Workers only touch their
+  /// own slot — all oracle state mutation happens in the caller's commit
+  /// pass.
+  std::vector<ExactOutcome> RunExactTrainings(const BatchPlan& plan) const;
 
   /// The one commit of an exact-policy valuation. With `trained` (a kExact
   /// slot of the fan-out) it takes that training's result; without, it
-  /// replays the record cache's evaluation or, on a miss, trains inline on
+  /// replays the context cache's evaluation or, on a miss, trains inline on
   /// the caller thread. Either way it counts the outcome (exact_evals,
   /// fused_hits, persistent_hits or failed_evals), shadow-predicts it with
   /// a trained surrogate, adds it to T, and writes a fresh training through
-  /// to the record cache. A replay stands in for the deterministic training
-  /// that recorded it, so everything downstream is identical to a cold run.
+  /// to the context cache. A replay stands in for the deterministic
+  /// training that recorded it, so everything downstream is identical to a
+  /// cold run.
   Result<Evaluation> CommitExact(const ValuationRequest& req,
+                                 const ValuationContext& ctx,
                                  ExactOutcome* trained);
-
-  /// True when the attached cache holds `key`. The plan-time probe; does
-  /// not count a cache hit (the commit's PersistentFetch does), but
-  /// refreshes the record's recency so a byte-bounded shared cache
-  /// prefers other eviction victims between this plan and its commit.
-  bool PersistentContains(const std::string& key) const;
-  /// Copies the recorded evaluation for `key` into `*out`; false on miss.
-  /// Copying (not pointing into the cache) is what makes a cache shared
-  /// by concurrent sessions safe to serve from.
-  bool PersistentFetch(const std::string& key, Evaluation* out);
-  /// Writes a freshly trained record through to the attached cache.
-  void PersistentStore(const std::string& key,
-                       const std::vector<double>& features,
-                       const Evaluation& eval);
-  /// Flushes cache appends; called once per batch commit.
-  void FlushPersistent();
 
   /// Refits the surrogate on T when the bootstrap budget or the retrain
   /// interval is reached; a no-op in exact mode. A failed refit is logged
@@ -293,16 +273,6 @@ class PerformanceOracle {
   /// until a later commit's refit succeeds.
   void MaybeRetrain();
   Evaluation PredictEvaluation(const std::vector<double>& features) const;
-
-  /// Begins a span under the attached trace context; kNoSpan when no
-  /// recorder is attached (End/AddAttr on kNoSpan are no-ops, so call
-  /// sites stay branch-free).
-  SpanId BeginTraceSpan(const char* name) const {
-    return trace_ != nullptr ? trace_->Begin(name, trace_parent_) : kNoSpan;
-  }
-  void EndTraceSpan(SpanId id) const {
-    if (trace_ != nullptr) trace_->End(id);
-  }
 
   TaskEvaluator* evaluator_;
   /// False in exact mode; `options_` then only seeds unused members.
@@ -316,13 +286,6 @@ class PerformanceOracle {
 
   Stats stats_;
   TestRecordStore store_;
-  PersistentRecordCache* record_cache_ = nullptr;
-  uint64_t record_cache_fp_ = 0;
-  bool record_cache_write_ = true;
-  TrainingFuser* fuser_ = nullptr;
-  uint64_t fuser_fp_ = 0;
-  TraceRecorder* trace_ = nullptr;
-  SpanId trace_parent_ = kNoSpan;
 };
 
 }  // namespace modis

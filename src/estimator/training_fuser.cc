@@ -20,7 +20,6 @@ TrainingFuser::Outcome TrainingFuser::Train(uint64_t fingerprint,
     auto memo_it = memo_index_.find(fused_key);
     if (memo_it != memo_index_.end()) {
       memo_lru_.splice(memo_lru_.begin(), memo_lru_, memo_it->second);
-      ++stats_.trainings_shared;
       Outcome out;
       out.result = memo_it->second->second;
       out.shared = true;
@@ -29,7 +28,6 @@ TrainingFuser::Outcome TrainingFuser::Train(uint64_t fingerprint,
     auto it = in_flight_.find(fused_key);
     if (it != in_flight_.end()) {
       wait_on = it->second;
-      ++stats_.trainings_shared;
     } else {
       in_flight_.emplace(fused_key, promise.get_future().share());
     }
@@ -50,11 +48,10 @@ TrainingFuser::Outcome TrainingFuser::Train(uint64_t fingerprint,
   out.seconds = timer.Seconds();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.trainings_executed;
-    if (out.result.ok() && options_.memo_capacity > 0) {
+    if (out.result.ok()) {
       memo_lru_.emplace_front(fused_key, out.result);
       memo_index_[fused_key] = memo_lru_.begin();
-      while (memo_lru_.size() > options_.memo_capacity) {
+      while (memo_lru_.size() > kMemoCapacity) {
         memo_index_.erase(memo_lru_.back().first);
         memo_lru_.pop_back();
       }
@@ -63,11 +60,6 @@ TrainingFuser::Outcome TrainingFuser::Train(uint64_t fingerprint,
   }
   promise.set_value(out.result);
   return out;
-}
-
-TrainingFuser::Stats TrainingFuser::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
 }
 
 }  // namespace modis

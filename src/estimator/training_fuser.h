@@ -30,15 +30,13 @@ namespace modis {
 /// Leadership is claimed at execution time and leaders never wait on the
 /// fuser, so waiters always sit behind a thread that is actively training
 /// — no cycle, no deadlock, regardless of how many pool workers block.
-/// Completed results are memoized in a bounded LRU so overlapping queries
-/// that do not overlap in *time* still train each unique state once.
+/// Completed results are memoized in an LRU of kMemoCapacity entries so
+/// overlapping queries that do not overlap in *time* still train each
+/// unique state once.
 class TrainingFuser {
  public:
-  struct Options {
-    /// Completed trainings kept in the LRU memo. 0 disables the memo:
-    /// only temporally overlapping trainings fuse.
-    size_t memo_capacity = 4096;
-  };
+  /// Completed trainings kept in the LRU memo.
+  static constexpr size_t kMemoCapacity = 4096;
 
   /// The outcome of one Train call.
   struct Outcome {
@@ -53,15 +51,6 @@ class TrainingFuser {
 
   using TrainFn = std::function<Result<Evaluation>()>;
 
-  /// Host-wide counters (monotonic, over the fuser's lifetime).
-  struct Stats {
-    uint64_t trainings_executed = 0;
-    uint64_t trainings_shared = 0;
-  };
-
-  TrainingFuser() = default;
-  explicit TrainingFuser(Options options) : options_(options) {}
-
   /// Runs (or joins) the exact training identified by (fingerprint, key):
   /// executes `train` at most once across all concurrent callers of the
   /// pair and hands everyone the same result. Failed trainings are shared
@@ -70,22 +59,18 @@ class TrainingFuser {
   Outcome Train(uint64_t fingerprint, const std::string& key,
                 const TrainFn& train);
 
-  Stats stats() const;
-
  private:
   using MemoEntry = std::pair<std::string, Result<Evaluation>>;
 
   static std::string FusedKey(uint64_t fingerprint, const std::string& key);
 
-  mutable std::mutex mu_;
-  Options options_;
+  std::mutex mu_;
   /// Trainings currently executing, by fused key; waiters share the future.
   std::unordered_map<std::string, std::shared_future<Result<Evaluation>>>
       in_flight_;
   /// Completed OK trainings, LRU-bounded. Front = most recently used.
   std::list<MemoEntry> memo_lru_;
   std::unordered_map<std::string, std::list<MemoEntry>::iterator> memo_index_;
-  Stats stats_;
 };
 
 }  // namespace modis

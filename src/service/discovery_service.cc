@@ -70,7 +70,7 @@ Result<DiscoveryResponse> RunQuery(const DiscoveryRequest& request,
                                    const SearchUniverse& universe,
                                    SupervisedEvaluator* evaluator,
                                    const ModisConfig& config,
-                                   EngineRuntime runtime) {
+                                   ValuationContext context) {
   std::optional<SurrogateOptions> surrogate;
   if (request.oracle == "gbm") {
     surrogate = SurrogateOptions{};
@@ -81,7 +81,7 @@ Result<DiscoveryResponse> RunQuery(const DiscoveryRequest& request,
   PerformanceOracle oracle(evaluator, surrogate);
 
   WallTimer run_timer;
-  ModisEngine engine(&universe, &oracle, config, runtime);
+  ModisEngine engine(&universe, &oracle, config, context);
   MODIS_ASSIGN_OR_RETURN(ModisResult result, engine.Run());
 
   DiscoveryResponse response;
@@ -149,8 +149,7 @@ DiscoveryService::DiscoveryService(Options options,
       // In pool mode the valuation fan-out runs in the workers.
       pool_(workers != nullptr ? 1 : options.valuation_threads),
       workers_(std::move(workers)),
-      trace_ring_(options.trace_recent_capacity,
-                  options.trace_slow_capacity) {
+      trace_ring_(options.trace_ring_capacity) {
   qos_enabled_ = !options_.tenants.empty();
   if (qos_enabled_) {
     const auto now = std::chrono::steady_clock::now();
@@ -313,10 +312,11 @@ Result<PersistentRecordCache*> DiscoveryService::GetCache(
     return it->second.get();
   }
   // The host opens every shared cache read-write (it owns the file and
-  // the writer lock); per-query kRead is enforced as a no-append view at
-  // attach time (EngineRuntime + ModisConfig::cache_mode). A worker
-  // process (no sessions) instead takes a lock-free shared attachment so
-  // the whole pool can serve the one file (docs/MULTIPROCESS.md).
+  // the writer lock); per-query kRead is enforced as a no-append view by
+  // the engine (ModisConfig::cache_mode sets ValuationContext's
+  // write_through). A worker process (no sessions) instead takes a
+  // lock-free shared attachment so the whole pool can serve the one file
+  // (docs/MULTIPROCESS.md).
   PersistentRecordCache::Options cache_options;
   cache_options.max_bytes = options_.cache_max_bytes;
   auto opened =
@@ -362,16 +362,16 @@ Result<DiscoveryResponse> DiscoveryService::Execute(
   }
   config.cache_mode = mode;
 
-  EngineRuntime runtime;
-  runtime.pool = &pool_;
-  runtime.record_cache = cache;
-  runtime.fuser = &fuser_;
+  ValuationContext lent;
+  lent.pool = &pool_;
+  lent.record_cache = cache;
+  lent.fuser = &fuser_;
   const SpanId run_span =
       trace != nullptr ? trace->Begin("run", root) : kNoSpan;
-  runtime.trace = trace;
-  runtime.trace_parent = run_span;
+  lent.trace = trace;
+  lent.trace_parent = run_span;
   auto response = RunQuery(request, context->bench.name, context->universe,
-                           &evaluator, config, runtime);
+                           &evaluator, config, lent);
   if (trace != nullptr) trace->End(run_span);
   return response;
 }
@@ -404,7 +404,7 @@ Result<DiscoveryResponse> DiscoveryService::AnswerDetached(
   MODIS_ASSIGN_OR_RETURN(
       DiscoveryResponse response,
       RunQuery(request, bench.name, universe, &evaluator, config,
-               EngineRuntime{}));
+               ValuationContext{}));
   response.total_ms = total.Millis();
   return response;
 }

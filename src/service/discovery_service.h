@@ -130,9 +130,10 @@ struct DiscoveryResponse {
 ///
 /// Concurrency contract: `sessions` threads drain the queue; each
 /// query gets its own evaluator + oracle + ModisEngine over the shared
-/// universe/pool/cache (EngineRuntime). Because every recorded evaluation
-/// replays exactly what the deterministic training that produced it
-/// returned, queries whose measure set excludes wall-clock measures
+/// universe, lent the shared pool, cache and fuser through a
+/// ValuationContext. Because every recorded evaluation replays exactly
+/// what the deterministic training that produced it returned, queries
+/// whose measure set excludes wall-clock measures
 /// produce skylines byte-identical to a serial execution, no matter how
 /// the concurrent sessions interleave on the shared cache — the property
 /// tests/service_test.cc pins down. Submit() fails fast with
@@ -195,8 +196,7 @@ class DiscoveryService {
     double slow_query_ms = 0.0;
     /// Completed-trace retention: the N most recent and the N slowest
     /// traces, served by GET /v1/debug/traces.
-    size_t trace_recent_capacity = 16;
-    size_t trace_slow_capacity = 16;
+    size_t trace_ring_capacity = 16;
   };
 
   struct Stats {
@@ -354,7 +354,7 @@ class DiscoveryService {
   Options options_;
   ThreadPool pool_;
   /// Cross-query exact-training fuser shared by every engine the service
-  /// constructs (EngineRuntime::fuser). Engines scope it by their own
+  /// constructs (ValuationContext::fuser). Engines scope it by their own
   /// TaskFingerprint, so only queries over identical data, layout,
   /// measures, and model identity ever share a training. Declared before
   /// the session threads so it outlives every engine they run.

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "core/algorithms.h"
 #include "datagen/tasks.h"
 #include "estimator/link_evaluator.h"
@@ -9,6 +11,7 @@
 #include "ml/metrics.h"
 #include "ml/multi_output_gbm.h"
 #include "ml/random_forest.h"
+#include "storage/persistent_record_cache.h"
 
 namespace modis {
 namespace {
@@ -341,7 +344,7 @@ TEST(ExactModeOracleBatchTest, PlansCacheHitsAndCommitsInOrder) {
   EXPECT_EQ(plan.modes[2], BatchPlan::Mode::kExact);
   EXPECT_EQ(plan.exact_count, 2u);
 
-  auto results = oracle.ValuateBatch(std::move(plan), nullptr);
+  auto results = oracle.ValuateBatch(std::move(plan));
   ASSERT_EQ(results.size(), 3u);
   ASSERT_TRUE(results[0].ok());
   EXPECT_EQ(results[0]->normalized, warm->normalized);
@@ -352,6 +355,48 @@ TEST(ExactModeOracleBatchTest, PlansCacheHitsAndCommitsInOrder) {
   EXPECT_EQ(oracle.stats().exact_evals, 2u);  // warm + "b".
   EXPECT_EQ(oracle.stats().failed_evals, 1u);
   EXPECT_EQ(oracle.store().size(), 2u);
+}
+
+/// What a batch borrows lives in its plan, never in the oracle: one oracle
+/// valuates a batch in a context that names a record cache, then a batch
+/// in an empty context, and the second neither replays from nor writes
+/// into the first one's cache.
+TEST(ExactModeOracleBatchTest, ContextLivesInThePlanNotTheOracle) {
+  constexpr uint64_t kFingerprint = 0xF00D;
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "context_plan.rlog")
+          .string();
+  std::filesystem::remove(path);
+  auto cache = PersistentRecordCache::Open(path, CacheMode::kReadWrite,
+                                           kFingerprint);
+  ASSERT_TRUE(cache.ok()) << cache.status().ToString();
+  StubEvaluator evaluator;
+  const ValuationRequest a = StubRequest("a", 4, 0.0);
+  auto recorded = PerformanceOracle(&evaluator).Valuate(a);
+  ASSERT_TRUE(recorded.ok());
+  (*cache)->Insert(kFingerprint, a.key, a.features, recorded.value());
+
+  PerformanceOracle oracle(&evaluator);
+  ValuationContext context;
+  context.record_cache = cache->get();
+  context.write_through = true;
+  context.fingerprint = kFingerprint;
+  BatchPlan replay = oracle.PrepareBatch({a}, context);
+  ASSERT_EQ(replay.modes[0], BatchPlan::Mode::kPersistent);
+  auto replayed = oracle.ValuateBatch(std::move(replay));
+  ASSERT_TRUE(replayed[0].ok());
+  EXPECT_EQ(replayed[0]->normalized, recorded->normalized);
+  EXPECT_EQ(oracle.stats().persistent_hits, 1u);
+  EXPECT_EQ(oracle.stats().exact_evals, 0u);
+
+  BatchPlan fresh = oracle.PrepareBatch({StubRequest("b", 9, 1.0)});
+  EXPECT_EQ(fresh.context.record_cache, nullptr);
+  ASSERT_EQ(fresh.modes[0], BatchPlan::Mode::kExact);
+  auto trained = oracle.ValuateBatch(std::move(fresh));
+  ASSERT_TRUE(trained[0].ok());
+  EXPECT_EQ(oracle.stats().persistent_hits, 1u);
+  EXPECT_EQ(oracle.stats().exact_evals, 1u);
+  EXPECT_FALSE((*cache)->Touch(kFingerprint, "b"));
 }
 
 TEST(SurrogateOracleBatchTest, BootstrapShortfallFallsBackToExact) {
@@ -380,7 +425,7 @@ TEST(SurrogateOracleBatchTest, BootstrapShortfallFallsBackToExact) {
   }
   EXPECT_EQ(exact_planned, 4u);  // The projected bootstrap.
 
-  auto results = oracle.ValuateBatch(std::move(plan), nullptr);
+  auto results = oracle.ValuateBatch(std::move(plan));
   ASSERT_EQ(results.size(), 8u);
   for (size_t i = 0; i < results.size(); ++i) {
     if (i == 2) {
@@ -429,7 +474,7 @@ TEST(PerformanceOracleTest, ValuateIsAOneRequestBatch) {
   for (const ValuationRequest& req : stream) {
     Result<Evaluation> a = single.Valuate(req);
     std::vector<Result<Evaluation>> b =
-        batched.ValuateBatch(batched.PrepareBatch({req}), nullptr);
+        batched.ValuateBatch(batched.PrepareBatch({req}));
     ASSERT_EQ(b.size(), 1u);
     ASSERT_EQ(a.ok(), b[0].ok()) << req.key;
     if (a.ok()) {
@@ -472,7 +517,7 @@ TEST(PerformanceOracleTest, ExactModeNeverTouchesTheSurrogate) {
   for (BatchPlan::Mode mode : plan.modes) {
     EXPECT_EQ(mode, BatchPlan::Mode::kExact);
   }
-  for (const auto& r : batched.ValuateBatch(std::move(plan), nullptr)) {
+  for (const auto& r : batched.ValuateBatch(std::move(plan))) {
     ASSERT_TRUE(r.ok());
   }
   // A second pass over the same states is all cache hits.
@@ -517,8 +562,7 @@ TEST(SurrogateOracleTest, FailedRefitFallsBackToExact) {
                                  static_cast<double>(i)));
     EXPECT_TRUE(single.Valuate(stream.back()).ok()) << i;
   }
-  for (const auto& r :
-       batched.ValuateBatch(batched.PrepareBatch(stream), nullptr)) {
+  for (const auto& r : batched.ValuateBatch(batched.PrepareBatch(stream))) {
     EXPECT_TRUE(r.ok());
   }
   for (const PerformanceOracle* oracle : {&single, &batched}) {
