@@ -45,6 +45,7 @@
 
 #include "service/discovery_service.h"
 #include "service/http.h"
+#include "service/json.h"
 #include "service/qos.h"
 #include "service/wire.h"
 
@@ -165,26 +166,30 @@ void PrintJson(const std::vector<PhaseResult>& phases, double cold_p50) {
   for (size_t i = 0; i < phases.size(); ++i) {
     const PhaseResult& r = phases[i];
     const double p50 = Percentile(r.latencies_ms, 0.50);
-    const double p99 = Percentile(r.latencies_ms, 0.99);
     const double speedup =
         r.mode == "cold_process" || cold_p50 <= 0.0
             ? 1.0
             : cold_p50 / std::max(p50, 1e-9);
-    std::string extra;
+    JsonValue::Object doc = {
+        {"bench", "serving"},
+        {"mode", r.mode},
+        {"clients", r.clients},
+        {"queries", r.queries},
+        {"qps", r.Qps()},
+        {"p50_ms", p50},
+        {"p99_ms", Percentile(r.latencies_ms, 0.99)},
+        {"exact_evals", r.exact_evals},
+        {"persistent_hits", r.persistent_hits},
+        {"fused_hits", r.fused_hits},
+        {"speedup_p50_vs_cold", speedup},
+    };
     if (!r.tenant.empty()) {
-      extra += ", \"tenant\": \"" + r.tenant + "\", \"offered\": " +
-               std::to_string(r.offered) + ", \"shed\": " +
-               std::to_string(r.shed);
+      doc.emplace_back("tenant", r.tenant);
+      doc.emplace_back("offered", r.offered);
+      doc.emplace_back("shed", r.shed);
     }
-    std::printf(
-        "  {\"bench\": \"serving\", \"mode\": \"%s\", \"clients\": %zu, "
-        "\"queries\": %zu, \"qps\": %.3f, \"p50_ms\": %.3f, "
-        "\"p99_ms\": %.3f, \"exact_evals\": %zu, "
-        "\"persistent_hits\": %zu, \"fused_hits\": %zu, "
-        "\"speedup_p50_vs_cold\": %.3f%s}%s\n",
-        r.mode.c_str(), r.clients, r.queries, r.Qps(), p50, p99,
-        r.exact_evals, r.persistent_hits, r.fused_hits, speedup,
-        extra.c_str(), i + 1 < phases.size() ? "," : "");
+    std::printf("  %s%s\n", JsonValue(std::move(doc)).Dump().c_str(),
+                i + 1 < phases.size() ? "," : "");
   }
   std::printf("]\n");
 }

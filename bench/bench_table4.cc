@@ -96,6 +96,6 @@ int main(int argc, char** argv) {
   s = modis::bench::RunTask(opts, &records, modis::BenchTaskId::kMental,
                             0.35, "acc", /*surrogate=*/true);
   if (!s.ok()) std::fprintf(stderr, "T4 failed: %s\n", s.ToString().c_str());
-  if (opts.json) modis::bench::PrintJsonMethodRecords(records);
+  if (opts.json) modis::bench::PrintJsonRecords(records);
   return 0;
 }

@@ -61,7 +61,7 @@ Status Run(const BenchOptions& bench_opts) {
       records.push_back(
           MakeMethodRecord("table5", "", "T5", m, bench.task.measures));
     }
-    PrintJsonMethodRecords(records);
+    PrintJsonRecords(records);
     return Status::OK();
   }
   PrintMethodTable("Table 5 / T5 link regression (select by best p@5)",

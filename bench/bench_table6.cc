@@ -92,6 +92,6 @@ int main(int argc, char** argv) {
   s = modis::bench::RunTask(opts, &records, modis::BenchTaskId::kAvocado,
                             0.4, "mse", /*surrogate=*/false);
   if (!s.ok()) std::fprintf(stderr, "T3 failed: %s\n", s.ToString().c_str());
-  if (opts.json) modis::bench::PrintJsonMethodRecords(records);
+  if (opts.json) modis::bench::PrintJsonRecords(records);
   return 0;
 }

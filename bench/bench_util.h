@@ -4,8 +4,8 @@
 /// Shared scaffolding for the experiment-reproduction binaries: running the
 /// four MODis algorithms over a wired bench task, selecting the reporting
 /// table from a skyline (best *estimated* value of a chosen measure, then
-/// actual model inference — the paper's Exp-1 protocol), and fixed-width
-/// table printing.
+/// actual model inference — the paper's Exp-1 protocol), fixed-width
+/// table printing, and the --json record arrays.
 
 #include <algorithm>
 #include <cstdio>
@@ -20,6 +20,7 @@
 #include "common/strings.h"
 #include "core/algorithms.h"
 #include "datagen/tasks.h"
+#include "service/json.h"
 
 namespace modis::bench {
 
@@ -170,42 +171,42 @@ inline RunRecord MakeRunRecord(std::string bench_name, std::string panel,
   return rec;
 }
 
-inline std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) continue;  // Drop controls.
-    out.push_back(c);
+inline JsonValue ToJson(const RunRecord& r) {
+  JsonValue::Object doc = {
+      {"bench", r.bench},
+      {"panel", r.panel},
+      {"task", r.task},
+      {"variant", r.variant},
+      {"param", r.param},
+      {"param_value", r.param_value},
+      {"wall_ms", r.wall_ms},
+      {"num_threads", r.num_threads},
+      {"exact_evals", r.exact_evals},
+      {"surrogate_evals", r.surrogate_evals},
+      {"cache_hits", r.cache_hits},
+      {"persistent_hits", r.persistent_hits},
+      {"warm_hit_rate", WarmHitRate(r)},
+      {"failed_evals", r.failed_evals},
+      {"valuated_states", r.valuated_states},
+      {"generated_states", r.generated_states},
+      {"pruned_states", r.pruned_states},
+  };
+  if (!r.metric.empty()) {
+    doc.emplace_back("metric", r.metric);
+    doc.emplace_back("metric_value", r.metric_value);
   }
-  return out;
+  return doc;
 }
 
-/// Prints the records as one JSON array on stdout. In --json mode this is
+/// Prints the records as one JSON array on stdout, one record per line so
+/// diffs of committed outputs stay line-oriented. In --json mode this is
 /// the binary's entire output, so downstream tooling can `json.load` it.
-inline void PrintJsonRecords(const std::vector<RunRecord>& records) {
+template <typename Record>
+void PrintJsonRecords(const std::vector<Record>& records) {
   std::printf("[\n");
   for (size_t i = 0; i < records.size(); ++i) {
-    const RunRecord& r = records[i];
-    std::printf(
-        "  {\"bench\": \"%s\", \"panel\": \"%s\", \"task\": \"%s\", "
-        "\"variant\": \"%s\", \"param\": \"%s\", \"param_value\": %g, "
-        "\"wall_ms\": %.3f, \"num_threads\": %zu, \"exact_evals\": %zu, "
-        "\"surrogate_evals\": %zu, \"cache_hits\": %zu, "
-        "\"persistent_hits\": %zu, \"warm_hit_rate\": %.4f, "
-        "\"failed_evals\": %zu, \"valuated_states\": %zu, "
-        "\"generated_states\": %zu, \"pruned_states\": %zu",
-        JsonEscape(r.bench).c_str(), JsonEscape(r.panel).c_str(),
-        JsonEscape(r.task).c_str(), JsonEscape(r.variant).c_str(),
-        JsonEscape(r.param).c_str(), r.param_value, r.wall_ms,
-        r.num_threads, r.exact_evals, r.surrogate_evals, r.cache_hits,
-        r.persistent_hits, WarmHitRate(r), r.failed_evals,
-        r.valuated_states, r.generated_states, r.pruned_states);
-    if (!r.metric.empty()) {
-      std::printf(", \"metric\": \"%s\", \"metric_value\": %g",
-                  JsonEscape(r.metric).c_str(), r.metric_value);
-    }
-    std::printf("}%s\n", i + 1 < records.size() ? "," : "");
+    std::printf("  %s%s\n", ToJson(records[i]).Dump().c_str(),
+                i + 1 < records.size() ? "," : "");
   }
   std::printf("]\n");
 }
@@ -295,28 +296,23 @@ inline MethodRecord MakeMethodRecord(std::string bench_name,
   return rec;
 }
 
-/// Prints method records as one JSON array (measures as a name->raw-value
-/// object per record).
-inline void PrintJsonMethodRecords(const std::vector<MethodRecord>& records) {
-  std::printf("[\n");
-  for (size_t i = 0; i < records.size(); ++i) {
-    const MethodRecord& r = records[i];
-    std::printf(
-        "  {\"bench\": \"%s\", \"panel\": \"%s\", \"task\": \"%s\", "
-        "\"variant\": \"%s\", \"measures\": {",
-        JsonEscape(r.bench).c_str(), JsonEscape(r.panel).c_str(),
-        JsonEscape(r.task).c_str(), JsonEscape(r.variant).c_str());
-    const size_t n = std::min(r.measure_names.size(), r.raw.size());
-    for (size_t j = 0; j < n; ++j) {
-      std::printf("\"%s\": %g%s", JsonEscape(r.measure_names[j]).c_str(),
-                  r.raw[j], j + 1 < n ? ", " : "");
-    }
-    std::printf(
-        "}, \"rows\": %zu, \"cols\": %zu, \"discovery_seconds\": %.3f}%s\n",
-        r.rows, r.cols, r.discovery_seconds,
-        i + 1 < records.size() ? "," : "");
+/// Measures as a name->raw-value object.
+inline JsonValue ToJson(const MethodRecord& r) {
+  JsonValue::Object measures;
+  const size_t n = std::min(r.measure_names.size(), r.raw.size());
+  for (size_t j = 0; j < n; ++j) {
+    measures.emplace_back(r.measure_names[j], r.raw[j]);
   }
-  std::printf("]\n");
+  return JsonValue::Object{
+      {"bench", r.bench},
+      {"panel", r.panel},
+      {"task", r.task},
+      {"variant", r.variant},
+      {"measures", std::move(measures)},
+      {"rows", r.rows},
+      {"cols", r.cols},
+      {"discovery_seconds", r.discovery_seconds},
+  };
 }
 
 /// Picks the skyline entry with the best (lowest normalized) estimated

@@ -19,8 +19,6 @@
 ///             [--cache PATH]     default record-cache file
 ///             [--cache-mode M]   off | read | read_write (default)
 ///             [--cache-max-bytes N]  byte budget (default 256 MiB; 0 = off)
-///             [--max-task-contexts N]  LRU cap on live contexts (0 = off)
-///             [--context-ttl S]  idle context TTL in seconds (0 = off)
 ///             [--row-scale S]    bench-lake row scale (default 1.0)
 ///             [--http]           accepted and ignored: HTTP is always on
 ///             [--tenant SPEC]    QoS tenant (repeatable); SPEC is
@@ -88,8 +86,6 @@ struct Args {
   std::string cache;
   std::string cache_mode = "read_write";
   uint64_t cache_max_bytes = DiscoveryService::Options::kDefaultCacheMaxBytes;
-  size_t max_task_contexts = 0;
-  double context_ttl = 0.0;
   double row_scale = 1.0;
   std::vector<TenantSpec> tenants;
   std::string log_level = "info";
@@ -144,10 +140,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       ok = next(&args->cache_mode);
     } else if (flag == "--cache-max-bytes") {
       ok = number(uint64_t{0}, uint64_t{INT64_MAX}, &args->cache_max_bytes);
-    } else if (flag == "--max-task-contexts") {
-      ok = number(size_t{0}, kMaxCount, &args->max_task_contexts);
-    } else if (flag == "--context-ttl") {
-      ok = number(0.0, 1e9, &args->context_ttl);
     } else if (flag == "--row-scale") {
       ok = number(1e-6, 1e3, &args->row_scale);
     } else if (flag == "--http") {
@@ -247,8 +239,6 @@ int main(int argc, char** argv) {
   options.valuation_threads = args.threads;
   options.default_cache_path = args.cache;
   options.cache_max_bytes = args.cache_max_bytes;
-  options.max_task_contexts = args.max_task_contexts;
-  options.context_idle_ttl_s = args.context_ttl;
   options.task_row_scale = args.row_scale;
   options.tenants = args.tenants;
   options.slow_query_ms = args.slow_query_ms;

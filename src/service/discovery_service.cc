@@ -36,29 +36,33 @@ Result<BenchTaskId> ParseBenchTask(const std::string& name) {
 }
 
 /// The task's measure set filtered to the requested names, in the task's
-/// canonical order (so permuted requests share one fingerprint).
+/// canonical order (so permuted requests share one fingerprint). An
+/// unknown or repeated name is rejected by name.
 Result<std::vector<MeasureSpec>> FilterMeasures(
     const std::vector<MeasureSpec>& all,
     const std::vector<std::string>& wanted) {
   if (wanted.empty()) return all;
-  std::vector<MeasureSpec> filtered;
-  for (const MeasureSpec& m : all) {
-    for (const std::string& name : wanted) {
-      if (m.name == name) {
-        filtered.push_back(m);
-        break;
+  std::vector<bool> picked(all.size(), false);
+  for (const std::string& name : wanted) {
+    size_t i = 0;
+    while (i < all.size() && all[i].name != name) ++i;
+    if (i == all.size()) {
+      std::string known;
+      for (const MeasureSpec& m : all) {
+        if (!known.empty()) known += ", ";
+        known += m.name;
       }
+      return Status::InvalidArgument("unknown measure '" + name +
+                                     "' (task measures: " + known + ")");
     }
+    if (picked[i]) {
+      return Status::InvalidArgument("measure '" + name + "' listed twice");
+    }
+    picked[i] = true;
   }
-  if (filtered.size() != wanted.size()) {
-    std::string known;
-    for (const MeasureSpec& m : all) {
-      if (!known.empty()) known += ", ";
-      known += m.name;
-    }
-    return Status::InvalidArgument(
-        "request names a measure the task does not have (task measures: " +
-        known + ")");
+  std::vector<MeasureSpec> filtered;
+  for (size_t i = 0; i < all.size(); ++i) {
+    if (picked[i]) filtered.push_back(all[i]);
   }
   return filtered;
 }
@@ -218,57 +222,13 @@ Status DiscoveryService::Preload(const std::string& tasks) {
   return first;
 }
 
-void DiscoveryService::EvictContextsLocked(const std::string& keep,
-                                           size_t reserve) {
-  // Idle TTL first: drop every context (other than the one being looked
-  // up) whose last query is older than the TTL.
-  if (options_.context_idle_ttl_s > 0.0) {
-    const auto now = std::chrono::steady_clock::now();
-    const auto ttl = std::chrono::duration<double>(
-        options_.context_idle_ttl_s);
-    for (auto it = contexts_.begin(); it != contexts_.end();) {
-      if (it->first != keep && now - it->second->last_used_at > ttl) {
-        it = contexts_.erase(it);
-        metrics_.context_evictions.fetch_add(1);
-      } else {
-        ++it;
-      }
-    }
-  }
-  // LRU cap: evict oldest-by-last-query until the map (plus the entry
-  // about to be inserted, when `reserve` is 1) fits. A lookup that hits
-  // passes reserve 0 and evicts nothing at exactly the cap — a cap of N
-  // really holds N contexts.
-  if (options_.max_task_contexts == 0) return;
-  while (contexts_.size() + reserve > options_.max_task_contexts) {
-    auto victim = contexts_.end();
-    for (auto it = contexts_.begin(); it != contexts_.end(); ++it) {
-      if (it->first == keep) continue;
-      if (victim == contexts_.end() ||
-          it->second->last_used_tick < victim->second->last_used_tick) {
-        victim = it;
-      }
-    }
-    if (victim == contexts_.end()) return;  // Only `keep` is left.
-    contexts_.erase(victim);
-    metrics_.context_evictions.fetch_add(1);
-  }
-}
-
-Result<std::shared_ptr<DiscoveryService::TaskContext>>
-DiscoveryService::GetContext(const std::string& task) {
+Result<const DiscoveryService::TaskContext*> DiscoveryService::GetContext(
+    const std::string& task) {
   MODIS_ASSIGN_OR_RETURN(BenchTaskId id, ParseBenchTask(task));
   const std::string canonical = BenchTaskName(id);
   std::lock_guard<std::mutex> lock(context_mu_);
-  const uint64_t tick = ++context_tick_;
-  const auto now = std::chrono::steady_clock::now();
   auto it = contexts_.find(canonical);
-  if (it != contexts_.end()) {
-    it->second->last_used_tick = tick;
-    it->second->last_used_at = now;
-    EvictContextsLocked(canonical, /*reserve=*/0);
-    return it->second;
-  }
+  if (it != contexts_.end()) return it->second.get();
   // Build while holding the lock: queries of other tasks wait, which is
   // the simple, predictable behavior a host wants during warm-up
   // (Preload() exists to take this hit before serving).
@@ -277,14 +237,11 @@ DiscoveryService::GetContext(const std::string& task) {
   MODIS_ASSIGN_OR_RETURN(
       SearchUniverse universe,
       SearchUniverse::Build(bench.universal, bench.universe_options));
-  auto context = std::make_shared<TaskContext>(std::move(bench),
+  auto context = std::make_unique<TaskContext>(std::move(bench),
                                                std::move(universe));
-  context->last_used_tick = tick;
-  context->last_used_at = now;
-  metrics_.context_builds.fetch_add(1);
-  EvictContextsLocked(canonical, /*reserve=*/1);
-  contexts_.emplace(canonical, context);
-  return context;
+  const TaskContext* raw = context.get();
+  contexts_.emplace(canonical, std::move(context));
+  return raw;
 }
 
 Result<PersistentRecordCache*> DiscoveryService::GetCache(
@@ -335,7 +292,7 @@ Result<DiscoveryResponse> DiscoveryService::Execute(
     const DiscoveryRequest& request, TraceRecorder* trace, SpanId root) {
   const SpanId context_span =
       trace != nullptr ? trace->Begin("context", root) : kNoSpan;
-  MODIS_ASSIGN_OR_RETURN(std::shared_ptr<TaskContext> context,
+  MODIS_ASSIGN_OR_RETURN(const TaskContext* context,
                          GetContext(request.task));
   if (trace != nullptr) trace->End(context_span);
 

@@ -173,16 +173,6 @@ class DiscoveryService {
     /// Row scale of the generated bench lakes (1.0 = paper scale; tests
     /// and smoke runs shrink it).
     double task_row_scale = 1.0;
-    /// Most task contexts (lake + universal table + universe) held at
-    /// once; 0 = unbounded. Exceeding the cap evicts the context whose
-    /// last query is oldest (LRU). A context in use by a running query
-    /// stays alive until that query finishes; the next query of an
-    /// evicted task rebuilds it transparently — contexts are derived,
-    /// deterministic data, so the answer is identical.
-    size_t max_task_contexts = 0;
-    /// Idle TTL: a context not queried for this long is evicted by the
-    /// sweep that runs on every context lookup. 0 = no TTL.
-    double context_idle_ttl_s = 0.0;
     /// Multi-tenant QoS: API-key → token bucket + in-flight quota +
     /// priority (docs/SERVING.md §7). Empty = QoS off (every request is
     /// admitted up to queue_capacity, FIFO — the pre-QoS behavior). When
@@ -277,9 +267,6 @@ class DiscoveryService {
   struct TaskContext {
     TabularBench bench;
     SearchUniverse universe;
-    /// Eviction bookkeeping, guarded by context_mu_.
-    uint64_t last_used_tick = 0;
-    std::chrono::steady_clock::time_point last_used_at;
 
     TaskContext(TabularBench b, SearchUniverse u)
         : bench(std::move(b)), universe(std::move(u)) {}
@@ -322,16 +309,9 @@ class DiscoveryService {
     uint64_t failed = 0;
   };
 
-  /// Resolves (building on first use) the shared context of a task. The
-  /// returned shared_ptr keeps the context alive across an eviction that
-  /// races with the query using it.
-  Result<std::shared_ptr<TaskContext>> GetContext(const std::string& task);
-
-  /// Applies the idle TTL and the LRU cap; `keep` is never evicted.
-  /// `reserve` is 1 when a new context is about to be inserted (the cap
-  /// must leave room for it) and 0 on a plain lookup. Caller holds
-  /// context_mu_.
-  void EvictContextsLocked(const std::string& keep, size_t reserve);
+  /// Resolves (building on first use) the shared context of a task.
+  /// Contexts live as long as the service, so the pointer stays valid.
+  Result<const TaskContext*> GetContext(const std::string& task);
 
   /// Resolves (opening on first use) the shared cache for a request;
   /// null when the request and the service default both disable caching.
@@ -364,12 +344,9 @@ class DiscoveryService {
   std::unique_ptr<WorkerPool> workers_;
 
   mutable std::mutex context_mu_;
-  /// Keyed by canonical task name; values are shared_ptrs so an eviction
-  /// only drops the map's reference — queries running on the context
-  /// keep it alive until they finish.
-  std::map<std::string, std::shared_ptr<TaskContext>> contexts_;
-  /// Logical clock for context LRU; bumped on every lookup.
-  uint64_t context_tick_ = 0;
+  /// Keyed by canonical task name. A context is built on first use (or
+  /// by Preload) and never leaves the map.
+  std::map<std::string, std::unique_ptr<TaskContext>> contexts_;
 
   mutable std::mutex cache_mu_;
   /// Keyed by cache path as given; one open (locked) cache per file,

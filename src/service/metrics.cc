@@ -47,10 +47,6 @@ const std::vector<ScalarMetricDesc>& ScalarMetricDescriptors() {
        &MetricsSnapshot::queue_depth, "Requests waiting for a session."},
       {"live_contexts", "modis_live_contexts", false,
        &MetricsSnapshot::live_contexts, "Task contexts held in memory."},
-      {"context_builds", "modis_context_builds_total", true,
-       &MetricsSnapshot::context_builds, "Task contexts built."},
-      {"context_evictions", "modis_context_evictions_total", true,
-       &MetricsSnapshot::context_evictions, "Task contexts evicted."},
       {"cache_files", "modis_cache_files", false,
        &MetricsSnapshot::cache_files, "Open record-cache files."},
       {"cache_bytes", "modis_cache_bytes", false,
@@ -202,8 +198,6 @@ MetricsSnapshot ServiceMetrics::Snapshot() const {
   snapshot.rejected = rejected.load();
   snapshot.served = served.load();
   snapshot.failed = failed.load();
-  snapshot.context_builds = context_builds.load();
-  snapshot.context_evictions = context_evictions.load();
   snapshot.queries_fused = queries_fused.load();
   snapshot.trainings_shared = trainings_shared.load();
   snapshot.connections_opened = connections_opened.load();

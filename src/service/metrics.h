@@ -88,8 +88,6 @@ struct MetricsSnapshot {
 
   // Task contexts.
   uint64_t live_contexts = 0;  // Gauge.
-  uint64_t context_builds = 0;
-  uint64_t context_evictions = 0;
 
   // Shared record caches, aggregated over every open cache file.
   uint64_t cache_files = 0;        // Gauge.
@@ -226,9 +224,6 @@ class ServiceMetrics {
   std::atomic<uint64_t> rejected{0};
   std::atomic<uint64_t> served{0};
   std::atomic<uint64_t> failed{0};
-
-  std::atomic<uint64_t> context_builds{0};
-  std::atomic<uint64_t> context_evictions{0};
 
   std::atomic<uint64_t> queries_fused{0};
   std::atomic<uint64_t> trainings_shared{0};

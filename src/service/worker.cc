@@ -171,10 +171,6 @@ int RunWorkerMain(int argc, char** argv) {
       cache_mode = value;
     } else if (flag == "--cache-max-bytes") {
       ok = number(uint64_t{0}, uint64_t{INT64_MAX}, &service.cache_max_bytes);
-    } else if (flag == "--max-task-contexts") {
-      ok = number(size_t{0}, size_t{1} << 20, &service.max_task_contexts);
-    } else if (flag == "--context-ttl") {
-      ok = number(0.0, 1e9, &service.context_idle_ttl_s);
     } else if (flag == "--row-scale") {
       ok = number(1e-6, 1e3, &service.task_row_scale);
     } else if (flag == "--threads") {
@@ -224,8 +220,6 @@ pid_t SpawnWorkerProcess(const WorkerOptions& options) {
       "--cache", service.default_cache_path,
       "--cache-mode", CacheModeName(service.default_cache_mode),
       "--cache-max-bytes", std::to_string(service.cache_max_bytes),
-      "--max-task-contexts", std::to_string(service.max_task_contexts),
-      "--context-ttl", DoubleFlag(service.context_idle_ttl_s),
       "--row-scale", DoubleFlag(service.task_row_scale),
       "--threads", std::to_string(service.valuation_threads),
       "--log-level", LogLevelName(GetLogLevel()),

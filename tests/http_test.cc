@@ -514,9 +514,8 @@ TEST(HttpRouterTest, ServesQueryHealthzMetricsAndTypedErrors) {
       {"modis_accepted_total", 1.0},      {"modis_served_total", 1.0},
       {"modis_rejected_total", 0.0},      {"modis_failed_total", 0.0},
       {"modis_queue_depth", 0.0},         {"modis_live_contexts", 1.0},
-      {"modis_context_builds_total", 1.0}, {"modis_cache_files", 1.0},
-      {"modis_run_ms_count", 1.0},        {"modis_draining", 0.0},
-      {"modis_connections_active", 1.0},
+      {"modis_cache_files", 1.0},         {"modis_run_ms_count", 1.0},
+      {"modis_draining", 0.0},            {"modis_connections_active", 1.0},
   };
   for (const auto& [series, value] : expected) {
     bool found = false;

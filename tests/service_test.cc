@@ -378,95 +378,25 @@ TEST(ServiceTest, UnknownInputsFailCleanly) {
   request.variant = "fastest";
   EXPECT_FALSE(service.Answer(request).ok());
 
-  request = MakeRequest("bi");
-  request.measures = {"no_such_measure"};
-  EXPECT_FALSE(service.Answer(request).ok());
+  // A bad `measures` entry is rejected by name: an unknown name and a
+  // real measure listed twice get different messages.
+  const auto expect_measure_error = [&](std::vector<std::string> measures,
+                                        const std::string& message) {
+    DiscoveryRequest bad = MakeRequest("bi");
+    bad.measures = std::move(measures);
+    auto answer = service.Answer(bad);
+    ASSERT_FALSE(answer.ok());
+    EXPECT_EQ(answer.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(answer.status().message().find(message), std::string::npos)
+        << answer.status().ToString();
+  };
+  expect_measure_error({"acc", "no_such_measure"},
+                       "unknown measure 'no_such_measure'");
+  expect_measure_error({"acc", "acc"}, "measure 'acc' listed twice");
 
   request = MakeRequest("bi");
   request.oracle = "oracle-of-delphi";
   EXPECT_FALSE(service.Answer(request).ok());
-}
-
-// ----------------------------------------------------- context lifecycle
-
-/// The LRU cap: a host bounded to one live context serves T2, evicts it
-/// to make room for T1, and transparently rebuilds it for the next T2
-/// query — with an identical skyline (contexts are derived data).
-TEST(ServiceLifecycleTest, LruEvictedContextIsRebuiltTransparently) {
-  DiscoveryService::Options options = SmallServiceOptions();
-  options.max_task_contexts = 1;
-  DiscoveryService service(options);
-
-  auto first = service.Answer(MakeRequest("bi"));
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  MetricsSnapshot snapshot = service.SnapshotMetrics();
-  EXPECT_EQ(snapshot.live_contexts, 1u);
-  EXPECT_EQ(snapshot.context_builds, 1u);
-  EXPECT_EQ(snapshot.context_evictions, 0u);
-
-  // Loading T1 exceeds the cap: T2 (the LRU victim) is evicted.
-  ASSERT_TRUE(service.Preload("T1").ok());
-  snapshot = service.SnapshotMetrics();
-  EXPECT_EQ(snapshot.live_contexts, 1u);
-  EXPECT_EQ(snapshot.context_builds, 2u);
-  EXPECT_EQ(snapshot.context_evictions, 1u);
-
-  // The next T2 query rebuilds the context and answers identically.
-  auto second = service.Answer(MakeRequest("bi"));
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
-  snapshot = service.SnapshotMetrics();
-  EXPECT_EQ(snapshot.live_contexts, 1u);
-  EXPECT_EQ(snapshot.context_builds, 3u);
-  EXPECT_EQ(snapshot.context_evictions, 2u);
-  ExpectSameSkylines(*first, *second);
-  // The rebuilt context computes the same TaskFingerprint, so the
-  // host-wide fusion memo replays the first query's trainings instead of
-  // re-executing them — identical answer, shared work.
-  EXPECT_EQ(first->exact_evals, second->exact_evals + second->fused_hits);
-}
-
-/// A cap of N holds N contexts: lookups that hit at exactly the cap
-/// must not evict (that would make the cap effectively N-1 and thrash
-/// alternating workloads with context rebuilds).
-TEST(ServiceLifecycleTest, LruCapHoldsExactlyCapContextsWithoutThrashing) {
-  DiscoveryService::Options options = SmallServiceOptions();
-  options.max_task_contexts = 2;
-  DiscoveryService service(options);
-
-  ASSERT_TRUE(service.Preload("T2").ok());
-  ASSERT_TRUE(service.Preload("T1").ok());
-  // Alternate hits at the cap: nothing is evicted, nothing rebuilt.
-  ASSERT_TRUE(service.Preload("T2").ok());
-  ASSERT_TRUE(service.Preload("T1").ok());
-  const MetricsSnapshot snapshot = service.SnapshotMetrics();
-  EXPECT_EQ(snapshot.live_contexts, 2u);
-  EXPECT_EQ(snapshot.context_builds, 2u);
-  EXPECT_EQ(snapshot.context_evictions, 0u);
-}
-
-/// The idle TTL: a context that nobody queried for longer than the TTL
-/// is dropped by the sweep of the next context lookup, and the task
-/// still answers (identically) afterwards.
-TEST(ServiceLifecycleTest, IdleContextIsEvictedByTtlAndRebuilt) {
-  DiscoveryService::Options options = SmallServiceOptions();
-  options.context_idle_ttl_s = 0.2;
-  DiscoveryService service(options);
-
-  auto first = service.Answer(MakeRequest("bi"));
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  EXPECT_EQ(service.SnapshotMetrics().live_contexts, 1u);
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(400));
-
-  // Any context lookup sweeps: loading T1 finds T2 beyond its TTL.
-  ASSERT_TRUE(service.Preload("T1").ok());
-  MetricsSnapshot snapshot = service.SnapshotMetrics();
-  EXPECT_GE(snapshot.context_evictions, 1u);
-  EXPECT_EQ(snapshot.live_contexts, 1u);
-
-  auto second = service.Answer(MakeRequest("bi"));
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
-  ExpectSameSkylines(*first, *second);
 }
 
 // ----------------------------------------------------- cache byte budget
